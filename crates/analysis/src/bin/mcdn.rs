@@ -35,18 +35,36 @@ fn parse_at(args: &[String]) -> SimTime {
     let default = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
     let Some(i) = args.iter().position(|a| a == "--at") else { return default };
     let Some(spec) = args.get(i + 1) else { usage() };
+    parse_at_spec(spec).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
+}
+
+/// Parses `YYYY-MM-DD HH:MM` or `YYYY-MM-DD` (midnight) as UTC. Rejects
+/// instants before 1970, which [`SimTime`] cannot hold, and any field out
+/// of range (month 13, day 0, 25:61, ...), which would otherwise roll over
+/// into a different date.
+fn parse_at_spec(spec: &str) -> Result<SimTime, String> {
     let parts: Vec<&str> = spec.split([' ', '-', ':']).collect();
     let num = |i: usize| parts.get(i).and_then(|p| p.parse::<u32>().ok());
-    match (num(0), num(1), num(2), num(3), num(4)) {
-        (Some(y), Some(m), Some(d), Some(h), Some(min)) => {
-            SimTime::from_ymd_hms(y as i64, m, d, h, min, 0)
-        }
-        (Some(y), Some(m), Some(d), None, None) => SimTime::from_ymd(y as i64, m, d),
+    let (y, m, d, h, min) = match (num(0), num(1), num(2), num(3), num(4)) {
+        (Some(y), Some(m), Some(d), Some(h), Some(min)) => (y, m, d, h, min),
+        (Some(y), Some(m), Some(d), None, None) => (y, m, d, 0, 0),
         _ => {
-            eprintln!("cannot parse --at {spec:?} (want 'YYYY-MM-DD HH:MM')");
-            std::process::exit(2);
+            return Err(format!(
+                "cannot parse --at {spec:?} (want 'YYYY-MM-DD HH:MM')"
+            ));
         }
+    };
+    if y < 1970 {
+        return Err(format!("--at {spec:?} is before 1970"));
     }
+    let t = SimTime::from_ymd_hms(y as i64, m, d, h, min, 0);
+    if t.to_ymd_hms() != (y as i64, m, d, h, min, 0) {
+        return Err(format!("--at {spec:?} is not a valid date and time"));
+    }
+    Ok(t)
 }
 
 fn cfg_from(args: &[String]) -> ScenarioConfig {
@@ -240,5 +258,20 @@ fn main() {
         Some("traffic") => cmd_traffic(&args[1..]),
         Some("zones") => cmd_zones(),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_at_accepts_valid_forms_and_rejects_out_of_range_fields() {
+        let evening = SimTime::from_ymd_hms(2017, 9, 19, 18, 30, 0);
+        assert_eq!(parse_at_spec("2017-09-19 18:30"), Ok(evening));
+        assert_eq!(parse_at_spec("2017-09-19"), Ok(SimTime::from_ymd(2017, 9, 19)));
+        for bad in ["2017-13-40 25:61", "2017-09-00 10:00", "1960-01-01 00:00", "yesterday"] {
+            assert!(parse_at_spec(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

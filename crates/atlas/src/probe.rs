@@ -261,26 +261,6 @@ impl Probe {
         unreachable!("loop always returns on the last attempt")
     }
 
-    /// Re-applies one recorded cache store to the interned resolver at
-    /// `now` — the replay half of incremental resolution. Exact
-    /// [`InternedResolver::cache_put`] semantics; returns the entry's
-    /// effective TTL.
-    pub fn interned_cache_put(
-        &mut self,
-        id: NameId,
-        qtype: u16,
-        records: &[mcdn_dnssim::IRecord],
-        now: SimTime,
-    ) -> u32 {
-        self.iresolver.cache_put(id, qtype, records, now)
-    }
-
-    /// Advances the interned cache's hit/miss counters by the deltas a
-    /// replayed resolution would have produced.
-    pub fn interned_cache_add_stats(&mut self, hits: u64, misses: u64) {
-        self.iresolver.cache_add_stats(hits, misses);
-    }
-
     /// Resolver cache statistics `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.resolver.cache_stats()

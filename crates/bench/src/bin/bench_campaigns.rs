@@ -139,9 +139,6 @@ struct Bench {
     work: u64,
     memo_lookups: u64,
     memo_hits: u64,
-    /// Resolutions answered by cross-round replay instead of the resolver
-    /// (serial run; thread-count canonical). Zero for non-DNS campaigns.
-    reused: u64,
     runs: Vec<Run>,
     identical: bool,
 }
@@ -505,10 +502,10 @@ fn json_escape_free(s: &str) -> &str {
 /// which bar was armed.
 ///
 /// Recalibrated for schema v7: the observability layer's hot-path work
-/// (dirty-mask brackets instead of full-array copies) sped the *serial*
-/// run up (194→~230 k res/s on the reference container), which
-/// lowers the parallel/serial ratio by the same fraction — the fixed
-/// per-round shard overhead now divides a shorter round. Measured
+/// sped the *serial* run up (194→~230 k res/s on the reference
+/// container), which lowers the parallel/serial ratio by the same
+/// fraction — the fixed per-round shard overhead now divides a shorter
+/// round. Measured
 /// 0.66–0.70× across invocations; the global_dns floor drops 0.70→0.62
 /// to keep bounding pathological overhead without failing on a serial
 /// speedup.
@@ -530,68 +527,6 @@ const SPEEDUP_GATES: [SpeedupGate; 3] = [
     SpeedupGate { name: "isp_dns", full: 1.0, floor: 0.80 },
     SpeedupGate { name: "isp_traffic", full: 1.0, floor: 0.80 },
 ];
-
-/// The committed schema-v5 baseline: serial full-scale global_dns
-/// throughput (resolutions/second) before cross-round incremental
-/// resolution existed. The reuse gate measures this build's serial run
-/// against it.
-const V5_SERIAL_GLOBAL_DNS_PER_SEC: f64 = 108_806.8;
-
-/// The v5 baseline for the `--smoke` workload, measured by building the
-/// v5 tree and running `bench_campaigns --smoke` on the same single-core
-/// container that produced the committed full-scale baseline (best of
-/// three invocations: 83.3k / 81.5k / 86.9k). The smoke campaign is a
-/// different workload — 40 probes on a 2-hour cadence, so a far larger
-/// cold-resolution fraction and fewer replayable rounds — which makes
-/// its per-resolution throughput incomparable to the full-scale number;
-/// it needs its own baseline, not a scaled copy.
-const V5_SMOKE_SERIAL_GLOBAL_DNS_PER_SEC: f64 = 86_900.0;
-
-/// The v5 serial baseline the current run is comparable against.
-fn v5_serial_baseline(smoke: bool) -> f64 {
-    if smoke {
-        V5_SMOKE_SERIAL_GLOBAL_DNS_PER_SEC
-    } else {
-        V5_SERIAL_GLOBAL_DNS_PER_SEC
-    }
-}
-
-/// The incremental-resolution bar on full-strength hosts: serial
-/// global_dns must run at ≥2× the v5 baseline throughput with reuse
-/// enabled (measured ~2.1× here — the zero-allocation hot path plus
-/// version-vector replay of quiet steady-state rounds).
-const REUSE_SPEEDUP_GATE_FULL: f64 = 2.0;
-
-/// Calibrated floor on narrow hosts (`available_parallelism() < 4`,
-/// typically one pinned, timeshared core): an absolute-throughput
-/// comparison against a committed baseline inherits the host's
-/// run-to-run variance on top of the engine's — the same build measured
-/// 1.86×–2.13× across invocations on a single-core container — so the
-/// bar degrades to one the reuse engine clears on its worst observed run
-/// while a no-reuse build (~1.0× by construction) still cannot.
-const REUSE_SPEEDUP_GATE_FLOOR: f64 = 1.4;
-
-/// The reuse gate threshold for this host/mode.
-///
-/// The full-scale run carries the headline ≥2× claim (full-strength
-/// hosts) or its single-core floor. The smoke run is a regression tripwire,
-/// not a claim: its 2-hour cadence crosses the entry chain's 6-hour TTL
-/// three times as often as the 30-minute full cadence, so its replayable
-/// fraction is roughly half (2% vs 4.4% of resolutions) and its measured
-/// ratio over the v5 smoke baseline sits at 1.34–1.62× where full scale
-/// sits at 1.86–2.13×. Smoke therefore always gates at the floor times
-/// [`SMOKE_GATE_SCALE`] (≈1.19×) — low enough that scheduler jitter
-/// cannot trip it, high enough that losing the incremental engine (ratio
-/// → ~1.0×) still fails CI.
-fn reuse_gate_threshold(smoke: bool) -> f64 {
-    if smoke {
-        REUSE_SPEEDUP_GATE_FLOOR * SMOKE_GATE_SCALE
-    } else if full_gate_armed() {
-        REUSE_SPEEDUP_GATE_FULL
-    } else {
-        REUSE_SPEEDUP_GATE_FLOOR
-    }
-}
 
 /// Worker widths this host can truly run concurrently.
 fn available_parallelism() -> usize {
@@ -652,7 +587,7 @@ fn write_json(
     metrics: &mcdn_obs::MetricsSnapshot,
 ) {
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v7\",");
+    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v8\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let counts_s: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
     let _ = writeln!(out, "  \"thread_counts\": [{}],", counts_s.join(", "));
@@ -676,22 +611,6 @@ fn write_json(
             if i + 1 < SPEEDUP_GATES.len() { "," } else { "" }
         );
     }
-    let _ = writeln!(out, "  }},");
-    let serial_dns_per_sec = benches
-        .iter()
-        .find(|b| b.name == "global_dns")
-        .and_then(|b| b.runs.first())
-        .map(|r| r.per_sec)
-        .unwrap_or(0.0);
-    let _ = writeln!(out, "  \"reuse_gate\": {{");
-    let _ = writeln!(out, "    \"v5_serial_resolutions_per_sec\": {:.1},", v5_serial_baseline(smoke));
-    let _ = writeln!(out, "    \"serial_resolutions_per_sec\": {serial_dns_per_sec:.1},");
-    let _ = writeln!(
-        out,
-        "    \"ratio_vs_v5\": {:.3},",
-        serial_dns_per_sec / v5_serial_baseline(smoke)
-    );
-    let _ = writeln!(out, "    \"gate_min_ratio\": {:.2}", reuse_gate_threshold(smoke));
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"checkpointing\": {{");
     let _ = writeln!(out, "    \"plain_ms\": {:.3},", ckpt.plain_ms);
@@ -749,9 +668,6 @@ fn write_json(
         let _ = writeln!(out, "      \"memo_lookups\": {},", b.memo_lookups);
         let _ = writeln!(out, "      \"memo_hits\": {},", b.memo_hits);
         let _ = writeln!(out, "      \"memo_hit_rate\": {hit_rate:.4},");
-        let reuse_rate = if b.work > 0 { b.reused as f64 / b.work as f64 } else { 0.0 };
-        let _ = writeln!(out, "      \"reused_resolutions\": {},", b.reused);
-        let _ = writeln!(out, "      \"reuse_rate\": {reuse_rate:.4},");
         let _ = writeln!(out, "      \"identical_across_threads\": {},", b.identical);
         let _ = writeln!(out, "      \"runs\": [");
         for (j, r) in b.runs.iter().enumerate() {
@@ -804,7 +720,6 @@ fn main() {
         work: first.resolutions,
         memo_lookups: first.memo_lookups,
         memo_hits: first.memo_hits,
-        reused: first.reused_resolutions,
         runs,
         identical,
     });
@@ -820,7 +735,6 @@ fn main() {
         work: first.resolutions,
         memo_lookups: first.memo_lookups,
         memo_hits: first.memo_hits,
-        reused: first.reused_resolutions,
         runs,
         identical,
     });
@@ -836,7 +750,6 @@ fn main() {
         work: first.flows.len() as u64,
         memo_lookups: 0,
         memo_hits: 0,
-        reused: 0,
         runs,
         identical,
     });
@@ -898,13 +811,12 @@ fn main() {
         let serial = b.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
         let best = b.runs.iter().skip(1).map(|r| r.wall_ms).fold(f64::INFINITY, f64::min);
         eprintln!(
-            "  {:<12} work={:<7} serial={:.1}ms best-parallel={:.1}ms memo-hit-rate={:.2} reuse-rate={:.2} identical={}",
+            "  {:<12} work={:<7} serial={:.1}ms best-parallel={:.1}ms memo-hit-rate={:.2} identical={}",
             b.name,
             b.work,
             serial,
             if best.is_finite() { best } else { serial },
             if b.memo_lookups > 0 { b.memo_hits as f64 / b.memo_lookups as f64 } else { 0.0 },
-            if b.work > 0 { b.reused as f64 / b.work as f64 } else { 0.0 },
             b.identical,
         );
     }
@@ -928,34 +840,6 @@ fn main() {
                 b.name,
                 top.threads,
                 if full_gate_armed() { "full-strength" } else { "overhead floor" },
-            );
-            gate_failed = true;
-        }
-    }
-    // The incremental-resolution gate: serial global_dns with cross-round
-    // reuse must clear the calibrated multiple of the committed v5
-    // (pre-reuse) baseline throughput. Serial, so core *count* is
-    // irrelevant; the floor covers per-core speed variance across hosts.
-    {
-        let serial_per_sec = benches
-            .iter()
-            .find(|b| b.name == "global_dns")
-            .and_then(|b| b.runs.first())
-            .map(|r| r.per_sec)
-            .unwrap_or(0.0);
-        let baseline = v5_serial_baseline(smoke);
-        let ratio = serial_per_sec / baseline;
-        let threshold = reuse_gate_threshold(smoke);
-        eprintln!(
-            "  reuse gate: serial global_dns {serial_per_sec:.0}/s = {ratio:.2}x v5 \
-             baseline (gate ≥ {threshold:.2}x)"
-        );
-        if ratio < threshold {
-            eprintln!(
-                "bench_campaigns: FAIL — serial global_dns ran {ratio:.3}x the v5 \
-                 baseline ({serial_per_sec:.0}/s vs {baseline:.0}/s, \
-                 gate ≥ {threshold:.2}x, {})",
-                if full_gate_armed() { "full-strength" } else { "single-core floor" },
             );
             gate_failed = true;
         }

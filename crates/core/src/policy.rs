@@ -122,20 +122,6 @@ impl Schedule {
                 .is_some_and(|pts| pts.iter().any(|(_, s)| s.weight(kind) > 0.0))
     }
 
-    /// The weight-schedule epoch at `now`: the number of breakpoints (in
-    /// any region) whose transition instant is ≤ `now`. Two instants with
-    /// equal epochs see identical [`Schedule::share_at`] answers in every
-    /// region, which is what lets the incremental engine reuse
-    /// schedule-dependent resolutions across rounds and invalidate them
-    /// exactly at weight transitions.
-    pub fn epoch_at(&self, now: SimTime) -> u64 {
-        self.breakpoints
-            .values()
-            .flat_map(|pts| pts.iter())
-            .filter(|(at, _)| *at <= now)
-            .count() as u64
-    }
-
     /// The share in force for `region` at `now`.
     pub fn share_at(&self, region: Region, now: SimTime) -> CdnShare {
         let mut current = self.default;

@@ -71,12 +71,6 @@ pub struct MetaCdnState {
     /// Distinguishes states so an installed [`MappingSnapshot`] can never
     /// serve reads of a *different* state (e.g. two worlds in one test).
     state_id: u64,
-    /// Monotonic mutation counter: bumped by every signal write
-    /// (`set_*`, [`Self::restore_signals`]). Two reads with equal
-    /// versions are guaranteed to observe identical mutable signals,
-    /// which is what the incremental resolution engine's version vectors
-    /// key on.
-    version: AtomicU64,
     schedule: Schedule,
     inner: RwLock<Inner>,
 }
@@ -173,26 +167,9 @@ impl MetaCdnState {
     pub fn new(schedule: Schedule) -> MetaCdnState {
         MetaCdnState {
             state_id: NEXT_STATE_ID.fetch_add(1, Ordering::Relaxed),
-            version: AtomicU64::new(0),
             schedule,
             inner: RwLock::new(Inner::default()),
         }
-    }
-
-    /// The current mutation version of the controller's signals. Every
-    /// `set_*` write (and [`Self::restore_signals`]) advances it, so two
-    /// equal readings bracket a window with no signal change.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    fn bump_version(&self) {
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
-    /// The weight-schedule epoch at `now` (see [`Schedule::epoch_at`]).
-    pub fn schedule_epoch(&self, now: SimTime) -> u64 {
-        self.schedule.epoch_at(now)
     }
 
     /// Captures the mutable mapping inputs as an immutable
@@ -252,8 +229,6 @@ impl MetaCdnState {
             last_good: s.last_good.iter().map(|(r, shares)| (*r, shares.clone())).collect(),
             down_sites: s.down_sites.iter().copied().collect(),
         };
-        drop(inner);
-        self.bump_version();
     }
 
     /// Runs `f` over the state's inner view: the thread's innermost
@@ -284,7 +259,6 @@ impl MetaCdnState {
     /// `demand directed at Apple ÷ Apple capacity`, uncapped.
     pub fn set_apple_utilization(&self, region: Region, util: f64) {
         self.inner.write().expect("state lock").apple_util.insert(region, util.max(0.0));
-        self.bump_version();
     }
 
     /// Reports a third-party CDN's pool load (0..1) for `region` at `now`;
@@ -300,8 +274,6 @@ impl MetaCdnState {
                 inner.akamai_overload_since.remove(&region);
             }
         }
-        drop(inner);
-        self.bump_version();
     }
 
     /// The last reported pool load for `(kind, region)`, default 0.
@@ -329,7 +301,6 @@ impl MetaCdnState {
     /// hysteresis). Unhealthy CDNs are ejected from the effective share.
     pub fn set_cdn_health(&self, kind: CdnKind, region: Region, healthy: bool) {
         self.inner.write().expect("state lock").cdn_health.insert((kind, region), healthy);
-        self.bump_version();
     }
 
     /// The last health verdict for `(kind, region)`; defaults to healthy.
@@ -346,7 +317,6 @@ impl MetaCdnState {
             .expect("state lock")
             .capacity_factor
             .insert((kind, region), factor.clamp(0.0, 1.0));
-        self.bump_version();
     }
 
     /// The last reported capacity factor for `(kind, region)`, default 1.
@@ -363,8 +333,6 @@ impl MetaCdnState {
         } else {
             inner.down_sites.remove(&site_key);
         }
-        drop(inner);
-        self.bump_version();
     }
 
     /// Whether the Apple site with `site_key` is currently marked down.

@@ -130,10 +130,7 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     // Step ①: China/India diversion, everything else back to Apple.
     // The answer depends only on the client's city (its special-market
     // membership), never its address — declared City-scoped so the
-    // engine's per-round memo can replay it across a city's probes, and
-    // dependency-free (`PolicyDeps::none`) so the incremental engine can
-    // replay it across *rounds*: nothing that changes between rounds
-    // (time, health signals, the weight schedule) enters the answer.
+    // engine's per-round memo can replay it across a city's probes.
     // Owner and target names are built once here; parsing them inside the
     // closure would put redundant `Name::parse` calls on the hot path.
     let geo_split = names::geo_split();
@@ -141,7 +138,7 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     let china_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::China.label());
     let india_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::India.label());
     let selector = names::selector();
-    z.set_policy_with_deps(
+    z.set_policy_scoped(
         geo_split,
         Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
             only_a(qtype, || {
@@ -154,7 +151,6 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
             })
         }),
         PolicyScope::City,
-        mcdn_dnssim::PolicyDeps::none(),
     );
 
     // Dedicated market pools (terminal A records).

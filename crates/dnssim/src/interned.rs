@@ -40,7 +40,7 @@ use crate::faults::UpstreamFault;
 use crate::memo::{MemoKey, MemoScope};
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
 use crate::resolver::{ResolutionTrace, TraceStep, MAX_CHAIN};
-use crate::zone::{MappingPolicy, Namespace, PolicyDeps, PolicyScope, ZoneAnswer};
+use crate::zone::{MappingPolicy, Namespace, PolicyScope, ZoneAnswer};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::{display_fnv, FnvBuildHasher, NameId, NameTable};
@@ -99,8 +99,6 @@ struct CompiledMeta {
     authority: Option<u16>,
     /// Declared answer scope at this name ([`Zone::scope_of`](crate::Zone::scope_of)).
     scope: PolicyScope,
-    /// Declared mutable-input deps at this name ([`Zone::deps_of`](crate::Zone::deps_of)).
-    deps: PolicyDeps,
     /// Whether the authoritative zone has any record or policy here.
     exists: bool,
 }
@@ -148,14 +146,14 @@ fn authority_index(ns: &Namespace, name: &Name) -> Option<u16> {
 
 fn meta_for(ns: &Namespace, name: &Name) -> CompiledMeta {
     let authority = authority_index(ns, name);
-    let (scope, deps, exists) = match authority {
+    let (scope, exists) = match authority {
         Some(i) => {
             let z = &ns.zones()[i as usize];
-            (z.scope_of(name), z.deps_of(name), z.contains_name(name))
+            (z.scope_of(name), z.contains_name(name))
         }
-        None => (PolicyScope::Global, PolicyDeps::none(), false),
+        None => (PolicyScope::Global, false),
     };
-    CompiledMeta { authority, scope, deps, exists }
+    CompiledMeta { authority, scope, exists }
 }
 
 /// Overflow interner for names outside the compiled table, owned by a
@@ -186,11 +184,7 @@ pub struct CompiledNamespace<'a> {
     table: NameTable,
     meta: Vec<CompiledMeta>,
     zones: Vec<CompiledZone<'a>>,
-    compile_id: u64,
 }
-
-/// Process-wide compile counter behind [`CompiledNamespace::compile_id`].
-static COMPILE_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl std::fmt::Debug for CompiledNamespace<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -283,36 +277,12 @@ impl<'a> CompiledNamespace<'a> {
             .collect();
         // Pass 3: per-name metadata.
         let meta = table.iter().map(|(_, name)| meta_for(ns, name)).collect();
-        let compile_id = COMPILE_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        CompiledNamespace { ns, table, meta, zones, compile_id }
+        CompiledNamespace { ns, table, meta, zones }
     }
 
     /// The shared name table (read-only after compile).
     pub fn table(&self) -> &NameTable {
         &self.table
-    }
-
-    /// A process-unique id for this compilation, assigned monotonically.
-    /// Two resolutions against equal compile ids saw the *same frozen
-    /// namespace object*; the incremental engine folds this into its
-    /// version vector so a recompile (even of an identical namespace)
-    /// conservatively invalidates every reused answer.
-    pub fn compile_id(&self) -> u64 {
-        self.compile_id
-    }
-
-    /// The memo scope answers at `id` would be shared under for a client
-    /// in `locode` — exactly the key component
-    /// [`resolve`](InternedResolver::resolve) uses, exposed so the
-    /// incremental engine can reconstruct a replayed resolution's memo
-    /// contributions from its trace.
-    pub fn memo_scope_in(
-        &self,
-        scratch: &ResolveScratch,
-        id: NameId,
-        locode: mcdn_geo::Locode,
-    ) -> Option<MemoScope> {
-        MemoScope::for_query(self.meta_of(&scratch.overlay, id).scope, locode)
     }
 
     /// The namespace this was compiled from.
@@ -562,51 +532,6 @@ impl ITrace {
     }
 }
 
-/// What the most recent resolution *depended on* and *did to the cache* —
-/// the scalar summary the incremental engine turns into a reuse slot.
-/// Maintained by every resolve call as plain scalar updates (no
-/// allocation, no branching beyond what the resolver already does), so
-/// recording is always on.
-#[derive(Debug, Clone, Copy)]
-pub struct DepRecord {
-    /// Union of the declared [`PolicyDeps`] of every authoritatively
-    /// answered (non-cache) step. Cache hits contribute nothing: a cached
-    /// answer is served as stored regardless of what changed upstream.
-    pub deps: PolicyDeps,
-    /// Earliest absolute expiry among the cache entries that served hit
-    /// steps, or `None` if no step hit. Replaying at `t' >=` this instant
-    /// would turn a recorded hit into a miss.
-    pub min_hit_expiry: Option<SimTime>,
-    /// Largest effective entry TTL among this resolution's cache stores
-    /// (min record TTL clamped to [`MAX_CACHE_TTL`]; [`NEGATIVE_TTL`] for
-    /// empty answers). Replaying before every stored entry has expired
-    /// would turn a recorded miss into a hit.
-    pub max_put_ttl: u32,
-}
-
-impl Default for DepRecord {
-    fn default() -> DepRecord {
-        DepRecord { deps: PolicyDeps::none(), min_hit_expiry: None, max_put_ttl: 0 }
-    }
-}
-
-impl DepRecord {
-    fn reset(&mut self) {
-        *self = DepRecord::default();
-    }
-
-    fn note_hit(&mut self, expires: SimTime) {
-        self.min_hit_expiry = Some(match self.min_hit_expiry {
-            Some(e) if e <= expires => e,
-            _ => expires,
-        });
-    }
-
-    fn note_put(&mut self, ttl: u32) {
-        self.max_put_ttl = self.max_put_ttl.max(ttl);
-    }
-}
-
 /// Caller-owned scratch state for interned resolution: the answer
 /// buffer, the trace arena, and the overlay interner. One per shard,
 /// reused across every probe and round — this is what makes the
@@ -616,7 +541,6 @@ pub struct ResolveScratch {
     overlay: Overlay,
     answer: Vec<IRecord>,
     trace: ITrace,
-    deps: DepRecord,
 }
 
 impl ResolveScratch {
@@ -628,11 +552,6 @@ impl ResolveScratch {
     /// The trace of the most recent resolution.
     pub fn trace(&self) -> &ITrace {
         &self.trace
-    }
-
-    /// The dependency/cache-effect summary of the most recent resolution.
-    pub fn dep_record(&self) -> DepRecord {
-        self.deps
     }
 
     /// The overlay interner (names outside the compiled table).
@@ -660,16 +579,9 @@ pub struct ICache {
 
 impl ICache {
     /// Looks up `id`/`qtype` at `now`, writing the records (TTLs clamped
-    /// to the remaining lifetime) into `out` on a hit. Returns the
-    /// serving entry's absolute expiry on a hit (the instant this lookup
-    /// would flip to a miss).
-    fn get_into(
-        &mut self,
-        id: NameId,
-        qtype: u16,
-        now: SimTime,
-        out: &mut Vec<IRecord>,
-    ) -> Option<SimTime> {
+    /// to the remaining lifetime) into `out` on a hit. Returns whether it
+    /// hit.
+    fn get_into(&mut self, id: NameId, qtype: u16, now: SimTime, out: &mut Vec<IRecord>) -> bool {
         let key = (id.0, qtype);
         match self.entries.get(&key) {
             Some(e) if now < e.expires => {
@@ -678,18 +590,16 @@ impl ICache {
                 let remaining = e.expires.since(now).as_secs() as u32;
                 out.clear();
                 out.extend(e.records.iter().map(|r| IRecord { ttl: r.ttl.min(remaining), ..*r }));
-                Some(e.expires)
+                true
             }
             _ => {
                 self.misses += 1;
                 mcdn_obs::record(mcdn_obs::id::CACHE_MISSES, 1);
-                // Present but past expiry: the expired subclassification
-                // is process-class telemetry (a replayed reuse delta
-                // keeps its recording round's split).
+                // Present but past expiry.
                 if self.entries.remove(&key).is_some() {
                     mcdn_obs::record(mcdn_obs::id::CACHE_EXPIRED, 1);
                 }
-                None
+                false
             }
         }
     }
@@ -1001,20 +911,15 @@ impl InternedResolver {
         mut memo: Option<&mut IRoundMemo>,
     ) -> Result<(), IResolutionError> {
         scratch.trace.clear();
-        scratch.deps.reset();
         let mut current = qname;
         for _ in 0..MAX_CHAIN {
             let from_cache;
             let mut zone = None;
-            if let Some(expires) =
-                self.cache.get_into(current, qtype.to_u16(), ctx.now, &mut scratch.answer)
-            {
+            if self.cache.get_into(current, qtype.to_u16(), ctx.now, &mut scratch.answer) {
                 from_cache = true;
-                scratch.deps.note_hit(expires);
             } else {
                 from_cache = false;
                 let meta = ns.meta_of(&scratch.overlay, current);
-                scratch.deps.deps = scratch.deps.deps.union(meta.deps);
                 let mut tamper = None;
                 if let Some(zi) = meta.authority {
                     let zorigin = ns.zones[zi as usize].origin;
@@ -1071,7 +976,6 @@ impl InternedResolver {
                         mcdn_obs::record(mcdn_obs::id::MEMO_REPLAYS, 1);
                         let ttl =
                             self.cache.put(current, qtype.to_u16(), &scratch.answer, ctx.now);
-                        scratch.deps.note_put(ttl);
                         mcdn_obs::record_put(ttl as u64);
                         zone = z;
                     }
@@ -1114,7 +1018,6 @@ impl InternedResolver {
                                 let ttl = self
                                     .cache
                                     .put(current, qtype.to_u16(), &scratch.answer, ctx.now);
-                                scratch.deps.note_put(ttl);
                                 mcdn_obs::record_put(ttl as u64);
                                 if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
                                     m.store(key, &scratch.answer, z);
@@ -1124,7 +1027,6 @@ impl InternedResolver {
                             IAnswer::NoData => {
                                 scratch.answer.clear();
                                 let ttl = self.cache.put(current, qtype.to_u16(), &[], ctx.now);
-                                scratch.deps.note_put(ttl);
                                 mcdn_obs::record_put(ttl as u64);
                                 if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
                                     m.store(key, &[], z);
@@ -1161,22 +1063,6 @@ impl InternedResolver {
     /// Resolver cache statistics `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.cache.stats()
-    }
-
-    /// Stores one answer directly, with exactly the semantics of the
-    /// store a resolution performs on a cache miss (min-TTL/negative-TTL
-    /// expiry, MAX_CACHE_TTL clamp, buffer reuse). The incremental engine
-    /// uses this to re-apply a replayed resolution's cache effects at the
-    /// new round time without running the resolver.
-    pub fn cache_put(&mut self, id: NameId, qtype: u16, records: &[IRecord], now: SimTime) -> u32 {
-        self.cache.put(id, qtype, records, now)
-    }
-
-    /// Advances the hit/miss counters by the given deltas — the
-    /// accounting a replayed resolution would have produced had it run.
-    pub fn cache_add_stats(&mut self, hits: u64, misses: u64) {
-        self.cache.hits += hits;
-        self.cache.misses += misses;
     }
 
     /// Drops all cached entries (counters survive), mirroring
@@ -1653,41 +1539,32 @@ mod tests {
         assert!(m.is_empty());
     }
 
-    /// The dep record underpinning cross-round reuse: deps stay empty on
-    /// an all-static chain, stores report the *effective* (7-day-clamped)
-    /// TTL, and hits report the earliest absolute expiry — the exact
-    /// bounds the incremental engine replays against.
+    /// The interned cache clamps stores to [`MAX_CACHE_TTL`] like the
+    /// string cache: a 60-day record is served from cache until exactly
+    /// seven days after the store, and re-resolved at that instant.
     #[test]
-    fn dep_record_tracks_ttl_geometry_with_seven_day_clamp() {
+    fn interned_cache_clamps_ttl_to_seven_days() {
         let mut ns = Namespace::new();
         let mut z = Zone::new(n("apple.com"));
-        z.add_cname("dl.apple.com", "pin.apple.com", 21600);
-        // Nominal 60-day TTL: the cache must clamp the entry (and the
-        // dep record must report the clamped lifetime, or a reuse slot
-        // would sleep through the forced 7-day re-resolution).
         z.add_a("pin.apple.com", Ipv4Addr::new(17, 9, 9, 9), 60 * 86_400);
         ns.add_zone(z);
         let cns = CompiledNamespace::compile(&ns);
         let mut scratch = ResolveScratch::new();
         let mut r = InternedResolver::new();
+        let id = cns.intern_in(&mut scratch, &n("pin.apple.com"));
         let t0 = SimTime::from_ymd(2017, 9, 18);
-        let id = cns.intern_in(&mut scratch, &n("dl.apple.com"));
-        let c0 = ctx(1, "deber", Continent::Europe, t0);
-        r.resolve(&cns, &mut scratch, id, RecordType::A, &c0, &NoInternedFaults, 0, None)
-            .unwrap();
-        let dep = scratch.dep_record();
-        assert!(dep.deps.is_none(), "static chain must declare no policy deps");
-        assert_eq!(dep.min_hit_expiry, None, "cold resolution hits nothing");
-        assert_eq!(dep.max_put_ttl, crate::MAX_CACHE_TTL);
-        // Warm re-resolution inside every TTL: both steps hit, nothing is
-        // stored, and the binding expiry is the shorter CNAME's.
-        let t1 = t0 + Duration::secs(600);
-        let c1 = ctx(1, "deber", Continent::Europe, t1);
-        r.resolve(&cns, &mut scratch, id, RecordType::A, &c1, &NoInternedFaults, 0, None)
-            .unwrap();
-        let dep = scratch.dep_record();
-        assert_eq!(dep.max_put_ttl, 0);
-        assert_eq!(dep.min_hit_expiry, Some(t0 + Duration::secs(21600)));
+        let clamp = Duration::secs(MAX_CACHE_TTL as u64);
+        for (t, hit) in [(t0, false), (t0 + clamp - Duration::secs(1), true), (t0 + clamp, false)] {
+            let c = ctx(1, "deber", Continent::Europe, t);
+            r.resolve(&cns, &mut scratch, id, RecordType::A, &c, &NoInternedFaults, 0, None)
+                .unwrap();
+            let step = &scratch.trace().steps()[0];
+            assert_eq!(step.from_cache, hit, "cache hit at {t:?}");
+            if hit {
+                // The hit serves the clamped entry's last remaining second.
+                assert_eq!(scratch.trace().records_of(step)[0].ttl, 1);
+            }
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use cache::{Cache, CacheRank, MAX_CACHE_TTL};
 pub use context::QueryContext;
 pub use faults::{FaultModel, NoFaults, UpstreamFault};
 pub use interned::{
-    CompiledNamespace, DepRecord, ICacheExportEntry, IRData, IRecord, IResolutionError, IRoundMemo,
+    CompiledNamespace, ICacheExportEntry, IRData, IRecord, IResolutionError, IRoundMemo,
     ITrace, ITraceStep, InternedFaultModel, InternedResolver, NoInternedFaults, ResolveScratch,
 };
 pub use iterative::{IterativeResolver, IterativeOutcome};
@@ -57,4 +57,4 @@ pub use mutation::{
 };
 pub use resolver::{RecursiveResolver, ResolutionError, ResolutionTrace, TraceStep};
 pub use wire::serve;
-pub use zone::{MappingPolicy, Namespace, PolicyDeps, PolicyScope, Zone, ZoneAnswer};
+pub use zone::{MappingPolicy, Namespace, PolicyScope, Zone, ZoneAnswer};

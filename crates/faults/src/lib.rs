@@ -453,27 +453,6 @@ impl FaultProfile {
             && !self.has_infrastructure_faults()
     }
 
-    /// A reuse-versioning digest of the fault stream visible at `now`.
-    ///
-    /// Quiet profiles (no decision method can ever fault and no answer
-    /// can ever be mutated) return the plain [`FaultProfile::digest`] —
-    /// constant across time, which lets an incremental engine treat the
-    /// fault layer as an unchanged input and replay prior resolutions.
-    /// Any profile that can fire folds `now` into the digest instead:
-    /// fault draws are keyed on query time, so the stream a resolution
-    /// observes is different every round and reuse must be disabled.
-    /// Conservative (a faultable-but-silent window still invalidates),
-    /// never wrong.
-    pub fn reuse_digest(&self, now: SimTime) -> u64 {
-        let base = self.digest();
-        if self.is_quiet() {
-            return base;
-        }
-        let mut h = Fnv64::with_state(base);
-        h.update(&now.as_secs().to_le_bytes());
-        h.finish()
-    }
-
     /// True when any [`AnswerMutation`] kind can ever fire.
     pub fn has_answer_mutations(&self) -> bool {
         self.mutation_rate > 0.0

@@ -32,24 +32,11 @@
 //! # Counter classes
 //!
 //! Counter ids `0..N_DET` are the **deterministic class**: equal across
-//! thread counts, across the reuse engine's replay/recompute arms, and
-//! across kill→resume (the engine checkpoints them). Ids
-//! `N_DET..N_COUNTERS` are the **process class**: still collected
-//! per-shard and merged canonically, but legitimately dependent on shard
-//! layout (bailiwick drops scale with fresh-vs-memoized query mix),
-//! on the reuse arm (cache-expired subclassification differs between a
-//! replayed delta and a recompute), or on resume (replay counts restart
-//! at zero, mirroring `DnsCampaignResult::reused_resolutions`).
-//!
-//! # Reuse-slot deltas
-//!
-//! The cross-round reuse engine replays recorded per-probe resolution
-//! windows instead of recomputing them. So that deterministic counters
-//! stay equal between the replay and recompute arms, the engine brackets
-//! each recorded window with [`mark`]/[`delta_since_mark`] and stores the
-//! resulting [`CounterDelta`] in the reuse slot; a replay applies the
-//! delta via [`apply_delta`]. Recorded windows are single-attempt
-//! successes by construction, so they can never contain trace events.
+//! thread counts and across kill→resume (the engine checkpoints them).
+//! Ids `N_DET..N_COUNTERS` are the **process class**: still collected
+//! per-shard and merged canonically, but either legitimately dependent
+//! on shard layout (bailiwick drops and memo replays scale with the
+//! fresh-vs-memoized query mix per shard) or not restored on resume.
 //!
 //! # Overhead budget
 //!
@@ -69,7 +56,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 /// Number of deterministic-class counters (ids `0..N_DET`).
 pub const N_DET: usize = 18;
 /// Total number of campaign counters (deterministic + process class).
-pub const N_COUNTERS: usize = 25;
+pub const N_COUNTERS: usize = 23;
 /// Number of process-global atomic counters.
 pub const N_GLOBALS: usize = 4;
 /// Number of process-global wall-time histograms.
@@ -91,7 +78,7 @@ pub const EVENTS_CAMPAIGN_CAP: usize = 16384;
 pub mod id {
     /// Campaign rounds completed.
     pub const ROUNDS: u16 = 0;
-    /// Probe resolutions performed (replayed or computed).
+    /// Probe resolutions performed.
     pub const RESOLUTIONS: u16 = 1;
     /// Resolution attempts including retries.
     pub const ATTEMPTS: u16 = 2;
@@ -126,9 +113,7 @@ pub mod id {
     /// Trace events dropped at the campaign cap (deterministic).
     pub const TRACE_DROPPED: u16 = 17;
 
-    /// Cache misses whose entry was present but expired (process class:
-    /// a replayed delta preserves the plain-miss/expired split of its
-    /// recording round, a recompute reclassifies against live state).
+    /// Cache misses whose entry was present but expired (process class).
     pub const CACHE_EXPIRED: u16 = 18;
     /// Out-of-bailiwick records dropped from fresh upstream answers
     /// (process class: memoized answers were filtered before storage, so
@@ -137,15 +122,12 @@ pub mod id {
     /// Resolver queries answered from the cross-shard memo (process
     /// class: shard-local by nature).
     pub const MEMO_REPLAYS: u16 = 20;
-    /// Reuse-slot replays (process class: mirrors
-    /// `DnsCampaignResult::reused_resolutions`, restarts at 0 on resume).
-    pub const REUSE_REPLAYS: u16 = 21;
-    /// Reuse slots invalidated by a version or TTL-window check.
-    pub const REUSE_INVALIDATIONS: u16 = 22;
-    /// Reuse slots recorded.
-    pub const REUSE_RECORDS: u16 = 23;
+    /// Never recorded, always 0: campaigns recompute every resolution,
+    /// so no cross-round reuse slot exists to invalidate. Kept so
+    /// existing readers of the id still compile.
+    pub const REUSE_INVALIDATIONS: u16 = 21;
     /// Trace events dropped at a shard buffer cap.
-    pub const SHARD_EVENTS_DROPPED: u16 = 24;
+    pub const SHARD_EVENTS_DROPPED: u16 = 22;
 }
 
 /// Trace event kinds.
@@ -208,9 +190,7 @@ pub const COUNTER_NAMES: [&str; N_COUNTERS] = [
     "dnssim.cache_expired",
     "dnssim.bailiwick_drops",
     "dnssim.memo_replays",
-    "reuse.replays",
     "reuse.invalidations",
-    "reuse.records",
     "obs.shard_events_dropped",
 ];
 
@@ -230,11 +210,6 @@ pub const GAUGE_NAMES: [&str; N_GAUGES] = ["exec.pool_workers"];
 
 /// Name of the thread-local TTL histogram (process class).
 pub const TTL_HIST_NAME: &str = "dnssim.put_ttl_secs";
-
-/// A counter delta captured by [`delta_since_mark`], reapplied by
-/// [`apply_delta`] when a reuse slot replays. Sparse `(id, amount)`
-/// pairs in ascending id order.
-pub type CounterDelta = Vec<(u16, u64)>;
 
 /// One trace event. 24 bytes, `Copy`, no payload allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -358,9 +333,9 @@ fn init_enabled() -> bool {
     on
 }
 
-/// Enables or disables all recording at runtime. Toggling mid-campaign
-/// is unsupported: reuse slots recorded while disabled carry empty
-/// deltas, so flip only between campaigns (as the bench does).
+/// Enables or disables all recording at runtime. Flip only between
+/// campaigns (as the bench does): a campaign that toggles mid-run exports
+/// counters for part of its rounds only.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on as u8, Ordering::Relaxed);
 }
@@ -377,22 +352,12 @@ pub fn set_enabled(on: bool) {
 #[cfg(feature = "obs")]
 struct Sink {
     counters: [Cell<u64>; N_COUNTERS],
-    baseline: [Cell<u64>; N_COUNTERS],
     ttl_buckets: [Cell<u64>; HIST_BUCKETS],
     ttl_count: Cell<u64>,
     ttl_sum: Cell<u64>,
     events: [Cell<TraceEvent>; EVENTS_SHARD_CAP],
     events_len: Cell<usize>,
-    /// Bitmask of counters touched since the last [`mark`]; bit `i` set
-    /// means `baseline[i]` holds the value `counters[i]` had at the
-    /// first post-mark touch. Keeps the bracket O(touched counters):
-    /// `mark` clears one word instead of copying the whole array, and
-    /// `delta_since_mark` scans ~6 set bits instead of [`N_COUNTERS`].
-    dirty: Cell<u32>,
 }
-
-// The dirty mask is one machine word; widen it before adding counter 33.
-const _: () = assert!(N_COUNTERS <= 32);
 
 #[cfg(feature = "obs")]
 impl Sink {
@@ -404,27 +369,18 @@ impl Sink {
             Cell::new(TraceEvent { kind: 0, t: 0, key: 0, value: 0 });
         Sink {
             counters: [ZERO; N_COUNTERS],
-            baseline: [ZERO; N_COUNTERS],
             ttl_buckets: [ZERO; HIST_BUCKETS],
             ttl_count: Cell::new(0),
             ttl_sum: Cell::new(0),
             events: [NO_EVENT; EVENTS_SHARD_CAP],
             events_len: Cell::new(0),
-            dirty: Cell::new(0),
         }
     }
 
-    /// Adds `n` to counter `id`, saving the pre-touch value into the
-    /// baseline on the first post-mark touch.
+    /// Adds `n` to counter `id`.
     #[inline]
     fn bump(&self, id: u16, n: u64) {
-        let idx = id as usize;
-        let bit = 1u32 << id;
-        if self.dirty.get() & bit == 0 {
-            self.dirty.set(self.dirty.get() | bit);
-            self.baseline[idx].set(self.counters[idx].get());
-        }
-        let c = &self.counters[idx];
+        let c = &self.counters[id as usize];
         c.set(c.get() + n);
     }
 
@@ -502,69 +458,13 @@ pub fn record_put(ttl_secs: u64) {
     let _ = ttl_secs;
 }
 
-/// Opens a counter bracket for [`delta_since_mark`]: clears the dirty
-/// mask, so the baseline of each counter is (re)captured lazily at its
-/// first subsequent touch. One word store — cheap enough to bracket
-/// every resolution.
-#[inline]
-pub fn mark() {
-    #[cfg(feature = "obs")]
-    if enabled() {
-        SINK.with(|s| s.dirty.set(0));
-    }
-}
-
-/// Returns the sparse counter delta since the last [`mark`] on this
-/// thread. Empty when recording is disabled or compiled out.
-#[allow(clippy::needless_return)] // the `return` carries the cfg(feature) arm
-pub fn delta_since_mark() -> CounterDelta {
-    #[cfg(feature = "obs")]
-    {
-        if !enabled() {
-            return Vec::new();
-        }
-        return SINK.with(|s| {
-            let mut out = Vec::new();
-            let mut mask = s.dirty.get();
-            // Ascending bit position = ascending counter id.
-            while mask != 0 {
-                let i = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let d = s.counters[i].get() - s.baseline[i].get();
-                if d != 0 {
-                    out.push((i as u16, d));
-                }
-            }
-            out
-        });
-    }
-    #[cfg(not(feature = "obs"))]
-    Vec::new()
-}
-
-/// Reapplies a recorded counter delta to this thread's sink (the replay
-/// arm of a reuse slot).
-pub fn apply_delta(delta: &[(u16, u64)]) {
-    #[cfg(feature = "obs")]
-    if enabled() {
-        SINK.with(|s| {
-            for &(i, d) in delta {
-                s.bump(i, d);
-            }
-        });
-    }
-    #[cfg(not(feature = "obs"))]
-    let _ = delta;
-}
-
 /// Zeroes this thread's sink. Shard closures call this on entry so a
 /// pool worker reused across rounds or campaigns starts clean.
 pub fn shard_reset() {
     #[cfg(feature = "obs")]
     SINK.with(|s| {
-        for (c, b) in s.counters.iter().zip(s.baseline.iter()) {
+        for c in &s.counters {
             c.set(0);
-            b.set(0);
         }
         for b in &s.ttl_buckets {
             b.set(0);
@@ -572,7 +472,6 @@ pub fn shard_reset() {
         s.ttl_count.set(0);
         s.ttl_sum.set(0);
         s.events_len.set(0);
-        s.dirty.set(0);
     });
 }
 
@@ -767,7 +666,7 @@ impl CampaignObs {
 
     /// Restores deterministic state from a checkpoint: the det counter
     /// prefix and the trace. Process-class counters deliberately stay at
-    /// zero — they restart on resume, like `reused_resolutions`.
+    /// zero — they describe the work this process did.
     pub fn restore(&mut self, det: &[u64], events: Vec<TraceEvent>) {
         let n = det.len().min(N_DET);
         self.counters[..n].copy_from_slice(&det[..n]);
@@ -949,28 +848,18 @@ mod tests {
 
     #[cfg(feature = "obs")]
     #[test]
-    fn record_take_and_delta_roundtrip() {
+    fn record_and_take_roundtrip() {
         let _g = GATE.lock().unwrap();
         set_enabled(true);
         shard_reset();
         record(id::CACHE_HITS, 2);
-        // A counter touched both before and after the mark must diff
-        // against the baseline, not a dirty log.
-        mark();
         record(id::CACHE_HITS, 3);
         record(id::CACHE_PUTS, 1);
-        let delta = delta_since_mark();
-        assert_eq!(delta, vec![(id::CACHE_HITS, 3), (id::CACHE_PUTS, 1)]);
-
         let taken = shard_take();
         assert_eq!(taken.counters[id::CACHE_HITS as usize], 5);
         assert_eq!(taken.counters[id::CACHE_PUTS as usize], 1);
-
         shard_reset();
-        apply_delta(&delta);
-        let replayed = shard_take();
-        assert_eq!(replayed.counters[id::CACHE_HITS as usize], 3);
-        assert_eq!(replayed.counters[id::CACHE_PUTS as usize], 1);
+        assert_eq!(shard_take().counters, [0; N_COUNTERS]);
     }
 
     #[cfg(feature = "obs")]
@@ -1013,7 +902,6 @@ mod tests {
         record(id::CACHE_HITS, 7);
         trace(event::RETRY_EXHAUSTED, 1, 2, 3);
         ttl_observe(60);
-        assert!(delta_since_mark().is_empty());
         let taken = shard_take();
         assert_eq!(taken.counters, [0; N_COUNTERS]);
         assert!(taken.events.is_empty());
@@ -1054,7 +942,7 @@ mod tests {
         let snap = obs.finish();
         assert_eq!(snap.counter(id::ROUNDS), 4);
         assert_eq!(snap.counter(id::CACHE_HITS), 99);
-        assert_eq!(snap.counter(id::REUSE_REPLAYS), 0, "process class restarts at zero");
+        assert_eq!(snap.counter(id::CACHE_EXPIRED), 0, "process class restarts at zero");
         assert_eq!(snap.events().len(), 1);
     }
 

@@ -43,7 +43,6 @@ pub mod dnscampaign;
 pub mod loads;
 pub mod params;
 pub mod poisoning;
-pub mod reuse;
 pub mod sites;
 pub mod timeline;
 pub mod tracecampaign;
@@ -59,7 +58,7 @@ pub use checkpoint::{CampaignError, CampaignRun, ResumeOptions};
 pub use classes::CdnClass;
 pub use config::{LinkSelection, ScenarioConfig};
 pub use dnscampaign::{
-    bailiwick_policy, reuse_enabled, run_global_dns, run_global_dns_observed,
+    bailiwick_policy, run_global_dns, run_global_dns_observed,
     run_global_dns_resumable, run_global_dns_resumable_with,
     run_global_dns_resumable_with_observed, run_global_dns_threads,
     run_global_dns_threads_observed, run_global_dns_threads_timed,
@@ -73,7 +72,6 @@ pub use poisoning::{
     check_poison_invariants, poison_grid, run_poison, run_poison_sweep, PoisonRunResult,
     PoisonScenario, PoisonViolation,
 };
-pub use reuse::{RecordedPut, ReuseSlot, ReuseVersions};
 pub use timeline::{timeline, TimelineEntry};
 pub use tracecampaign::{run_traceroutes, TracerouteCampaignResult};
 pub use traffic::{

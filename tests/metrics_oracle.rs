@@ -2,11 +2,10 @@
 //!
 //! Every deterministic metric ships with a proof against engine ground
 //! truth: the campaign result's own counters (resolutions, attempts,
-//! retry exhaustion, memo accounting, reuse telemetry) must equal the
-//! metrics registry exactly, under quiet, chaos-grade, and poisoning
-//! fault profiles, for both DNS campaigns. On top of the exact-equality
-//! oracle, the deterministic export must be byte-identical across worker
-//! counts and across the reuse/no-reuse engine arms.
+//! retry exhaustion, memo accounting) must equal the metrics registry
+//! exactly, under quiet, chaos-grade, and poisoning fault profiles, for
+//! both DNS campaigns. On top of the exact-equality oracle, the
+//! deterministic export must be byte-identical across worker counts.
 
 use metacdn_suite::build_world_or_exit;
 use metacdn_suite::faults::FaultProfile;
@@ -18,9 +17,8 @@ use metacdn_suite::scenario::{
 };
 use std::sync::Mutex;
 
-/// Serializes the campaigns of this binary: one arm of the reuse oracle
-/// flips the process-wide `MCDN_NO_REUSE` environment variable, which
-/// must never leak into a concurrently running campaign.
+/// Serializes the campaigns of this binary, so the process-global
+/// telemetry deltas in each snapshot describe one campaign only.
 static CAMPAIGNS: Mutex<()> = Mutex::new(());
 
 /// A compact dual-campaign config: 6 global rounds and 6 in-ISP rounds.
@@ -74,13 +72,8 @@ fn assert_snapshot_matches(
     assert_eq!(c(obs::id::RETRY_EXHAUSTED), result.retry_exhausted, "[{label}] retry_exhausted");
     assert_eq!(c(obs::id::MEMO_LOOKUPS), result.memo_lookups, "[{label}] memo_lookups");
     assert_eq!(c(obs::id::MEMO_HITS), result.memo_hits, "[{label}] memo_hits");
-    assert_eq!(
-        c(obs::id::REUSE_REPLAYS),
-        result.reused_resolutions,
-        "[{label}] reuse replays vs reused_resolutions telemetry"
-    );
-    // A resolution either replays or recomputes; recomputations drive the
-    // cache, so the cache counters must at least cover the cold stores.
+    // Every resolution drives the cache, so the cache counters must at
+    // least cover the cold stores.
     assert!(c(obs::id::CACHE_MISSES) > 0, "[{label}] no cache misses recorded");
     assert!(c(obs::id::CACHE_PUTS) > 0, "[{label}] no cache puts recorded");
     assert!(
@@ -187,34 +180,6 @@ fn det_export_is_byte_identical_across_worker_counts() {
             );
         }
     }
-}
-
-#[test]
-fn det_export_is_byte_identical_across_reuse_arms() {
-    let _guard = CAMPAIGNS.lock().unwrap();
-    // Replays need rounds faster than the answers' TTLs: a 30-minute
-    // cadence keeps cached resolutions fresh across rounds, where the
-    // 4-hour tiny cadence lets every slot expire.
-    let mut cfg = tiny_cfg(FaultProfile::none());
-    cfg.global_dns_interval = Duration::mins(30);
-    cfg.global_end = cfg.global_start + Duration::hours(6);
-    let world = build_world_or_exit(&cfg);
-    let (with_reuse, reuse_snap) = run_global_dns_threads_observed(&world, &cfg, 2);
-    assert!(with_reuse.reused_resolutions > 0, "steady state must replay something");
-
-    std::env::set_var("MCDN_NO_REUSE", "1");
-    let world = build_world_or_exit(&cfg);
-    let (without_reuse, no_reuse_snap) = run_global_dns_threads_observed(&world, &cfg, 2);
-    std::env::remove_var("MCDN_NO_REUSE");
-
-    assert_eq!(without_reuse.reused_resolutions, 0);
-    assert_eq!(no_reuse_snap.counter(obs::id::REUSE_REPLAYS), 0);
-    assert_eq!(no_reuse_snap.counter(obs::id::REUSE_RECORDS), 0);
-    assert_eq!(
-        reuse_snap.det_jsonl(),
-        no_reuse_snap.det_jsonl(),
-        "replayed deltas must reproduce recomputation's deterministic metrics exactly"
-    );
 }
 
 #[test]
