@@ -54,12 +54,13 @@ impl VantageVm {
     ) -> CrawlResult {
         let mut edges = BTreeSet::new();
         let mut addrs = BTreeSet::new();
+        let mut resolver = RecursiveResolver::new(ns);
         for round in 0..rounds {
-            // Fresh resolver per round: AWS measurements were full recursive
+            // Cold cache every round: AWS measurements were full recursive
             // resolutions, never cache-assisted.
-            let mut resolver = RecursiveResolver::new();
+            resolver.flush();
             let now = start + mcdn_geo::Duration::secs(round as u64 * spacing_secs);
-            let (trace, _) = resolver.resolve(ns, qname, RecordType::A, &self.context(now));
+            let (trace, _) = resolver.resolve(qname, RecordType::A, &self.context(now));
             for (from, to, ttl) in trace.cname_edges() {
                 edges.insert((from.to_string(), to.to_string(), ttl));
             }

@@ -51,16 +51,17 @@ fn bench_recursive_resolution(c: &mut Criterion) {
         now,
     };
     let mut g = c.benchmark_group("resolver");
+    let mut cold = RecursiveResolver::new(&world.ns);
     g.bench_function("full_chain_cold_cache", |b| {
         b.iter(|| {
-            let mut r = RecursiveResolver::new();
-            black_box(r.resolve(&world.ns, &entry, RecordType::A, &ctx))
+            cold.flush();
+            black_box(cold.resolve(&entry, RecordType::A, &ctx))
         })
     });
-    let mut warm = RecursiveResolver::new();
-    let _ = warm.resolve(&world.ns, &entry, RecordType::A, &ctx);
+    let mut warm = RecursiveResolver::new(&world.ns);
+    let _ = warm.resolve(&entry, RecordType::A, &ctx);
     g.bench_function("full_chain_warm_cache", |b| {
-        b.iter(|| black_box(warm.resolve(&world.ns, &entry, RecordType::A, &ctx)))
+        b.iter(|| black_box(warm.resolve(&entry, RecordType::A, &ctx)))
     });
     g.finish();
 }

@@ -447,9 +447,9 @@ mod tests {
     fn apple_branch_resolves_to_delivery_prefix() {
         let cfg = config(1000.0); // overwhelmingly Apple
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0001);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
         let addrs = trace.addresses();
         assert!(!addrs.is_empty());
@@ -470,9 +470,9 @@ mod tests {
     fn third_party_branch_goes_through_region_lb() {
         let cfg = config(0.0); // never Apple
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0002);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
@@ -484,9 +484,9 @@ mod tests {
     fn china_diversion() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("cnsha", Continent::Asia, 0x0A00_0003);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
@@ -498,9 +498,9 @@ mod tests {
     fn india_diversion() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("inbom", Continent::Asia, 0x0A00_0004);
-        let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, _) = r.resolve(&names::entry(), RecordType::A, &c);
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 200, 2, 1)]);
     }
 
@@ -508,9 +508,9 @@ mod tests {
     fn mapping_is_ipv4_only() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0005);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::Aaaa, &c);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::Aaaa, &c);
         res.unwrap();
         assert!(trace.addresses().is_empty(), "no AAAA should ever be served");
         assert!(!trace
@@ -533,8 +533,8 @@ mod tests {
             for i in 0..64u32 {
                 let mut c = ctx("defra", Continent::Europe, 0x0A00_1000 + i);
                 c.now = now;
-                let mut r = RecursiveResolver::new();
-                let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+                let mut r = RecursiveResolver::new(&ns);
+                let (trace, _) = r.resolve(&names::entry(), RecordType::A, &c);
                 if trace
                     .cname_edges()
                     .iter()
@@ -553,9 +553,9 @@ mod tests {
     fn mesu_manifest_host_resolves_statically() {
         let cfg = config(1.0);
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("usnyc", Continent::NorthAmerica, 0x0A00_0006);
-        let (trace, res) = r.resolve(&ns, &names::mesu(), RecordType::A, &c);
+        let (trace, res) = r.resolve(&names::mesu(), RecordType::A, &c);
         res.unwrap();
         assert_eq!(trace.addresses(), vec![cfg.mesu_ip]);
         assert_eq!(trace.steps.len(), 1, "no CNAME indirection for mesu");
@@ -584,8 +584,8 @@ mod tests {
                 ("usnyc", Continent::NorthAmerica, &mut apple_hits_us),
             ] {
                 let c = ctx(city, cont, 0x0A01_0000 + i * 3);
-                let mut r = RecursiveResolver::new();
-                let (trace, _) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+                let mut r = RecursiveResolver::new(&ns);
+                let (trace, _) = r.resolve(&names::entry(), RecordType::A, &c);
                 if trace
                     .addresses()
                     .iter()
@@ -619,9 +619,9 @@ mod tests {
             level3: 1.0,
         })));
         let ns = build_namespace(&cfg);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let c = ctx("defra", Continent::Europe, 0x0A00_0007);
-        let (trace, res) = r.resolve(&ns, &names::entry(), RecordType::A, &c);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();

@@ -1,15 +1,12 @@
-//! A TTL-honouring resolver cache.
+//! TTL limits of the resolver cache.
 //!
 //! TTLs are the control knob of the Meta-CDN: the 15-second TTL on the
 //! selector CNAME (`appldnld.g.applimg.com`) is what lets Apple reroute
 //! clients between CDNs within seconds, while the 21600-second TTL on the
-//! entry CNAME keeps the front of the chain pinned. The cache therefore
-//! stores *absolute expiry instants* in simulated time and replays answers
-//! until they lapse, exactly like a stub/recursive resolver would.
-
-use mcdn_dnswire::{Name, RecordType, ResourceRecord};
-use mcdn_geo::SimTime;
-use std::collections::HashMap;
+//! entry CNAME keeps the front of the chain pinned. The per-probe cache
+//! ([`ICache`](crate::interned::ICache)) therefore stores *absolute expiry
+//! instants* in simulated time and replays answers until they lapse,
+//! exactly like a stub/recursive resolver would, within the bounds below.
 
 /// How long a negative (NODATA/NXDOMAIN) result is cached, seconds.
 /// RFC 2308 derives this from the SOA; our zones use a flat value.
@@ -21,260 +18,3 @@ pub const NEGATIVE_TTL: u32 = 60;
 /// inflated answers — it bounds how long a TTL-inflation attack can pin
 /// a poisoned record.
 pub const MAX_CACHE_TTL: u32 = 604_800;
-
-/// Trust rank of a cached RRset, ordered RFC 2181 §5.4.1-style: data from
-/// the answer section of an authoritative zone outranks glue/additional
-/// data, and a lower rank must never overwrite a live higher rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum CacheRank {
-    /// Glue/additional-section data: lowest trust.
-    Glue,
-    /// An authoritative answer from the zone holding the name.
-    Authoritative,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    records: Vec<ResourceRecord>, // empty = negative entry
-    expires: SimTime,
-    rank: CacheRank,
-}
-
-/// A per-resolver DNS cache.
-#[derive(Debug, Clone, Default)]
-pub struct Cache {
-    entries: HashMap<(Name, u16), Entry>,
-    hits: u64,
-    misses: u64,
-}
-
-impl Cache {
-    /// An empty cache.
-    pub fn new() -> Cache {
-        Cache::default()
-    }
-
-    /// Looks up `name`/`qtype` at time `now`. Returns the cached records
-    /// (empty vector = cached negative) or `None` on miss/expiry.
-    pub fn get(&mut self, name: &Name, qtype: RecordType, now: SimTime) -> Option<Vec<ResourceRecord>> {
-        let key = (name.clone(), qtype.to_u16());
-        match self.entries.get(&key) {
-            Some(e) if now < e.expires => {
-                self.hits += 1;
-                // Surface the remaining TTL, as a real cache does.
-                let remaining = e.expires.since(now).as_secs() as u32;
-                Some(
-                    e.records
-                        .iter()
-                        .map(|rr| {
-                            let mut rr = rr.clone();
-                            rr.ttl = rr.ttl.min(remaining);
-                            rr
-                        })
-                        .collect(),
-                )
-            }
-            _ => {
-                self.misses += 1;
-                self.entries.remove(&key);
-                None
-            }
-        }
-    }
-
-    /// Stores an authoritative answer. The entry TTL is the minimum record
-    /// TTL (the whole RRset expires together), clamped to [`MAX_CACHE_TTL`];
-    /// empty answers are cached for [`NEGATIVE_TTL`].
-    pub fn put(&mut self, name: Name, qtype: RecordType, records: Vec<ResourceRecord>, now: SimTime) {
-        self.put_ranked(name, qtype, records, now, CacheRank::Authoritative);
-    }
-
-    /// [`Cache::put`] with an explicit [`CacheRank`]. Glue never displaces
-    /// a live authoritative entry (the insert is silently refused); every
-    /// other combination overwrites. Record TTLs are clamped to
-    /// [`MAX_CACHE_TTL`] on the way in, so inflated TTLs cannot outlive
-    /// the cap even before the first `get`.
-    pub fn put_ranked(
-        &mut self,
-        name: Name,
-        qtype: RecordType,
-        mut records: Vec<ResourceRecord>,
-        now: SimTime,
-        rank: CacheRank,
-    ) {
-        let key = (name, qtype.to_u16());
-        if rank == CacheRank::Glue {
-            if let Some(e) = self.entries.get(&key) {
-                if now < e.expires && e.rank == CacheRank::Authoritative {
-                    return;
-                }
-            }
-        }
-        for rr in &mut records {
-            rr.ttl = rr.ttl.min(MAX_CACHE_TTL);
-        }
-        let ttl = records.iter().map(|r| r.ttl).min().unwrap_or(NEGATIVE_TTL);
-        let expires = now + mcdn_geo::Duration::secs(ttl as u64);
-        self.entries.insert(key, Entry { records, expires, rank });
-    }
-
-    /// Iterates every held RRset as `(owner, qtype, records)` — expired
-    /// entries included, since they linger until the next `get`. Audit
-    /// hook for the poisoning sweep: invariant checks scan the whole cache
-    /// for out-of-bailiwick owners or over-cap TTLs.
-    pub fn iter_records(&self) -> impl Iterator<Item = (&Name, u16, &[ResourceRecord])> {
-        self.entries.iter().map(|((name, qtype), e)| (name, *qtype, e.records.as_slice()))
-    }
-
-    /// Number of live plus expired entries currently held.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Drops every entry (used when re-pointing a probe at a fresh resolver).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcdn_dnswire::RData;
-    use mcdn_geo::Duration;
-    use std::net::Ipv4Addr;
-
-    fn n(s: &str) -> Name {
-        Name::parse(s).unwrap()
-    }
-
-    fn rr(name: &str, ttl: u32) -> ResourceRecord {
-        ResourceRecord::new(n(name), ttl, RData::A(Ipv4Addr::new(17, 1, 1, 1)))
-    }
-
-    #[test]
-    fn hit_until_expiry_then_miss() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("a.gslb.applimg.com"), RecordType::A, vec![rr("a.gslb.applimg.com", 15)], t0);
-        assert!(c.get(&n("a.gslb.applimg.com"), RecordType::A, t0 + Duration::secs(14)).is_some());
-        assert!(c.get(&n("a.gslb.applimg.com"), RecordType::A, t0 + Duration::secs(15)).is_none());
-        let (hits, misses) = c.stats();
-        assert_eq!((hits, misses), (1, 1));
-    }
-
-    #[test]
-    fn remaining_ttl_decreases() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("x.apple.com"), RecordType::A, vec![rr("x.apple.com", 100)], t0);
-        let got = c.get(&n("x.apple.com"), RecordType::A, t0 + Duration::secs(40)).unwrap();
-        assert_eq!(got[0].ttl, 60);
-    }
-
-    #[test]
-    fn rrset_expires_on_minimum_ttl() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(
-            n("multi.apple.com"),
-            RecordType::A,
-            vec![rr("multi.apple.com", 300), rr("multi.apple.com", 20)],
-            t0,
-        );
-        assert!(c.get(&n("multi.apple.com"), RecordType::A, t0 + Duration::secs(21)).is_none());
-    }
-
-    #[test]
-    fn negative_entries_cached_briefly() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("missing.apple.com"), RecordType::A, Vec::new(), t0);
-        let hit = c.get(&n("missing.apple.com"), RecordType::A, t0 + Duration::secs(30));
-        assert_eq!(hit, Some(Vec::new()));
-        assert!(c
-            .get(&n("missing.apple.com"), RecordType::A, t0 + Duration::secs(NEGATIVE_TTL as u64))
-            .is_none());
-    }
-
-    #[test]
-    fn types_are_independent() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("x.apple.com"), RecordType::A, vec![rr("x.apple.com", 100)], t0);
-        assert!(c.get(&n("x.apple.com"), RecordType::Aaaa, t0).is_none());
-    }
-
-    #[test]
-    fn ttl_cap_bounds_inflated_records() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("x.apple.com"), RecordType::A, vec![rr("x.apple.com", u32::MAX)], t0);
-        let got = c.get(&n("x.apple.com"), RecordType::A, t0).unwrap();
-        assert_eq!(got[0].ttl, MAX_CACHE_TTL);
-        // And the entry itself expires at the cap, not at u32::MAX.
-        assert!(c
-            .get(&n("x.apple.com"), RecordType::A, t0 + Duration::secs(MAX_CACHE_TTL as u64))
-            .is_none());
-    }
-
-    #[test]
-    fn glue_never_displaces_live_authoritative_data() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        let name = n("ns1.apple.com");
-        c.put(name.clone(), RecordType::A, vec![rr("ns1.apple.com", 300)], t0);
-        // A glue record claiming a different address must be refused while
-        // the authoritative entry is live...
-        let glue = ResourceRecord::new(name.clone(), 300, RData::A(Ipv4Addr::new(198, 18, 0, 1)));
-        c.put_ranked(name.clone(), RecordType::A, vec![glue.clone()], t0, CacheRank::Glue);
-        let got = c.get(&name, RecordType::A, t0 + Duration::secs(1)).unwrap();
-        assert_eq!(got[0].rdata, RData::A(Ipv4Addr::new(17, 1, 1, 1)));
-        // ...but may fill the slot once it has expired.
-        c.put_ranked(
-            name.clone(),
-            RecordType::A,
-            vec![glue],
-            t0 + Duration::secs(301),
-            CacheRank::Glue,
-        );
-        let got = c.get(&name, RecordType::A, t0 + Duration::secs(302)).unwrap();
-        assert_eq!(got[0].rdata, RData::A(Ipv4Addr::new(198, 18, 0, 1)));
-        // Authoritative data always overwrites glue.
-        c.put(name.clone(), RecordType::A, vec![rr("ns1.apple.com", 300)], t0 + Duration::secs(303));
-        let got = c.get(&name, RecordType::A, t0 + Duration::secs(304)).unwrap();
-        assert_eq!(got[0].rdata, RData::A(Ipv4Addr::new(17, 1, 1, 1)));
-    }
-
-    #[test]
-    fn iter_records_exposes_every_owner() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("a.apple.com"), RecordType::A, vec![rr("a.apple.com", 60)], t0);
-        c.put(n("b.apple.com"), RecordType::A, vec![rr("b.apple.com", 60)], t0);
-        let mut owners: Vec<String> =
-            c.iter_records().map(|(name, _, _)| name.to_string()).collect();
-        owners.sort();
-        assert_eq!(owners, vec!["a.apple.com", "b.apple.com"]);
-    }
-
-    #[test]
-    fn clear_empties() {
-        let mut c = Cache::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        c.put(n("x.apple.com"), RecordType::A, vec![rr("x.apple.com", 100)], t0);
-        assert!(!c.is_empty());
-        c.clear();
-        assert!(c.is_empty());
-    }
-}

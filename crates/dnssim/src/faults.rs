@@ -1,18 +1,16 @@
-//! Upstream fault hooks for the recursive resolver.
+//! Upstream faults for the recursive resolver.
 //!
 //! Real recursive resolution fails in ways the clean simulator never shows:
 //! an authoritative server times out, SERVFAILs under load, or serves a
-//! lame delegation. [`FaultModel`] is the resolver's injection point for
-//! those conditions — [`crate::RecursiveResolver::resolve_with`] consults
-//! it before every *upstream* query (cache hits are never faulted, which is
-//! exactly how caches mask authoritative outages in the real DNS).
+//! lame delegation. [`InternedFaultModel`](crate::InternedFaultModel) is
+//! the resolver's injection point for those conditions — consulted before
+//! every *upstream* query (cache hits are never faulted, which is exactly
+//! how caches mask authoritative outages in the real DNS) — and
+//! [`UpstreamFault`] is what it returns.
 //!
 //! This crate only defines the hook; concrete deterministic fault sources
 //! (hash-based loss rates, load-coupled SERVFAIL, lame windows) live in
-//! `mcdn-faults` and are adapted to this trait by the campaign layer.
-
-use crate::context::QueryContext;
-use mcdn_dnswire::Name;
+//! `mcdn-faults` and are adapted to the hook by the campaign layer.
 
 /// A transient failure of one upstream query to an authoritative zone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -22,92 +20,4 @@ pub enum UpstreamFault {
     /// The query or answer was lost; the resolver gives up on this attempt
     /// after its timeout.
     Timeout,
-}
-
-/// Decides whether one upstream query suffers a transient fault.
-///
-/// Implementations must be pure functions of their inputs (plus any frozen
-/// configuration) so that campaigns stay reproducible.
-pub trait FaultModel {
-    /// The fault, if any, for querying `qname` at the zone rooted at
-    /// `zone` during retry number `attempt` (0 = first try) in context
-    /// `ctx`.
-    fn upstream_fault(
-        &self,
-        zone: &Name,
-        qname: &Name,
-        ctx: &QueryContext,
-        attempt: u32,
-    ) -> Option<UpstreamFault>;
-}
-
-/// The trivial fault model: never faults. [`crate::RecursiveResolver::resolve`]
-/// uses this, so fault-unaware callers are bit-identical to the pre-fault
-/// resolver.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultModel for NoFaults {
-    fn upstream_fault(
-        &self,
-        _zone: &Name,
-        _qname: &Name,
-        _ctx: &QueryContext,
-        _attempt: u32,
-    ) -> Option<UpstreamFault> {
-        None
-    }
-}
-
-/// Any pure closure with the right shape is a fault model. This lets tests
-/// and the chaos harness inject ad-hoc conditions ("that one zone is dark")
-/// without defining a named type:
-///
-/// ```ignore
-/// let dark = |zone: &Name, _: &Name, _: &QueryContext, _: u32| {
-///     (zone == &gslb_apex).then_some(UpstreamFault::Timeout)
-/// };
-/// resolver.resolve_with(&q, &ctx, &dark);
-/// ```
-impl<F> FaultModel for F
-where
-    F: Fn(&Name, &Name, &QueryContext, u32) -> Option<UpstreamFault>,
-{
-    fn upstream_fault(
-        &self,
-        zone: &Name,
-        qname: &Name,
-        ctx: &QueryContext,
-        attempt: u32,
-    ) -> Option<UpstreamFault> {
-        self(zone, qname, ctx, attempt)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mcdn_geo::{Continent, Coord, Locode, SimTime};
-    use std::net::Ipv4Addr;
-
-    #[test]
-    fn closures_are_fault_models() {
-        let zone = Name::parse("applimg.com.").unwrap();
-        let other = Name::parse("example.com.").unwrap();
-        let q = Name::parse("a.gslb.applimg.com.").unwrap();
-        let ctx = QueryContext {
-            client_ip: Ipv4Addr::new(198, 51, 100, 1),
-            locode: Locode::parse("deber").unwrap(),
-            coord: Coord::new(52.5, 13.4),
-            continent: Continent::Europe,
-            now: SimTime::from_ymd(2017, 9, 19),
-        };
-        let dark_zone = zone.clone();
-        let model = move |z: &Name, _: &Name, _: &QueryContext, _: u32| {
-            (*z == dark_zone).then_some(UpstreamFault::Timeout)
-        };
-        assert_eq!(model.upstream_fault(&zone, &q, &ctx, 0), Some(UpstreamFault::Timeout));
-        assert_eq!(model.upstream_fault(&other, &q, &ctx, 0), None);
-        assert_eq!(NoFaults.upstream_fault(&zone, &q, &ctx, 0), None);
-    }
 }

@@ -1,11 +1,10 @@
-//! The interned, zero-allocation resolution hot path.
+//! The interned, zero-allocation resolution engine — the workspace's
+//! only resolver.
 //!
-//! The string-keyed resolver ([`crate::resolver::RecursiveResolver`])
-//! clones [`Name`]s into cache keys, memo keys, and trace steps on every
-//! hop of every resolution — fine for correctness work, but it dominates
-//! the campaign engine's profile. This module compiles a [`Namespace`]
-//! into an id-keyed form once per campaign and runs the whole hot loop on
-//! `u32` [`NameId`]s:
+//! Keying caches, memos and traces by [`Name`] would clone names on every
+//! hop of every resolution. This module compiles a [`Namespace`] into an
+//! id-keyed form once and runs the whole resolution loop on `u32`
+//! [`NameId`]s:
 //!
 //! * [`CompiledNamespace`] interns every name the namespace can mention
 //!   into a shared [`NameTable`] and precomputes, per name, its
@@ -13,33 +12,40 @@
 //!   display-form FNV-1a digest (the fault-key prefix). Static record
 //!   sets become flat arena slices; dynamic [`MappingPolicy`] hooks are
 //!   kept as borrowed trait objects.
-//! * [`InternedResolver`] replays the exact decision sequence of
-//!   `resolve_inner` — cache, fault hook, memo, authoritative query —
-//!   against id-keyed structures, writing answers and trace steps into a
-//!   caller-owned [`ResolveScratch`] instead of allocating. Once its
-//!   per-probe [`ICache`] and the scratch buffers are warm, a resolution
-//!   performs **zero heap allocations** (the bench gate in
+//! * [`InternedResolver`] runs the resolution decision sequence — cache,
+//!   fault hook, mutation hook, memo, authoritative query, bailiwick
+//!   filter — against id-keyed structures, writing answers and trace
+//!   steps into a caller-owned [`ResolveScratch`] instead of allocating.
+//!   Once its per-probe [`ICache`] and the scratch buffers are warm, a
+//!   resolution performs **zero heap allocations** (the bench gate in
 //!   `bench_campaigns` asserts this).
-//! * [`IRoundMemo`] is the id-keyed [`RoundMemo`](crate::RoundMemo):
-//!   per-shard, cleared per round, canonicalized back to [`Name`]-keyed
-//!   counts at round end so cross-shard merging (and therefore output)
-//!   is unchanged.
+//! * [`IRoundMemo`] memoizes one round's scope-stable answers per shard
+//!   and canonicalizes its lookup counts back to [`Name`]-keyed
+//!   [`MemoKey`]s at round end, so cross-shard merging (and therefore
+//!   output) does not depend on the thread count.
+//!
+//! Names leave the engine only at the edges:
+//! [`CompiledNamespace::materialize_trace`] and
+//! [`CompiledNamespace::materialize_err`] render a resolution back to a
+//! [`ResolutionTrace`] and [`ResolutionError`], which is all the
+//! name-keyed [`RecursiveResolver`](crate::RecursiveResolver) adapter
+//! does on top of this engine.
 //!
 //! Names that are *not* in the compiled table (a caller querying a name
 //! the namespace never mentions) spill into a per-scratch overlay
 //! interner; the workspace namespaces intern everything at compile time,
 //! so the overlay stays empty on the hot path.
 //!
-//! Equivalence with the string path is enforced by tests in this module
-//! (trace-for-trace, cache-state-for-cache-state, memo-count-for-count)
-//! and by the campaign-level reference test in `mcdn-scenario`.
+//! The campaign-level output is pinned by frozen digests in
+//! `mcdn-scenario`; resolution behaviour is pinned by the tests here and
+//! in [`crate::resolver`].
 
 use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
 use crate::context::QueryContext;
 use crate::faults::UpstreamFault;
 use crate::memo::{MemoKey, MemoScope};
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
-use crate::resolver::{ResolutionTrace, TraceStep, MAX_CHAIN};
+use crate::resolver::{ResolutionError, ResolutionTrace, TraceStep, MAX_CHAIN};
 use crate::zone::{MappingPolicy, Namespace, PolicyScope, ZoneAnswer};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
@@ -405,7 +411,7 @@ impl<'a> CompiledNamespace<'a> {
                 (IAnswer::NxDomain, Some(origin))
             }
         } else {
-            // Overlay name: cold path through the string-keyed zone.
+            // Overlay name: cold path through the name-keyed zone.
             let name = overlay.names[idx - self.table.len()].clone();
             match self.ns.zones()[zi as usize].answer(&name, qtype, ctx) {
                 ZoneAnswer::Records(rrs) => {
@@ -421,8 +427,8 @@ impl<'a> CompiledNamespace<'a> {
         }
     }
 
-    /// Rebuilds a string-keyed [`ResolutionTrace`] from an interned one
-    /// (tests, debugging, ad-hoc inspection — allocates freely). Lossy
+    /// Renders an interned trace as a name-keyed [`ResolutionTrace`]
+    /// (display edges, tests, debugging — allocates freely). Lossy
     /// only for non-A/CNAME rdata, which materializes as an empty
     /// `RData::Other` of the same wire type.
     pub fn materialize_trace(&self, scratch: &ResolveScratch, trace: &ITrace) -> ResolutionTrace {
@@ -450,6 +456,18 @@ impl<'a> CompiledNamespace<'a> {
             })
             .collect();
         ResolutionTrace { steps }
+    }
+
+    /// Renders an interned resolution error with the names it refers to.
+    pub fn materialize_err(&self, scratch: &ResolveScratch, e: IResolutionError) -> ResolutionError {
+        let name = |id| self.name_in(scratch, id).clone();
+        match e {
+            IResolutionError::NxDomain(id) => ResolutionError::NxDomain(name(id)),
+            IResolutionError::ChainTooLong => ResolutionError::ChainTooLong,
+            IResolutionError::ServFail(id) => ResolutionError::ServFail(name(id)),
+            IResolutionError::Timeout(id) => ResolutionError::Timeout(name(id)),
+            IResolutionError::Truncated(id) => ResolutionError::Truncated(name(id)),
+        }
     }
 }
 
@@ -566,10 +584,11 @@ struct IEntry {
     expires: SimTime,
 }
 
-/// The id-keyed TTL cache: [`crate::Cache`] semantics (absolute expiry,
-/// remaining-TTL clamp on hit, min-TTL/negative-TTL expiry on store)
-/// without `Name` clones. Entry buffers are reused on re-store, so a
-/// warm cache neither allocates nor frees.
+/// The per-probe TTL cache, keyed by `(name id, qtype)`: entries expire
+/// at an absolute instant (the minimum record TTL, clamped to
+/// [`MAX_CACHE_TTL`]; [`NEGATIVE_TTL`] for empty answers), and a hit
+/// rewrites each record TTL to the remaining lifetime. Entry buffers are
+/// reused on re-store, so a warm cache neither allocates nor frees.
 #[derive(Debug, Clone, Default)]
 pub struct ICache {
     entries: HashMap<(u32, u16), IEntry, FnvBuildHasher>,
@@ -608,8 +627,8 @@ impl ICache {
     /// clamped record TTL; [`NEGATIVE_TTL`] for empty answers) — the
     /// seconds until a lookup of this key flips back to a miss.
     fn put(&mut self, id: NameId, qtype: u16, records: &[IRecord], now: SimTime) -> u32 {
-        // Same MAX_CACHE_TTL clamp as the string cache: inflated TTLs are
-        // capped on the way in, so they cannot pin entries past the ceiling.
+        // Inflated TTLs are capped on the way in, so they cannot pin
+        // entries past the ceiling.
         let ttl =
             records.iter().map(|r| r.ttl.min(MAX_CACHE_TTL)).min().unwrap_or(NEGATIVE_TTL);
         let expires = now + Duration::secs(ttl as u64);
@@ -634,8 +653,7 @@ impl ICache {
         ttl
     }
 
-    /// `(hits, misses)` counters, mirroring
-    /// [`Cache`](crate::Cache) accounting.
+    /// `(hits, misses)` counters.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
@@ -664,11 +682,12 @@ struct IMemoEntry {
 }
 
 /// One round's scope-stable answers, id-keyed, with a shared record
-/// arena. [`IRoundMemo::clear`] resets it for the next round while
-/// keeping capacity, and [`IRoundMemo::counts_into`] canonicalizes the
-/// per-key lookup counts back to [`Name`]-keyed [`MemoKey`]s so the
-/// engine's cross-shard merge (and therefore every output) is unchanged
-/// from the string path.
+/// arena (see [`crate::memo`] for what is memoizable and why results are
+/// bit-identical with the memo on or off). [`IRoundMemo::clear`] resets
+/// it for the next round while keeping capacity, and
+/// [`IRoundMemo::counts_into`] canonicalizes the per-key lookup counts
+/// back to [`Name`]-keyed [`MemoKey`]s so the engine's cross-shard merge
+/// (and therefore every output) is independent of the thread count.
 #[derive(Debug, Default)]
 pub struct IRoundMemo {
     entries: HashMap<IMemoKey, IMemoEntry, FnvBuildHasher>,
@@ -726,10 +745,8 @@ impl IRoundMemo {
     }
 
     /// Adds this memo's per-key lookup counts to `out` under canonical
-    /// [`Name`]-keyed [`MemoKey`]s — the same shape
-    /// [`RoundMemo::into_counts`](crate::RoundMemo::into_counts)
-    /// produces, so engine merging is unchanged. Cold path, once per
-    /// shard-round.
+    /// [`Name`]-keyed [`MemoKey`]s, the input to the engine's
+    /// cross-shard counter merge. Cold path, once per shard-round.
     pub fn counts_into(
         &self,
         ns: &CompiledNamespace<'_>,
@@ -743,8 +760,8 @@ impl IRoundMemo {
     }
 }
 
-/// The interned [`ResolutionError`](crate::ResolutionError): same
-/// variants, id-typed names.
+/// A resolution failure with id-typed names; see [`ResolutionError`]
+/// for the rendered form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IResolutionError {
     /// A name in the chain does not exist.
@@ -761,7 +778,7 @@ pub enum IResolutionError {
 
 impl IResolutionError {
     /// Whether a retry could plausibly succeed — exactly
-    /// [`ResolutionError::is_transient`](crate::ResolutionError::is_transient).
+    /// [`ResolutionError::is_transient`].
     pub fn is_transient(&self) -> bool {
         matches!(
             self,
@@ -772,10 +789,13 @@ impl IResolutionError {
     }
 }
 
-/// The id-keyed fault hook. The resolver hands over the precomputed
-/// display-FNV digests of the zone origin and query name — the exact
-/// values the string path derives by hashing `Display` output — so fault
-/// models reproduce their keys without formatting anything.
+/// The resolver's upstream fault hook, consulted before every
+/// authoritative query (cache hits are never faulted — caches mask
+/// authoritative outages, as in the real DNS). The resolver hands over
+/// the precomputed display-FNV digests of the zone origin and query name,
+/// so fault models derive stable keys without formatting anything.
+/// Implementations must be pure functions of their inputs so campaigns
+/// stay reproducible.
 pub trait InternedFaultModel {
     /// Consulted once per authoritative query; returning a fault aborts
     /// the resolution with the corresponding transient error.
@@ -825,11 +845,11 @@ where
     }
 }
 
-/// The interned recursive resolver: the exact decision sequence of
-/// [`RecursiveResolver`](crate::RecursiveResolver) (cache → fault hook →
-/// memo → authoritative query; NXDOMAIN never cached or memoized) over
-/// id-keyed state. Owns the per-probe [`ICache`]; everything else comes
-/// in through the [`ResolveScratch`].
+/// The recursive resolver: cache → fault hook → mutation hook → memo →
+/// authoritative query → bailiwick filter, chasing CNAMEs up to
+/// [`MAX_CHAIN`] hops (NXDOMAIN is never cached or memoized). Owns the
+/// per-probe [`ICache`]; everything else comes in through the
+/// [`ResolveScratch`].
 #[derive(Debug, Clone, Default)]
 pub struct InternedResolver {
     cache: ICache,
@@ -848,7 +868,7 @@ impl InternedResolver {
     /// Resolves `qname`/`qtype`, leaving the trace in `scratch.trace()`.
     /// Steady-state (warm cache, warm scratch) this performs zero heap
     /// allocations.
-    #[allow(clippy::too_many_arguments)] // the superset driver, like resolve_inner
+    #[allow(clippy::too_many_arguments)] // the fault-and-memo face of resolve_inner
     pub fn resolve(
         &mut self,
         ns: &CompiledNamespace<'_>,
@@ -874,10 +894,10 @@ impl InternedResolver {
         )
     }
 
-    /// The interned twin of
-    /// [`RecursiveResolver::resolve_adversarial`](crate::RecursiveResolver::resolve_adversarial):
-    /// fault model, answer-mutation model, explicit [`BailiwickPolicy`],
-    /// optional memo. [`InternedResolver::resolve`] is this with
+    /// The full adversarial entry point: fault model, answer-mutation
+    /// model, explicit [`BailiwickPolicy`], optional memo. A tampered
+    /// query bypasses the memo, so replayed answers are always untampered
+    /// authoritative ones. [`InternedResolver::resolve`] is this with
     /// [`NoInternedMutations`] and [`BailiwickPolicy::Enforce`].
     #[allow(clippy::too_many_arguments)] // the superset of every entry point
     pub fn resolve_adversarial(
@@ -940,8 +960,8 @@ impl InternedResolver {
                             }
                         });
                     }
-                    // Mutation hook after the fault hook, exactly like the
-                    // string path.
+                    // Mutation hook after the fault hook: a query that
+                    // never reaches the zone cannot see a tampered answer.
                     tamper = mutations
                         .answer_mutation(zorigin, zone_fnv, current, qname_fnv, ctx, attempt);
                     if let Some(t) = &tamper {
@@ -992,12 +1012,12 @@ impl InternedResolver {
                                 if let Some(t) = &tamper {
                                     apply_itamper(&mut scratch.answer, t);
                                 }
-                                // Bailiwick enforcement, mirroring the
-                                // string path: drop out-of-zone owners
-                                // before the cache, memo, or trace see
-                                // them. Name reads go through the overlay
-                                // borrow so the retain stays in place,
-                                // allocation-free.
+                                // Bailiwick enforcement: drop out-of-zone
+                                // owners before the cache, memo, or trace
+                                // see them (a no-op for every well-formed
+                                // answer). Name reads go through the
+                                // overlay borrow so the retain stays in
+                                // place, allocation-free.
                                 if bailiwick == BailiwickPolicy::Enforce {
                                     if let Some(zo) = z {
                                         let ov = &scratch.overlay;
@@ -1065,8 +1085,7 @@ impl InternedResolver {
         self.cache.stats()
     }
 
-    /// Drops all cached entries (counters survive), mirroring
-    /// [`RecursiveResolver::flush`](crate::RecursiveResolver::flush).
+    /// Drops all cached entries (counters survive).
     pub fn flush(&mut self) {
         self.cache.entries.clear();
     }
@@ -1104,10 +1123,7 @@ impl InternedResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::NoFaults;
-    use crate::resolver::{RecursiveResolver, ResolutionError};
     use crate::zone::Zone;
-    use crate::RoundMemo;
     use mcdn_geo::{Continent, Coord, Locode};
     use std::sync::Arc;
 
@@ -1126,8 +1142,7 @@ mod tests {
     }
 
     /// A miniature Meta-CDN chain: static entry CNAME → City-scoped geo
-    /// split → Client-scoped GSLB → static A records. Exercises every
-    /// answer path (policy, static, CNAME fallback, NODATA, NXDOMAIN).
+    /// split → Client-scoped GSLB → static A records.
     fn build_ns() -> Namespace {
         let mut ns = Namespace::new();
 
@@ -1184,342 +1199,58 @@ mod tests {
         ns
     }
 
-    /// Resolves on both paths and asserts trace + result + cache stats
-    /// agree.
-    #[allow(clippy::too_many_arguments)]
-    fn assert_equiv(
-        ns: &Namespace,
-        cns: &CompiledNamespace<'_>,
-        string: &mut RecursiveResolver,
-        interned: &mut InternedResolver,
-        scratch: &mut ResolveScratch,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-    ) {
-        let (want_trace, want_result) = string.resolve(ns, qname, qtype, ctx);
-        let id = cns.intern_in(scratch, qname);
-        let got = interned.resolve(cns, scratch, id, qtype, ctx, &NoInternedFaults, 0, None);
-        let got_trace = cns.materialize_trace(scratch, scratch.trace());
-        assert_eq!(got_trace, want_trace, "trace mismatch for {qname} {qtype:?} at {:?}", ctx.now);
-        match (got, want_result) {
-            (Ok(()), Ok(())) => {}
-            (Err(e), Err(want)) => {
-                assert_eq!(materialize_err(cns, scratch, e), want);
-            }
-            (got, want) => panic!("result mismatch: interned {got:?} vs string {want:?}"),
-        }
-        assert_eq!(interned.cache_stats(), string.cache_stats(), "cache stats diverged");
-    }
-
-    fn materialize_err(
-        ns: &CompiledNamespace<'_>,
-        scratch: &ResolveScratch,
-        e: IResolutionError,
-    ) -> ResolutionError {
-        match e {
-            IResolutionError::NxDomain(id) => {
-                ResolutionError::NxDomain(ns.name_in(scratch, id).clone())
-            }
-            IResolutionError::ChainTooLong => ResolutionError::ChainTooLong,
-            IResolutionError::ServFail(id) => {
-                ResolutionError::ServFail(ns.name_in(scratch, id).clone())
-            }
-            IResolutionError::Timeout(id) => {
-                ResolutionError::Timeout(ns.name_in(scratch, id).clone())
-            }
-            IResolutionError::Truncated(id) => {
-                ResolutionError::Truncated(ns.name_in(scratch, id).clone())
-            }
-        }
+    fn key(name: NameId, scope: MemoScope) -> IMemoKey {
+        (name, RecordType::A, scope, SimTime::from_ymd(2017, 9, 19))
     }
 
     #[test]
-    fn matches_string_path_across_cache_lifetimes() {
+    fn memo_replay_counts_lookups_and_returns_stored_answer() {
+        let mut memo = IRoundMemo::new();
+        let k = key(NameId(3), MemoScope::Global);
+        let mut out = Vec::new();
+        assert!(memo.replay_into(&k, &mut out).is_none());
+        let rr = IRecord { name: NameId(3), ttl: 20, rdata: IRData::A(Ipv4Addr::new(17, 1, 1, 1)) };
+        memo.store(k, &[rr], Some(NameId(0)));
+        assert_eq!(memo.replay_into(&k, &mut out), Some(Some(NameId(0))));
+        assert_eq!(out, vec![rr]);
+        assert_eq!(memo.lookups(), 2);
+        assert_eq!(memo.hits(), 1);
+        assert_eq!(memo.len(), 1);
+    }
+
+    #[test]
+    fn memo_city_scopes_are_distinct_keys() {
+        let mut memo = IRoundMemo::new();
+        let fra = MemoScope::City(Locode::parse("defra").unwrap());
+        let nyc = MemoScope::City(Locode::parse("usnyc").unwrap());
+        let mut out = Vec::new();
+        memo.store(key(NameId(1), fra), &[], None);
+        assert!(memo.replay_into(&key(NameId(1), nyc), &mut out).is_none());
+        assert!(memo.replay_into(&key(NameId(1), fra), &mut out).is_some());
+    }
+
+    #[test]
+    fn memo_counts_merge_into_canonical_counters() {
+        // Two "shards" each memoize the same key: shard-local hits differ
+        // from what one shard would have seen, but the merged counts give
+        // the canonical figures.
         let ns = build_ns();
         let cns = CompiledNamespace::compile(&ns);
-        let mut string = RecursiveResolver::new();
-        let mut interned = InternedResolver::new();
-        let mut scratch = ResolveScratch::new();
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        let entry = n("appldnld.apple.com");
-        // Walk the same client through the TTL lifecycle: cold, inside the
-        // 15 s GSLB TTL, after it expires, after the 120 s geo TTL, and
-        // two hours on. Every step must agree hop for hop.
-        for secs in [0u64, 10, 30, 200, 7200] {
-            let c = ctx(7, "defra", Continent::Europe, t0 + Duration::secs(secs));
-            assert_equiv(
-                &ns, &cns, &mut string, &mut interned, &mut scratch, &entry, RecordType::A, &c,
-            );
-        }
-        // A differently-located, differently-addressed client (own caches).
-        let mut string2 = RecursiveResolver::new();
-        let mut interned2 = InternedResolver::new();
-        for secs in [0u64, 40] {
-            let c = ctx(8, "usnyc", Continent::NorthAmerica, t0 + Duration::secs(secs));
-            assert_equiv(
-                &ns, &cns, &mut string2, &mut interned2, &mut scratch, &entry, RecordType::A, &c,
-            );
-        }
-    }
-
-    #[test]
-    fn matches_string_path_on_errors_and_nodata() {
-        let ns = build_ns();
-        let cns = CompiledNamespace::compile(&ns);
-        let mut string = RecursiveResolver::new();
-        let mut interned = InternedResolver::new();
-        let mut scratch = ResolveScratch::new();
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        let c = ctx(7, "defra", Continent::Europe, t0);
-        // NXDOMAIN inside an authoritative zone (overlay-interned name).
-        assert_equiv(
-            &ns, &cns, &mut string, &mut interned, &mut scratch,
-            &n("nothere.apple.com"), RecordType::A, &c,
-        );
-        // NXDOMAIN with no authoritative zone at all.
-        assert_equiv(
-            &ns, &cns, &mut string, &mut interned, &mut scratch,
-            &n("nowhere.invalid"), RecordType::A, &c,
-        );
-        // AAAA through the policy chain: empty (NODATA-like) answer.
-        assert_equiv(
-            &ns, &cns, &mut string, &mut interned, &mut scratch,
-            &n("appldnld.apple.com"), RecordType::Aaaa, &c,
-        );
-        // Typed miss on a static name → NODATA, negative-cached; repeat
-        // inside and after the negative TTL.
-        for secs in [0u64, 30, 90] {
-            let c = ctx(7, "defra", Continent::Europe, t0 + Duration::secs(secs));
-            assert_equiv(
-                &ns, &cns, &mut string, &mut interned, &mut scratch,
-                &n("static.apple.com"), RecordType::Txt, &c,
-            );
-        }
-        // CNAME qtype returns the CNAME itself without chasing it.
-        assert_equiv(
-            &ns, &cns, &mut string, &mut interned, &mut scratch,
-            &n("appldnld.apple.com"), RecordType::Cname, &c,
-        );
-    }
-
-    #[test]
-    fn matches_string_path_under_faults() {
-        let ns = build_ns();
-        let cns = CompiledNamespace::compile(&ns);
-        let akadns_key = display_fnv(&n("apple.com.akadns.net"));
-        let gslb_key = display_fnv(&n("a.gslb.applimg.com"));
-        // String-side model: hash the Display forms (as the campaign
-        // fault layer does); interned side gets the precomputed digests.
-        let string_faults = |zone: &Name, qname: &Name, _ctx: &QueryContext, attempt: u32| {
-            let zk = display_fnv(zone);
-            let qk = display_fnv(qname);
-            if zk == akadns_key && attempt == 0 {
-                Some(UpstreamFault::Timeout)
-            } else if qk == gslb_key {
-                Some(UpstreamFault::ServFail)
-            } else {
-                None
-            }
-        };
-        let interned_faults = move |_zone: NameId,
-                                    zone_fnv: u64,
-                                    _qname: NameId,
-                                    qname_fnv: u64,
-                                    _ctx: &QueryContext,
-                                    attempt: u32| {
-            if zone_fnv == akadns_key && attempt == 0 {
-                Some(UpstreamFault::Timeout)
-            } else if qname_fnv == gslb_key {
-                Some(UpstreamFault::ServFail)
-            } else {
-                None
-            }
-        };
-        let mut string = RecursiveResolver::new();
-        let mut interned = InternedResolver::new();
-        let mut scratch = ResolveScratch::new();
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        let entry = n("appldnld.apple.com");
-        let entry_id = cns.intern_in(&mut scratch, &entry);
-        for attempt in 0..3u32 {
-            let c = ctx(2, "defra", Continent::Europe, t0 + Duration::secs(attempt as u64));
-            let (want_trace, want_result) =
-                string.resolve_with(&ns, &entry, RecordType::A, &c, &string_faults, attempt);
-            let got = interned.resolve(
-                &cns, &mut scratch, entry_id, RecordType::A, &c, &interned_faults, attempt, None,
-            );
-            assert_eq!(cns.materialize_trace(&scratch, scratch.trace()), want_trace);
-            match (got, want_result) {
-                (Ok(()), Ok(())) => {}
-                (Err(e), Err(want)) => assert_eq!(materialize_err(&cns, &scratch, e), want),
-                (got, want) => panic!("result mismatch: {got:?} vs {want:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn matches_string_path_under_answer_mutations() {
-        use crate::mutation::{attacker_ns, attacker_owner, AnswerTamper};
-
-        let ns = build_ns();
-        let extra = [attacker_owner(), attacker_ns()];
-        let cns = CompiledNamespace::compile_with_extra(&ns, &extra);
-        let owner_id = cns.table().get(&attacker_owner()).unwrap();
-        let ns_id = cns.table().get(&attacker_ns()).unwrap();
-        let akadns_key = display_fnv(&n("apple.com.akadns.net"));
-        let applimg_key = display_fnv(&n("applimg.com"));
-        let attacker_addr = Ipv4Addr::new(198, 18, 7, 7);
-
-        // One mutation kind per iteration, fired at a fixed zone, under
-        // both bailiwick postures; string and interned models key off the
-        // same display digests so they fire identically.
-        for kind in 0..4u8 {
-            for bailiwick in [BailiwickPolicy::Enforce, BailiwickPolicy::Accept] {
-                let string_muts = move |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-                    let zk = display_fnv(zone);
-                    match kind {
-                        0 if zk == akadns_key => Some(AnswerTamper::SpoofA {
-                            owner: attacker_owner(),
-                            addr: attacker_addr,
-                            ttl: 600,
-                        }),
-                        1 if zk == applimg_key => Some(AnswerTamper::InjectNs {
-                            owner: attacker_owner(),
-                            target: attacker_ns(),
-                            ttl: 600,
-                        }),
-                        2 if zk == applimg_key => Some(AnswerTamper::Truncate),
-                        3 if zk == akadns_key => Some(AnswerTamper::InflateTtl { factor: 10_000 }),
-                        _ => None,
-                    }
-                };
-                let interned_muts = move |_z: NameId,
-                                          zone_fnv: u64,
-                                          _qn: NameId,
-                                          _qf: u64,
-                                          _c: &QueryContext,
-                                          _a: u32| {
-                    match kind {
-                        0 if zone_fnv == akadns_key => Some(ITamper::SpoofA {
-                            owner: owner_id,
-                            addr: attacker_addr,
-                            ttl: 600,
-                        }),
-                        1 if zone_fnv == applimg_key => Some(ITamper::InjectNs {
-                            owner: owner_id,
-                            target: ns_id,
-                            ttl: 600,
-                        }),
-                        2 if zone_fnv == applimg_key => Some(ITamper::Truncate),
-                        3 if zone_fnv == akadns_key => Some(ITamper::InflateTtl { factor: 10_000 }),
-                        _ => None,
-                    }
-                };
-                let mut string = RecursiveResolver::new();
-                let mut interned = InternedResolver::new();
-                let mut scratch = ResolveScratch::new();
-                let t0 = SimTime::from_ymd(2017, 9, 19);
-                let entry = n("appldnld.apple.com");
-                let entry_id = cns.intern_in(&mut scratch, &entry);
-                // Several rounds so cached poisoned/clean entries interact
-                // with later resolutions on both paths.
-                for step in 0..4u64 {
-                    let c = ctx(2, "defra", Continent::Europe, t0 + Duration::secs(step * 40));
-                    let (want_trace, want_result) = string.resolve_adversarial(
-                        &ns,
-                        &entry,
-                        RecordType::A,
-                        &c,
-                        &NoFaults,
-                        &string_muts,
-                        bailiwick,
-                        0,
-                        None,
-                    );
-                    let got = interned.resolve_adversarial(
-                        &cns,
-                        &mut scratch,
-                        entry_id,
-                        RecordType::A,
-                        &c,
-                        &NoInternedFaults,
-                        &interned_muts,
-                        bailiwick,
-                        0,
-                        None,
-                    );
-                    assert_eq!(
-                        cns.materialize_trace(&scratch, scratch.trace()),
-                        want_trace,
-                        "kind {kind} {bailiwick:?} step {step}"
-                    );
-                    match (got, want_result) {
-                        (Ok(()), Ok(())) => {}
-                        (Err(e), Err(want)) => {
-                            assert_eq!(materialize_err(&cns, &scratch, e), want)
-                        }
-                        (got, want) => panic!("result mismatch: {got:?} vs {want:?}"),
-                    }
-                    assert_eq!(
-                        interned.cache_stats(),
-                        string.cache_stats(),
-                        "cache stats diverged: kind {kind} {bailiwick:?} step {step}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn memo_counts_match_string_path() {
-        let ns = build_ns();
-        let cns = CompiledNamespace::compile(&ns);
-        let t0 = SimTime::from_ymd(2017, 9, 19);
-        let entry = n("appldnld.apple.com");
-        // Six clients: three in Frankfurt, two in New York, one in Berlin —
-        // Global answers shared by all, City answers shared per city,
-        // Client answers never memoized.
-        let clients = [
-            (1u8, "defra", Continent::Europe),
-            (2, "defra", Continent::Europe),
-            (3, "defra", Continent::Europe),
-            (4, "usnyc", Continent::NorthAmerica),
-            (5, "usnyc", Continent::NorthAmerica),
-            (6, "deber", Continent::Europe),
-        ];
-        let mut memo = RoundMemo::new();
-        let mut imemo = IRoundMemo::new();
-        let mut scratch = ResolveScratch::new();
-        let mut want_traces = Vec::new();
-        for &(ip, loc, cont) in &clients {
-            let mut r = RecursiveResolver::new();
-            let c = ctx(ip, loc, cont, t0);
-            let (trace, result) =
-                r.resolve_memoized(&ns, &entry, RecordType::A, &c, &NoFaults, 0, &mut memo);
-            assert!(result.is_ok());
-            want_traces.push(trace);
-        }
-        for (i, &(ip, loc, cont)) in clients.iter().enumerate() {
-            let mut r = InternedResolver::new();
-            let c = ctx(ip, loc, cont, t0);
-            let id = cns.intern_in(&mut scratch, &entry);
-            let result = r.resolve(
-                &cns, &mut scratch, id, RecordType::A, &c, &NoInternedFaults, 0, Some(&mut imemo),
-            );
-            assert!(result.is_ok());
-            assert_eq!(
-                cns.materialize_trace(&scratch, scratch.trace()),
-                want_traces[i],
-                "memoized trace mismatch for client {i}"
-            );
-        }
-        assert_eq!(imemo.len(), memo.len());
-        assert_eq!(imemo.lookups(), memo.lookups());
-        assert_eq!(imemo.hits(), memo.hits());
-        let mut got_counts = HashMap::new();
-        imemo.counts_into(&cns, &scratch, &mut got_counts);
-        assert_eq!(got_counts, memo.into_counts());
+        let scratch = ResolveScratch::new();
+        let k = key(cns.table().get(&n("static.apple.com")).unwrap(), MemoScope::Global);
+        let mut a = IRoundMemo::new();
+        a.store(k, &[], None);
+        a.replay_into(&k, &mut Vec::new());
+        let mut b = IRoundMemo::new();
+        b.store(k, &[], None);
+        let mut merged = HashMap::new();
+        a.counts_into(&cns, &scratch, &mut merged);
+        b.counts_into(&cns, &scratch, &mut merged);
+        let lookups: u64 = merged.values().sum();
+        let hits = lookups - merged.len() as u64;
+        assert_eq!((lookups, hits), (3, 2), "one true miss, two canonical hits");
+        let name_key = (n("static.apple.com"), RecordType::A, MemoScope::Global, k.3);
+        assert_eq!(merged.get(&name_key), Some(&3));
     }
 
     #[test]
@@ -1539,8 +1270,7 @@ mod tests {
         assert!(m.is_empty());
     }
 
-    /// The interned cache clamps stores to [`MAX_CACHE_TTL`] like the
-    /// string cache: a 60-day record is served from cache until exactly
+    /// The cache clamps stores to [`MAX_CACHE_TTL`]: a 60-day record is served from cache until exactly
     /// seven days after the store, and re-resolved at that instant.
     #[test]
     fn interned_cache_clamps_ttl_to_seven_days() {

@@ -180,8 +180,8 @@ mod tests {
         let iterative = IterativeResolver::new()
             .resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx())
             .unwrap();
-        let mut recursive = crate::resolver::RecursiveResolver::new();
-        let (trace, res) = recursive.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx());
+        let mut recursive = crate::resolver::RecursiveResolver::new(&ns);
+        let (trace, res) = recursive.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx());
         res.unwrap();
         assert_eq!(iterative.addrs, trace.addresses());
     }

@@ -14,12 +14,17 @@
 //!   the Meta-CDN selector are implemented by `metacdn`.
 //! * [`Namespace`] is the set of all authoritative zones; it answers one
 //!   question at a time like the authoritative side of the real DNS.
-//! * [`RecursiveResolver`] chases CNAME chains across zones with a
-//!   per-resolver cache honouring TTLs — probes each own a resolver, so TTL
-//!   effects (the 15 s selector TTL vs the 21600 s entry TTL) shape what a
-//!   probe re-resolves every measurement round, exactly as on RIPE Atlas.
-//! * Every resolution yields a [`ResolutionTrace`] recording each CNAME edge
-//!   with its TTL — the raw material for regenerating Figure 2.
+//! * [`InternedResolver`] chases CNAME chains across a
+//!   [`CompiledNamespace`] with a per-resolver cache honouring TTLs —
+//!   probes each own one, so TTL effects (the 15 s selector TTL vs the
+//!   21600 s entry TTL) shape what a probe re-resolves every measurement
+//!   round, exactly as on RIPE Atlas. It is the only resolution engine:
+//!   campaigns, faults, answer mutations and the per-round memo all run
+//!   on interned name ids.
+//! * [`RecursiveResolver`] is the name-keyed adapter over that engine for
+//!   the edges that speak in names: every resolution renders to a
+//!   [`ResolutionTrace`] recording each CNAME edge with its TTL — the raw
+//!   material for regenerating Figure 2.
 //!
 //! A deliberate simplification: the real mapping infers client location from
 //! the recursive resolver's IP (plus EDNS Client Subnet); our probes query
@@ -42,18 +47,18 @@ pub mod resolver;
 pub mod wire;
 pub mod zone;
 
-pub use cache::{Cache, CacheRank, MAX_CACHE_TTL};
+pub use cache::MAX_CACHE_TTL;
 pub use context::QueryContext;
-pub use faults::{FaultModel, NoFaults, UpstreamFault};
+pub use faults::UpstreamFault;
 pub use interned::{
     CompiledNamespace, ICacheExportEntry, IRData, IRecord, IResolutionError, IRoundMemo,
     ITrace, ITraceStep, InternedFaultModel, InternedResolver, NoInternedFaults, ResolveScratch,
 };
 pub use iterative::{IterativeResolver, IterativeOutcome};
-pub use memo::{MemoKey, MemoScope, RoundMemo};
+pub use memo::{MemoKey, MemoScope};
 pub use mutation::{
-    AnswerTamper, BailiwickPolicy, ITamper, InternedMutationModel, MutationModel,
-    NoInternedMutations, NoMutations, apply_itamper, apply_tamper, attacker_ns, attacker_owner,
+    BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations, apply_itamper,
+    attacker_ns, attacker_owner,
 };
 pub use resolver::{RecursiveResolver, ResolutionError, ResolutionTrace, TraceStep};
 pub use wire::serve;

@@ -4,26 +4,27 @@
 //! answer that depends only on the client's *scope* — nothing
 //! ([`PolicyScope::Global`]) or the client's city
 //! ([`PolicyScope::City`]) — is identical for every probe sharing that
-//! scope. A [`RoundMemo`] caches those answers for the duration of a round
-//! so probes behind the same effective resolver scope stop repeating
-//! identical delegation walks. Policies scoped
+//! scope. An [`IRoundMemo`](crate::IRoundMemo) caches those answers for
+//! the duration of a round so probes behind the same effective resolver
+//! scope stop repeating identical delegation walks. Policies scoped
 //! [`Client`](PolicyScope::Client) (selectors, GSLBs) are never memoized,
-//! and the resolver consults its fault hook *before* the memo, so a query
-//! the fault model perturbs bypasses memoization entirely: resolution
-//! results are bit-identical with the memo on or off.
+//! and the resolver consults its fault and mutation hooks *before* the
+//! memo, so a query they perturb bypasses memoization entirely:
+//! resolution results are bit-identical with the memo on or off.
 //!
 //! The memo is shard-local in the parallel engine — each worker owns one —
 //! so raw hit counts would vary with the thread count (a key's first
-//! lookup *per shard* is a miss). [`RoundMemo::into_counts`] therefore
-//! exposes per-key lookup counts instead; the engine merges them across
-//! shards and derives the canonical, thread-count-independent counters
-//! `lookups = Σ counts` and `hits = lookups − distinct keys` (what a
-//! single shard would have observed).
+//! lookup *per shard* is a miss).
+//! [`IRoundMemo::counts_into`](crate::IRoundMemo::counts_into) therefore
+//! exposes per-key lookup counts under [`MemoKey`]s instead; the engine
+//! merges them across shards and derives the canonical,
+//! thread-count-independent counters `lookups = Σ counts` and
+//! `hits = lookups − distinct keys` (what a single shard would have
+//! observed).
 
 use crate::zone::PolicyScope;
-use mcdn_dnswire::{Name, RecordType, ResourceRecord};
+use mcdn_dnswire::{Name, RecordType};
 use mcdn_geo::{Locode, SimTime};
-use std::collections::HashMap;
 
 /// The client-scope component of a memo key, derived from a
 /// [`PolicyScope`] declaration plus the querying context.
@@ -55,130 +56,3 @@ impl MemoScope {
 /// another instant's answer, so memo contents never depend on the order
 /// shards interleave probes and their retries.
 pub type MemoKey = (Name, RecordType, MemoScope, SimTime);
-
-struct Entry {
-    records: Vec<ResourceRecord>,
-    zone: Option<Name>,
-    /// Queries served under this key, including the miss that stored it.
-    lookups: u64,
-}
-
-/// One round's worth of memoized scope-stable answers (see module docs).
-#[derive(Default)]
-pub struct RoundMemo {
-    entries: HashMap<MemoKey, Entry>,
-}
-
-impl std::fmt::Debug for RoundMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RoundMemo")
-            .field("entries", &self.entries.len())
-            .field("lookups", &self.lookups())
-            .finish()
-    }
-}
-
-impl RoundMemo {
-    /// An empty memo, to be used for at most one campaign round.
-    pub fn new() -> RoundMemo {
-        RoundMemo::default()
-    }
-
-    /// Replays a stored answer, counting the lookup. Returns the records
-    /// and answering-zone origin exactly as the authoritative query that
-    /// stored them produced.
-    pub(crate) fn replay(&mut self, key: &MemoKey) -> Option<(Vec<ResourceRecord>, Option<Name>)> {
-        self.entries.get_mut(key).map(|e| {
-            e.lookups += 1;
-            (e.records.clone(), e.zone.clone())
-        })
-    }
-
-    /// Stores a fresh authoritative answer (counted as this key's first
-    /// lookup). Error answers (NXDOMAIN) are never stored.
-    pub(crate) fn store(&mut self, key: MemoKey, records: Vec<ResourceRecord>, zone: Option<Name>) {
-        self.entries.insert(key, Entry { records, zone, lookups: 1 });
-    }
-
-    /// Number of distinct memoized answers.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total lookups of memoizable keys (hits plus the storing misses).
-    pub fn lookups(&self) -> u64 {
-        self.entries.values().map(|e| e.lookups).sum()
-    }
-
-    /// Lookups served from the memo (this shard's local view; see module
-    /// docs for the canonical cross-shard accounting).
-    pub fn hits(&self) -> u64 {
-        self.lookups() - self.entries.len() as u64
-    }
-
-    /// Consumes the memo into its per-key lookup counts, the input to the
-    /// engine's canonical cross-shard counter merge.
-    pub fn into_counts(self) -> HashMap<MemoKey, u64> {
-        self.entries.into_iter().map(|(k, e)| (k, e.lookups)).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key(name: &str, scope: MemoScope) -> MemoKey {
-        (Name::parse(name).unwrap(), RecordType::A, scope, SimTime(1_505_779_200))
-    }
-
-    #[test]
-    fn replay_counts_lookups_and_returns_stored_answer() {
-        let mut memo = RoundMemo::new();
-        let k = key("mesu.apple.com", MemoScope::Global);
-        assert!(memo.replay(&k).is_none());
-        memo.store(k.clone(), Vec::new(), Some(Name::parse("apple.com").unwrap()));
-        let (rrs, zone) = memo.replay(&k).unwrap();
-        assert!(rrs.is_empty());
-        assert_eq!(zone, Some(Name::parse("apple.com").unwrap()));
-        assert_eq!(memo.lookups(), 2);
-        assert_eq!(memo.hits(), 1);
-        assert_eq!(memo.len(), 1);
-    }
-
-    #[test]
-    fn city_scopes_are_distinct_keys() {
-        let mut memo = RoundMemo::new();
-        let fra = MemoScope::City(Locode::parse("defra").unwrap());
-        let nyc = MemoScope::City(Locode::parse("usnyc").unwrap());
-        memo.store(key("geo.akadns.net", fra), Vec::new(), None);
-        assert!(memo.replay(&key("geo.akadns.net", nyc)).is_none());
-        assert!(memo.replay(&key("geo.akadns.net", fra)).is_some());
-    }
-
-    #[test]
-    fn into_counts_reconstructs_canonical_counters() {
-        // Two "shards" each memoize the same key: shard-local hits differ
-        // from what one shard would have seen, but the merged counts give
-        // the canonical figures.
-        let k = key("x.apple.com", MemoScope::Global);
-        let mut a = RoundMemo::new();
-        a.store(k.clone(), Vec::new(), None);
-        a.replay(&k);
-        let mut b = RoundMemo::new();
-        b.store(k.clone(), Vec::new(), None);
-        let mut merged: HashMap<MemoKey, u64> = HashMap::new();
-        for counts in [a.into_counts(), b.into_counts()] {
-            for (k, c) in counts {
-                *merged.entry(k).or_default() += c;
-            }
-        }
-        let lookups: u64 = merged.values().sum();
-        let hits = lookups - merged.len() as u64;
-        assert_eq!((lookups, hits), (3, 2), "one true miss, two canonical hits");
-    }
-}

@@ -1,11 +1,10 @@
-//! Recursive resolution with CNAME chasing and full tracing.
+//! Name-keyed recursive resolution: the trace and error types every
+//! resolution is rendered into, and [`RecursiveResolver`], the adapter
+//! that drives the interned engine from [`Name`]s.
 
-use crate::cache::Cache;
 use crate::context::QueryContext;
-use crate::faults::{FaultModel, NoFaults, UpstreamFault};
-use crate::memo::{MemoScope, RoundMemo};
-use crate::mutation::{apply_tamper, AnswerTamper, BailiwickPolicy, MutationModel, NoMutations};
-use crate::zone::{Namespace, ZoneAnswer};
+use crate::interned::{CompiledNamespace, InternedResolver, NoInternedFaults, ResolveScratch};
+use crate::zone::Namespace;
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use std::net::Ipv4Addr;
 
@@ -81,16 +80,18 @@ pub enum ResolutionError {
     /// The CNAME chain exceeded [`MAX_CHAIN`] hops.
     ChainTooLong,
     /// An authoritative zone answered SERVFAIL while resolving this name
-    /// (injected via a [`crate::faults::FaultModel`]; transient —
-    /// retryable).
+    /// (injected via an [`InternedFaultModel`](crate::InternedFaultModel);
+    /// transient — retryable).
     ServFail(Name),
-    /// An upstream query for this name timed out (injected via a
-    /// [`crate::faults::FaultModel`]; transient — retryable).
+    /// An upstream query for this name timed out (injected via an
+    /// [`InternedFaultModel`](crate::InternedFaultModel); transient —
+    /// retryable).
     Timeout(Name),
     /// The authoritative answer for this name arrived truncated or garbled
-    /// beyond use (injected via a [`crate::mutation::MutationModel`];
-    /// transient — retryable, like a real resolver falling back after a
-    /// malformed UDP response).
+    /// beyond use (injected via an
+    /// [`InternedMutationModel`](crate::InternedMutationModel); transient —
+    /// retryable, like a real resolver falling back after a malformed UDP
+    /// response).
     Truncated(Name),
 }
 
@@ -124,260 +125,74 @@ impl core::fmt::Display for ResolutionError {
 
 impl std::error::Error for ResolutionError {}
 
-/// A recursive resolver with its own cache, as run by each probe.
-#[derive(Debug, Clone, Default)]
-pub struct RecursiveResolver {
-    cache: Cache,
+/// A name-keyed recursive resolver: the display adapter over the
+/// interned engine, for callers that speak in [`Name`]s (the Figure 2
+/// crawl, the quickstart report, tests). It compiles its namespace once,
+/// at construction, and owns one [`InternedResolver`] cache plus its
+/// scratch, so every resolution is the campaign engine's resolution
+/// rendered back to names.
+#[derive(Debug)]
+pub struct RecursiveResolver<'a> {
+    ns: CompiledNamespace<'a>,
+    resolver: InternedResolver,
+    scratch: ResolveScratch,
 }
 
-impl RecursiveResolver {
-    /// A resolver with a cold cache.
-    pub fn new() -> RecursiveResolver {
-        RecursiveResolver::default()
+impl<'a> RecursiveResolver<'a> {
+    /// A resolver over `ns` with a cold cache.
+    pub fn new(ns: &'a Namespace) -> RecursiveResolver<'a> {
+        RecursiveResolver {
+            ns: CompiledNamespace::compile(ns),
+            resolver: InternedResolver::new(),
+            scratch: ResolveScratch::new(),
+        }
     }
 
-    /// Resolves `qname`/`qtype` against `ns`, chasing CNAMEs, consulting and
-    /// filling the cache. Returns the trace even on failure (callers log
-    /// what the probe saw before the error). Equivalent to
-    /// [`RecursiveResolver::resolve_with`] under [`NoFaults`].
+    /// Resolves `qname`/`qtype`, chasing CNAMEs, consulting and filling
+    /// the cache. Returns the trace even on failure (callers log what the
+    /// probe saw before the error).
     pub fn resolve(
         &mut self,
-        ns: &Namespace,
         qname: &Name,
         qtype: RecordType,
         ctx: &QueryContext,
     ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_with(ns, qname, qtype, ctx, &NoFaults, 0)
-    }
-
-    /// Like [`RecursiveResolver::resolve`], but consults `faults` before
-    /// every upstream query (cache hits are never faulted — caches mask
-    /// authoritative outages, as in the real DNS). `attempt` is the
-    /// caller's 0-based retry counter, passed through so the fault model
-    /// can redraw per attempt. A faulted step is recorded in the trace
-    /// with no records before the error is returned.
-    pub fn resolve_with(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        attempt: u32,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(
-            ns,
-            qname,
+        let id = self.ns.intern_in(&mut self.scratch, qname);
+        let result = self.resolver.resolve(
+            &self.ns,
+            &mut self.scratch,
+            id,
             qtype,
             ctx,
-            faults,
-            &NoMutations,
-            BailiwickPolicy::Enforce,
-            attempt,
+            &NoInternedFaults,
+            0,
             None,
-        )
-    }
-
-    /// Like [`RecursiveResolver::resolve_with`], additionally consulting a
-    /// per-round [`RoundMemo`] for answers whose zone declared a
-    /// memoizable [`crate::PolicyScope`]. The fault hook runs *before* the
-    /// memo, so a perturbed query bypasses memoization; replayed answers
-    /// are byte-for-byte what the authoritative query produced, so the
-    /// resolution (trace, cache effects and all) is bit-identical with the
-    /// memo on or off.
-    #[allow(clippy::too_many_arguments)] // the memo-bearing superset of resolve_with
-    pub fn resolve_memoized(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        attempt: u32,
-        memo: &mut RoundMemo,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(
-            ns,
-            qname,
-            qtype,
-            ctx,
-            faults,
-            &NoMutations,
-            BailiwickPolicy::Enforce,
-            attempt,
-            Some(memo),
-        )
-    }
-
-    /// The full adversarial entry point: a fault model, an answer-mutation
-    /// model, an explicit [`BailiwickPolicy`], and an optional round memo.
-    /// Every other entry point is this with [`NoMutations`] and
-    /// [`BailiwickPolicy::Enforce`]. A tampered query bypasses the memo
-    /// (like faulted queries do), so replayed answers are always the
-    /// untampered authoritative ones.
-    #[allow(clippy::too_many_arguments)] // the superset of every entry point
-    pub fn resolve_adversarial(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        attempt: u32,
-        memo: Option<&mut RoundMemo>,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        self.resolve_inner(ns, qname, qtype, ctx, faults, mutations, bailiwick, attempt, memo)
-    }
-
-    #[allow(clippy::too_many_arguments)] // private driver behind the entry points
-    fn resolve_inner(
-        &mut self,
-        ns: &Namespace,
-        qname: &Name,
-        qtype: RecordType,
-        ctx: &QueryContext,
-        faults: &dyn FaultModel,
-        mutations: &dyn MutationModel,
-        bailiwick: BailiwickPolicy,
-        attempt: u32,
-        mut memo: Option<&mut RoundMemo>,
-    ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-        let mut trace = ResolutionTrace::default();
-        let mut current = qname.clone();
-        for _ in 0..MAX_CHAIN {
-            // Cache first.
-            let (records, from_cache, zone) = match self.cache.get(&current, qtype, ctx.now) {
-                Some(cached) => (cached, true, None),
-                None => {
-                    let authority = ns.authority_for(&current);
-                    let faulted = authority
-                        .and_then(|z| faults.upstream_fault(z.origin(), &current, ctx, attempt));
-                    if let Some(fault) = faulted {
-                        trace.steps.push(TraceStep {
-                            qname: current.clone(),
-                            qtype,
-                            records: Vec::new(),
-                            from_cache: false,
-                            zone: authority.map(|z| z.origin().clone()),
-                        });
-                        let err = match fault {
-                            UpstreamFault::ServFail => ResolutionError::ServFail(current),
-                            UpstreamFault::Timeout => ResolutionError::Timeout(current),
-                        };
-                        return (trace, Err(err));
-                    }
-                    // The mutation hook runs after the fault hook: a query
-                    // that never reaches the zone cannot see a tampered
-                    // answer.
-                    let tamper = authority
-                        .and_then(|z| mutations.answer_mutation(z.origin(), &current, ctx, attempt));
-                    if matches!(tamper, Some(AnswerTamper::Truncate)) {
-                        trace.steps.push(TraceStep {
-                            qname: current.clone(),
-                            qtype,
-                            records: Vec::new(),
-                            from_cache: false,
-                            zone: authority.map(|z| z.origin().clone()),
-                        });
-                        return (trace, Err(ResolutionError::Truncated(current)));
-                    }
-                    // Tampered queries bypass the memo entirely: the memo
-                    // must only ever hold clean authoritative answers.
-                    let memo_key = match (&memo, &tamper) {
-                        (Some(_), None) => MemoScope::for_query(ns.scope_of(&current), ctx.locode)
-                            .map(|scope| (current.clone(), qtype, scope, ctx.now)),
-                        _ => None,
-                    };
-                    let replayed = match (memo.as_deref_mut(), &memo_key) {
-                        (Some(m), Some(key)) => m.replay(key),
-                        _ => None,
-                    };
-                    if let Some((rrs, zone)) = replayed {
-                        // Replay the authoritative answer with identical
-                        // cache side effects.
-                        self.cache.put(current.clone(), qtype, rrs.clone(), ctx.now);
-                        (rrs, false, zone)
-                    } else {
-                        match ns.query(&current, qtype, ctx) {
-                            (ZoneAnswer::Records(mut rrs), zone) => {
-                                if let Some(t) = &tamper {
-                                    apply_tamper(&mut rrs, t);
-                                }
-                                // Bailiwick enforcement: drop records whose
-                                // owner lies outside the answering zone
-                                // before anything downstream (trace, cache,
-                                // memo) can see them. A no-op for every
-                                // well-formed answer.
-                                if bailiwick == BailiwickPolicy::Enforce {
-                                    if let Some(origin) = zone {
-                                        rrs.retain(|rr| rr.name.is_within(origin));
-                                    }
-                                }
-                                self.cache.put(current.clone(), qtype, rrs.clone(), ctx.now);
-                                if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
-                                    m.store(key, rrs.clone(), zone.cloned());
-                                }
-                                (rrs, false, zone.cloned())
-                            }
-                            (ZoneAnswer::NoData, zone) => {
-                                self.cache.put(current.clone(), qtype, Vec::new(), ctx.now);
-                                if let (Some(m), Some(key)) = (memo.as_deref_mut(), memo_key) {
-                                    m.store(key, Vec::new(), zone.cloned());
-                                }
-                                (Vec::new(), false, zone.cloned())
-                            }
-                            (ZoneAnswer::NxDomain, _) => {
-                                trace.steps.push(TraceStep {
-                                    qname: current.clone(),
-                                    qtype,
-                                    records: Vec::new(),
-                                    from_cache: false,
-                                    zone: None,
-                                });
-                                return (trace, Err(ResolutionError::NxDomain(current)));
-                            }
-                        }
-                    }
-                }
-            };
-            let next = records.iter().find_map(|rr| match &rr.rdata {
-                RData::Cname(target) if qtype != RecordType::Cname => Some(target.clone()),
-                _ => None,
-            });
-            let terminal = records.iter().any(|rr| rr.rtype() == qtype);
-            trace.steps.push(TraceStep {
-                qname: current.clone(),
-                qtype,
-                records,
-                from_cache,
-                zone,
-            });
-            match next {
-                Some(target) if !terminal => current = target,
-                _ => return (trace, Ok(())),
-            }
-        }
-        (trace, Err(ResolutionError::ChainTooLong))
+        );
+        let trace = self.ns.materialize_trace(&self.scratch, self.scratch.trace());
+        (trace, result.map_err(|e| self.ns.materialize_err(&self.scratch, e)))
     }
 
     /// Cache statistics `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
-        self.cache.stats()
+        self.resolver.cache_stats()
     }
 
-    /// Empties the cache.
+    /// Empties the cache (counters survive).
     pub fn flush(&mut self) {
-        self.cache.clear();
+        self.resolver.flush();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::UpstreamFault;
+    use crate::interned::{IRoundMemo, InternedFaultModel, NoInternedFaults};
+    use crate::mutation::{BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
     use crate::zone::Zone;
+    use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
     use mcdn_geo::{Continent, Coord, Duration, Locode, SimTime};
+    use mcdn_intern::NameId;
 
     fn n(s: &str) -> Name {
         Name::parse(s).unwrap()
@@ -409,12 +224,84 @@ mod tests {
         ns
     }
 
+    /// The interned engine with name-keyed results, for the fault,
+    /// tamper and memo hooks the adapter does not expose.
+    struct Hooked<'a> {
+        ns: CompiledNamespace<'a>,
+        resolver: InternedResolver,
+        scratch: ResolveScratch,
+    }
+
+    impl<'a> Hooked<'a> {
+        fn new(ns: &'a Namespace) -> Hooked<'a> {
+            let extra = [crate::attacker_owner(), crate::attacker_ns()];
+            Hooked {
+                ns: CompiledNamespace::compile_with_extra(ns, &extra),
+                resolver: InternedResolver::new(),
+                scratch: ResolveScratch::new(),
+            }
+        }
+
+        fn id(&self, name: &str) -> NameId {
+            self.ns.table().get(&n(name)).expect("name is in the namespace")
+        }
+
+        fn resolve(
+            &mut self,
+            ctx: &QueryContext,
+            faults: &dyn InternedFaultModel,
+            mutations: &dyn InternedMutationModel,
+            bailiwick: BailiwickPolicy,
+            memo: Option<&mut IRoundMemo>,
+        ) -> (ResolutionTrace, Result<(), ResolutionError>) {
+            let q = self.id("appldnld.apple.com");
+            let result = self.resolver.resolve_adversarial(
+                &self.ns,
+                &mut self.scratch,
+                q,
+                RecordType::A,
+                ctx,
+                faults,
+                mutations,
+                bailiwick,
+                0,
+                memo,
+            );
+            let trace = self.ns.materialize_trace(&self.scratch, self.scratch.trace());
+            (trace, result.map_err(|e| self.ns.materialize_err(&self.scratch, e)))
+        }
+
+        fn resolve_faulted(
+            &mut self,
+            ctx: &QueryContext,
+            faults: &dyn InternedFaultModel,
+        ) -> (ResolutionTrace, Result<(), ResolutionError>) {
+            self.resolve(ctx, faults, &NoInternedMutations, BailiwickPolicy::Enforce, None)
+        }
+    }
+
+    /// Faults every upstream query to `zone` (cache hits unaffected).
+    fn zone_down(
+        zone: NameId,
+        fault: UpstreamFault,
+    ) -> impl Fn(NameId, u64, NameId, u64, &QueryContext, u32) -> Option<UpstreamFault> {
+        move |z, _, _, _, _, _| (z == zone).then_some(fault)
+    }
+
+    /// Tampers with every answer from `zone`.
+    fn tamper_at(
+        zone: NameId,
+        tamper: ITamper,
+    ) -> impl Fn(NameId, u64, NameId, u64, &QueryContext, u32) -> Option<ITamper> {
+        move |z, _, _, _, _, _| (z == zone).then_some(tamper)
+    }
+
     #[test]
     fn follows_full_chain() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let (trace, res) = r.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
         res.unwrap();
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 253, 37, 16)]);
         let edges = trace.cname_edges();
@@ -429,13 +316,13 @@ mod tests {
     #[test]
     fn second_resolution_hits_cache_selectively() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let _ = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let _ = r.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
         // 30 s later: entry (21600) and akadns (120) CNAMEs still cached;
         // the 15 s selector and the 20 s A record have expired.
         let (trace, res) =
-            r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(30)));
+            r.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(30)));
         res.unwrap();
         let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
         assert_eq!(cached, vec![true, true, false, false]);
@@ -444,9 +331,9 @@ mod tests {
     #[test]
     fn nxdomain_reported_with_trace() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("missing.apple.com"), RecordType::A, &ctx_at(t0));
+        let (trace, res) = r.resolve(&n("missing.apple.com"), RecordType::A, &ctx_at(t0));
         assert_eq!(res, Err(ResolutionError::NxDomain(n("missing.apple.com"))));
         assert_eq!(trace.steps.len(), 1);
     }
@@ -458,49 +345,40 @@ mod tests {
         z.add_cname("a.loop.test", "b.loop.test", 60);
         z.add_cname("b.loop.test", "a.loop.test", 60);
         ns.add_zone(z);
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (_, res) = r.resolve(&ns, &n("a.loop.test"), RecordType::A, &ctx_at(t0));
+        let (_, res) = r.resolve(&n("a.loop.test"), RecordType::A, &ctx_at(t0));
         assert_eq!(res, Err(ResolutionError::ChainTooLong));
     }
 
     #[test]
     fn aaaa_returns_nodata_not_error() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::Aaaa, &ctx_at(t0));
+        let (trace, res) = r.resolve(&n("appldnld.apple.com"), RecordType::Aaaa, &ctx_at(t0));
         res.unwrap();
         // The chain is followed, but no AAAA exists at the end.
         assert!(trace.addresses().is_empty());
     }
 
-    /// Faults every upstream query to one zone (cache hits unaffected).
-    struct ZoneDown {
-        origin: Name,
-        fault: UpstreamFault,
-    }
-
-    impl FaultModel for ZoneDown {
-        fn upstream_fault(
-            &self,
-            zone: &Name,
-            _qname: &Name,
-            _ctx: &QueryContext,
-            _attempt: u32,
-        ) -> Option<UpstreamFault> {
-            (*zone == self.origin).then_some(self.fault)
-        }
+    #[test]
+    fn cname_query_does_not_chase() {
+        let ns = namespace();
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        let (trace, res) = r.resolve(&n("appldnld.apple.com"), RecordType::Cname, &ctx_at(t0));
+        res.unwrap();
+        assert_eq!(trace.steps.len(), 1);
     }
 
     #[test]
     fn servfail_zone_fails_resolution_with_trace() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = Hooked::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let down = ZoneDown { origin: n("akadns.net"), fault: UpstreamFault::ServFail };
-        let (trace, res) =
-            r.resolve_with(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0), &down, 0);
+        let down = zone_down(r.id("akadns.net"), UpstreamFault::ServFail);
+        let (trace, res) = r.resolve_faulted(&ctx_at(t0), &down);
         assert_eq!(
             res,
             Err(ResolutionError::ServFail(n("appldnld.apple.com.akadns.net")))
@@ -515,11 +393,10 @@ mod tests {
     #[test]
     fn timeouts_are_transient_and_nxdomain_is_not() {
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = Hooked::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let down = ZoneDown { origin: n("apple.com"), fault: UpstreamFault::Timeout };
-        let (_, res) =
-            r.resolve_with(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0), &down, 0);
+        let down = zone_down(r.id("apple.com"), UpstreamFault::Timeout);
+        let (_, res) = r.resolve_faulted(&ctx_at(t0), &down);
         let err = res.unwrap_err();
         assert_eq!(err, ResolutionError::Timeout(n("appldnld.apple.com")));
         assert!(err.is_transient());
@@ -532,32 +409,18 @@ mod tests {
         // A warm cache masks an authoritative outage until TTLs expire —
         // the graceful-degradation property real resolvers provide.
         let ns = namespace();
-        let mut r = RecursiveResolver::new();
+        let mut r = Hooked::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (_, res) = r.resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let (_, res) = r.resolve_faulted(&ctx_at(t0), &NoInternedFaults);
         res.unwrap();
-        let down = ZoneDown { origin: n("akadns.net"), fault: UpstreamFault::ServFail };
+        let down = zone_down(r.id("akadns.net"), UpstreamFault::ServFail);
         // 10 s later every hop is still cached: resolution succeeds even
         // though akadns.net is down.
-        let (trace, res) = r.resolve_with(
-            &ns,
-            &n("appldnld.apple.com"),
-            RecordType::A,
-            &ctx_at(t0 + Duration::secs(10)),
-            &down,
-            0,
-        );
+        let (trace, res) = r.resolve_faulted(&ctx_at(t0 + Duration::secs(10)), &down);
         res.unwrap();
         assert!(!trace.addresses().is_empty());
         // After the akadns TTL (120 s) expires, the outage becomes visible.
-        let (_, res) = r.resolve_with(
-            &ns,
-            &n("appldnld.apple.com"),
-            RecordType::A,
-            &ctx_at(t0 + Duration::secs(300)),
-            &down,
-            0,
-        );
+        let (_, res) = r.resolve_faulted(&ctx_at(t0 + Duration::secs(300)), &down);
         assert!(matches!(res, Err(ResolutionError::ServFail(_))));
     }
 
@@ -596,27 +459,32 @@ mod tests {
         };
         let ns = build_ns(authoritative_queries.clone());
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let q = n("appldnld.apple.com");
+        let client = |i: u8| {
+            let mut ctx = ctx_at(t0);
+            ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
+            ctx
+        };
 
         // Plain resolution for reference (fresh resolver per client).
         let plain: Vec<_> = (0..4u8)
             .map(|i| {
-                let mut ctx = ctx_at(t0);
-                ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
-                RecursiveResolver::new().resolve(&ns, &q, RecordType::A, &ctx)
+                RecursiveResolver::new(&ns).resolve(&n("appldnld.apple.com"), RecordType::A, &client(i))
             })
             .collect();
         let before = authoritative_queries.load(Ordering::Relaxed);
 
         // Memoized resolution: same city → the City-scoped hop is asked
         // authoritatively once, replayed three times, bit-identically.
-        let mut memo = RoundMemo::new();
+        let mut memo = IRoundMemo::new();
         let memoized: Vec<_> = (0..4u8)
             .map(|i| {
-                let mut ctx = ctx_at(t0);
-                ctx.client_ip = Ipv4Addr::new(198, 51, 100, i);
-                RecursiveResolver::new()
-                    .resolve_memoized(&ns, &q, RecordType::A, &ctx, &NoFaults, 0, &mut memo)
+                Hooked::new(&ns).resolve(
+                    &client(i),
+                    &NoInternedFaults,
+                    &NoInternedMutations,
+                    BailiwickPolicy::Enforce,
+                    Some(&mut memo),
+                )
             })
             .collect();
         assert_eq!(plain, memoized, "memo on/off must not change any resolution");
@@ -636,45 +504,22 @@ mod tests {
         let t0 = SimTime::from_ymd(2017, 9, 15);
         let attacker = crate::mutation::attacker_owner();
         let attacker_addr = Ipv4Addr::new(198, 18, 0, 9);
-        let spoof = {
-            let attacker = attacker.clone();
-            move |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-                (*zone == n("akadns.net")).then(|| AnswerTamper::SpoofA {
-                    owner: attacker.clone(),
-                    addr: attacker_addr,
-                    ttl: 600,
-                })
-            }
-        };
+        let mut r = Hooked::new(&ns);
+        let spoof = tamper_at(
+            r.id("akadns.net"),
+            ITamper::SpoofA { owner: r.id("phish.attacker.invalid"), addr: attacker_addr, ttl: 600 },
+        );
         // Enforce drops the out-of-bailiwick record before anything sees
         // it: the whole resolution is bit-identical to the clean one.
         let clean =
-            RecursiveResolver::new().resolve(&ns, &n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
-        let enforced = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
-            RecordType::A,
-            &ctx_at(t0),
-            &NoFaults,
-            &spoof,
-            BailiwickPolicy::Enforce,
-            0,
-            None,
-        );
+            RecursiveResolver::new(&ns).resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
+        let enforced = r.resolve(&ctx_at(t0), &NoInternedFaults, &spoof, BailiwickPolicy::Enforce, None);
         assert_eq!(clean, enforced, "enforcement must neutralize the spoof exactly");
         // Accept: the attacker A record satisfies the terminal check at
         // the tampered hop, so the chase halts there mis-mapped.
-        let (trace, res) = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
-            RecordType::A,
-            &ctx_at(t0),
-            &NoFaults,
-            &spoof,
-            BailiwickPolicy::Accept,
-            0,
-            None,
-        );
+        let mut r = Hooked::new(&ns);
+        let (trace, res) =
+            r.resolve(&ctx_at(t0), &NoInternedFaults, &spoof, BailiwickPolicy::Accept, None);
         res.unwrap();
         assert!(trace.addresses().contains(&attacker_addr));
         assert!(trace.steps.iter().any(|s| s.records.iter().any(|rr| rr.name == attacker)));
@@ -684,20 +529,10 @@ mod tests {
     fn truncation_fails_transiently_with_trace() {
         let ns = namespace();
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let trunc = |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-            (*zone == n("applimg.com")).then_some(AnswerTamper::Truncate)
-        };
-        let (trace, res) = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &n("appldnld.apple.com"),
-            RecordType::A,
-            &ctx_at(t0),
-            &NoFaults,
-            &trunc,
-            BailiwickPolicy::Enforce,
-            0,
-            None,
-        );
+        let mut r = Hooked::new(&ns);
+        let trunc = tamper_at(r.id("applimg.com"), ITamper::Truncate);
+        let (trace, res) =
+            r.resolve(&ctx_at(t0), &NoInternedFaults, &trunc, BailiwickPolicy::Enforce, None);
         let err = res.unwrap_err();
         assert_eq!(err, ResolutionError::Truncated(n("appldnld.g.applimg.com")));
         assert!(err.is_transient());
@@ -710,46 +545,116 @@ mod tests {
     fn tampered_queries_bypass_the_round_memo() {
         let ns = namespace();
         let t0 = SimTime::from_ymd(2017, 9, 15);
-        let q = n("appldnld.apple.com");
-        let mut clean_memo = RoundMemo::new();
-        let _ = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &q,
-            RecordType::A,
+        let mut clean_memo = IRoundMemo::new();
+        let _ = Hooked::new(&ns).resolve(
             &ctx_at(t0),
-            &NoFaults,
-            &NoMutations,
+            &NoInternedFaults,
+            &NoInternedMutations,
             BailiwickPolicy::Enforce,
-            0,
             Some(&mut clean_memo),
         );
         assert_eq!(clean_memo.len(), 4, "all four chain hops memoize cleanly");
-        let inflate = |zone: &Name, _q: &Name, _c: &QueryContext, _a: u32| {
-            (*zone == n("akadns.net")).then_some(AnswerTamper::InflateTtl { factor: 1000 })
-        };
-        let mut memo = RoundMemo::new();
-        let _ = RecursiveResolver::new().resolve_adversarial(
-            &ns,
-            &q,
-            RecordType::A,
-            &ctx_at(t0),
-            &NoFaults,
-            &inflate,
-            BailiwickPolicy::Enforce,
-            0,
-            Some(&mut memo),
-        );
+        let mut r = Hooked::new(&ns);
+        let inflate = tamper_at(r.id("akadns.net"), ITamper::InflateTtl { factor: 1000 });
+        let mut memo = IRoundMemo::new();
+        let _ = r.resolve(&ctx_at(t0), &NoInternedFaults, &inflate, BailiwickPolicy::Enforce, Some(&mut memo));
         assert_eq!(memo.len(), 3, "the tampered hop must not enter the memo");
     }
 
-    #[test]
-    fn cname_query_does_not_chase() {
-        let ns = namespace();
-        let mut r = RecursiveResolver::new();
-        let t0 = SimTime::from_ymd(2017, 9, 15);
-        let (trace, res) =
-            r.resolve(&ns, &n("appldnld.apple.com"), RecordType::Cname, &ctx_at(t0));
+    /// One zone holding a single A name with `ttl`, plus a CNAME-less name
+    /// for NODATA.
+    fn one_zone(ttls: &[u32]) -> Namespace {
+        let mut ns = Namespace::new();
+        let mut z = Zone::new(n("apple.com"));
+        for &ttl in ttls {
+            z.add_a("x.apple.com", Ipv4Addr::new(17, 1, 1, 1), ttl);
+        }
+        ns.add_zone(z);
+        ns
+    }
+
+    fn from_cache(r: &mut RecursiveResolver<'_>, qtype: RecordType, now: SimTime) -> Option<Vec<u32>> {
+        let (trace, res) = r.resolve(&n("x.apple.com"), qtype, &ctx_at(now));
         res.unwrap();
-        assert_eq!(trace.steps.len(), 1);
+        let step = &trace.steps[0];
+        step.from_cache.then(|| step.records.iter().map(|rr| rr.ttl).collect())
+    }
+
+    #[test]
+    fn cache_hits_until_expiry_and_rewrites_remaining_ttl() {
+        let ns = one_zone(&[100]);
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        assert_eq!(from_cache(&mut r, RecordType::A, t0), None);
+        // A hit surfaces the remaining TTL, as a real cache does.
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(40)), Some(vec![60]));
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(99)), Some(vec![1]));
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(100)), None);
+        assert_eq!(r.cache_stats(), (2, 2));
+    }
+
+    #[test]
+    fn rrset_expires_on_minimum_ttl() {
+        let ns = one_zone(&[300, 20]);
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        from_cache(&mut r, RecordType::A, t0);
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(19)), Some(vec![1, 1]));
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(21)), None);
+    }
+
+    #[test]
+    fn nodata_is_negative_cached_and_types_are_independent() {
+        let ns = one_zone(&[100]);
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        // A cached A answer does not answer an AAAA question.
+        from_cache(&mut r, RecordType::A, t0);
+        assert_eq!(from_cache(&mut r, RecordType::Aaaa, t0), None);
+        // The NODATA answer is held for NEGATIVE_TTL, then re-asked.
+        let negative = Duration::secs(NEGATIVE_TTL as u64);
+        assert_eq!(
+            from_cache(&mut r, RecordType::Aaaa, t0 + negative - Duration::secs(1)),
+            Some(vec![])
+        );
+        assert_eq!(from_cache(&mut r, RecordType::Aaaa, t0 + negative), None);
+    }
+
+    #[test]
+    fn nxdomain_is_never_cached() {
+        let ns = namespace();
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        for secs in [0, 1] {
+            let (trace, res) =
+                r.resolve(&n("missing.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(secs)));
+            assert!(matches!(res, Err(ResolutionError::NxDomain(_))));
+            assert!(!trace.steps[0].from_cache);
+        }
+        assert_eq!(r.cache_stats(), (0, 2));
+    }
+
+    #[test]
+    fn ttl_cap_bounds_inflated_records() {
+        let ns = one_zone(&[u32::MAX]);
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        from_cache(&mut r, RecordType::A, t0);
+        assert_eq!(from_cache(&mut r, RecordType::A, t0), Some(vec![MAX_CACHE_TTL]));
+        // And the entry itself expires at the cap, not at u32::MAX.
+        let cap = Duration::secs(MAX_CACHE_TTL as u64);
+        assert_eq!(from_cache(&mut r, RecordType::A, t0 + cap), None);
+    }
+
+    #[test]
+    fn flush_empties_the_cache_but_keeps_counters() {
+        let ns = one_zone(&[100]);
+        let mut r = RecursiveResolver::new(&ns);
+        let t0 = SimTime::from_ymd(2017, 9, 15);
+        from_cache(&mut r, RecordType::A, t0);
+        assert!(from_cache(&mut r, RecordType::A, t0).is_some());
+        r.flush();
+        assert_eq!(from_cache(&mut r, RecordType::A, t0), None);
+        assert_eq!(r.cache_stats(), (1, 2));
     }
 }

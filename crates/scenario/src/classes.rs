@@ -106,8 +106,8 @@ pub fn attribute_trace(trace: &ResolutionTrace) -> DnsAttribution {
 
 /// Attribution suffix flags, one bit per CDN family. Computed from a
 /// name's display form with the same `ends_with` tests
-/// [`attribute_trace`] applies, so the interned path cannot drift from
-/// the string path.
+/// [`attribute_trace`] applies, so attributing an interned trace cannot
+/// drift from attributing its rendered form.
 const ATTR_APPLE: u8 = 1;
 const ATTR_AKAMAI: u8 = 1 << 1;
 const ATTR_LIMELIGHT: u8 = 1 << 2;

@@ -65,7 +65,7 @@ pub use dnscampaign::{
     run_global_dns_threads_timed_observed, run_isp_dns, run_isp_dns_observed,
     run_isp_dns_resumable, run_isp_dns_resumable_with, run_isp_dns_resumable_with_observed,
     run_isp_dns_threads, run_isp_dns_threads_observed, run_isp_dns_threads_timed,
-    run_isp_dns_threads_timed_observed, CampaignFaults, CampaignMutations, DnsCampaignResult,
+    run_isp_dns_threads_timed_observed, DnsCampaignResult,
     InternedCampaignFaults, InternedCampaignMutations, IpClassLedger, POISON_TTL,
 };
 pub use poisoning::{

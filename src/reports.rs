@@ -38,8 +38,8 @@ pub fn quickstart_report() -> String {
     };
 
     // Resolve appldnld.apple.com through the full mapping chain.
-    let mut resolver = RecursiveResolver::new();
-    let (trace, result) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let mut resolver = RecursiveResolver::new(&world.ns);
+    let (trace, result) = resolver.resolve(&names::entry(), RecordType::A, &ctx);
     result.expect("the entry point always resolves");
 
     let _ = writeln!(out, "CNAME chain for {} (client: Berlin, {now}):", names::entry());
@@ -62,7 +62,7 @@ pub fn quickstart_report() -> String {
     // the Meta-CDN may hand this client to a different CDN.
     let mut later = ctx;
     later.now = now + Duration::secs(30);
-    let (trace2, _) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &later);
+    let (trace2, _) = resolver.resolve(&names::entry(), RecordType::A, &later);
     let cached = trace2.steps.iter().filter(|s| s.from_cache).count();
     let _ = writeln!(
         out,

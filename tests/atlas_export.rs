@@ -5,6 +5,7 @@
 use metacdn_suite::atlas::export::PAPER_MSM_ID;
 use metacdn_suite::atlas::{build_fleet, to_jsonl, AtlasDnsResult, AtlasTracerouteResult};
 use metacdn_suite::core::names;
+use metacdn_suite::dnssim::RecursiveResolver;
 use metacdn_suite::dnswire::RecordType;
 use metacdn_suite::geo::SimTime;
 use metacdn_suite::netsim::{traceroute, Router};
@@ -15,10 +16,13 @@ fn dns_campaign_exports_and_reimports() {
     let world = World::build(&ScenarioConfig::fast());
     let t = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
     loads::update_loads(&world, t);
-    let mut fleet = build_fleet(world.isp_probe_specs[..10].to_vec());
+    let fleet = build_fleet(world.isp_probe_specs[..10].to_vec());
+    let mut resolver = RecursiveResolver::new(&world.ns);
     let mut results = Vec::new();
-    for probe in &mut fleet {
-        let (trace, res) = probe.measure(&world.ns, &names::entry(), RecordType::A, t);
+    for probe in &fleet {
+        // Each probe resolves through its own, cold cache.
+        resolver.flush();
+        let (trace, res) = resolver.resolve(&names::entry(), RecordType::A, &probe.context(t));
         res.unwrap();
         results.push(AtlasDnsResult::from_trace(PAPER_MSM_ID, probe.id, t, &trace));
     }

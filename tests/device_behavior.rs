@@ -29,17 +29,17 @@ fn hourly_polls_hit_mesu_and_cache_between() {
     let world = World::build(&ScenarioConfig::fast());
     let t0 = SimTime::from_ymd_hms(2017, 9, 19, 15, 0, 0);
     loads::update_loads(&world, t0);
-    let mut resolver = RecursiveResolver::new();
+    let mut resolver = RecursiveResolver::new(&world.ns);
 
     // First poll resolves mesu.apple.com fresh…
-    let (trace, res) = resolver.resolve(&world.ns, &names::mesu(), RecordType::A, &device_ctx(t0));
+    let (trace, res) = resolver.resolve(&names::mesu(), RecordType::A, &device_ctx(t0));
     res.unwrap();
     let mesu_ip = trace.addresses()[0];
     assert!(metacdn_suite::cdn::AppleCdn::scan_prefix().contains(mesu_ip));
 
     // …the next hourly poll re-resolves (mesu's 300 s TTL lapsed)…
     let (trace2, _) =
-        resolver.resolve(&world.ns, &names::mesu(), RecordType::A, &device_ctx(t0 + Duration::HOUR));
+        resolver.resolve(&names::mesu(), RecordType::A, &device_ctx(t0 + Duration::HOUR));
     assert!(!trace2.steps[0].from_cache, "300 s TTL cannot survive an hour");
     assert_eq!(trace2.addresses(), vec![mesu_ip], "stable manifest host");
 }
@@ -69,9 +69,9 @@ fn user_initiated_download_flows_through_a_nearby_site() {
     loads::update_loads(&world, release_evening);
 
     // Resolve the download host.
-    let mut resolver = RecursiveResolver::new();
+    let mut resolver = RecursiveResolver::new(&world.ns);
     let ctx = device_ctx(release_evening);
-    let (trace, res) = resolver.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let (trace, res) = resolver.resolve(&names::entry(), RecordType::A, &ctx);
     res.unwrap();
     let server = trace.addresses()[0];
 

@@ -29,8 +29,8 @@ fn every_continent_resolves_to_a_routable_cache() {
     let cities = ["usnyc", "deber", "jptyo", "ausyd", "brsao", "zajnb", "cnsha", "inbom"];
     for (i, code) in cities.iter().enumerate() {
         let ctx = ctx_for(code, 0x0A20_0000 + i as u32 * 1000, now);
-        let mut r = RecursiveResolver::new();
-        let (trace, res) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let mut r = RecursiveResolver::new(&world.ns);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::A, &ctx);
         res.unwrap_or_else(|e| panic!("{code}: {e}"));
         let addrs = trace.addresses();
         assert!(!addrs.is_empty(), "{code} got an empty answer");
@@ -50,8 +50,8 @@ fn china_and_india_divert_before_cdn_selection() {
     loads::update_loads(&world, now);
     for (code, market) in [("cnsha", "china"), ("cnbjs", "china"), ("inbom", "india"), ("indel", "india")] {
         let ctx = ctx_for(code, 0x0A30_0000, now);
-        let mut r = RecursiveResolver::new();
-        let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let mut r = RecursiveResolver::new(&world.ns);
+        let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
         let chain: Vec<String> =
             trace.cname_edges().iter().map(|(_, to, _)| to.to_string()).collect();
         assert!(
@@ -72,8 +72,8 @@ fn no_aaaa_anywhere_in_the_mapping() {
     loads::update_loads(&world, now);
     for code in ["usnyc", "deber", "jptyo"] {
         let ctx = ctx_for(code, 0x0A40_0000, now);
-        let mut r = RecursiveResolver::new();
-        let (trace, res) = r.resolve(&world.ns, &names::entry(), RecordType::Aaaa, &ctx);
+        let mut r = RecursiveResolver::new(&world.ns);
+        let (trace, res) = r.resolve(&names::entry(), RecordType::Aaaa, &ctx);
         res.unwrap();
         assert!(
             trace.addresses().is_empty(),
@@ -87,9 +87,9 @@ fn ttl_hierarchy_controls_re_resolution() {
     let world = World::build(&ScenarioConfig::fast());
     let t0 = SimTime::from_ymd(2017, 9, 15);
     loads::update_loads(&world, t0);
-    let mut r = RecursiveResolver::new();
+    let mut r = RecursiveResolver::new(&world.ns);
     let mut ctx = ctx_for("defra", 0x0A50_0001, t0);
-    let (_, res) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let (_, res) = r.resolve(&names::entry(), RecordType::A, &ctx);
     res.unwrap();
     let (hits0, _) = r.cache_stats();
     assert_eq!(hits0, 0, "cold cache");
@@ -97,7 +97,7 @@ fn ttl_hierarchy_controls_re_resolution() {
     // 60 s later: entry (21600 s) and geo split (120 s) cached; the 15 s
     // selector and the short A records must be re-resolved.
     ctx.now = t0 + Duration::secs(60);
-    let (trace, res) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let (trace, res) = r.resolve(&names::entry(), RecordType::A, &ctx);
     res.unwrap();
     let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
     assert!(cached[0] && cached[1], "long-TTL head stays cached: {cached:?}");
@@ -105,7 +105,7 @@ fn ttl_hierarchy_controls_re_resolution() {
 
     // 3 minutes later the 120 s geo split has also expired.
     ctx.now = t0 + Duration::mins(3);
-    let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
     let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
     assert!(cached[0] && !cached[1], "geo split expired: {cached:?}");
 }
@@ -120,10 +120,10 @@ fn same_seed_worlds_resolve_identically() {
     loads::update_loads(&w2, now);
     for i in 0..50u32 {
         let ctx = ctx_for("deber", 0x0A60_0000 + i * 7, now);
-        let mut r1 = RecursiveResolver::new();
-        let mut r2 = RecursiveResolver::new();
-        let (t1, _) = r1.resolve(&w1.ns, &names::entry(), RecordType::A, &ctx);
-        let (t2, _) = r2.resolve(&w2.ns, &names::entry(), RecordType::A, &ctx);
+        let mut r1 = RecursiveResolver::new(&w1.ns);
+        let mut r2 = RecursiveResolver::new(&w2.ns);
+        let (t1, _) = r1.resolve(&names::entry(), RecordType::A, &ctx);
+        let (t2, _) = r2.resolve(&names::entry(), RecordType::A, &ctx);
         assert_eq!(t1.addresses(), t2.addresses(), "determinism violated at client {i}");
     }
 }
@@ -138,8 +138,8 @@ fn coverage_rule_shapes_south_america() {
     for i in 0..300u32 {
         for (code, counter) in [("brsao", &mut apple_sa), ("usnyc", &mut apple_na)] {
             let ctx = ctx_for(code, 0x0A70_0000 + i * 13, now);
-            let mut r = RecursiveResolver::new();
-            let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+            let mut r = RecursiveResolver::new(&world.ns);
+            let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
             let apple = trace
                 .addresses()
                 .iter()
@@ -161,8 +161,8 @@ fn traceroutes_reach_resolved_caches() {
     let now = SimTime::from_ymd(2017, 9, 15);
     loads::update_loads(&world, now);
     let ctx = ctx_for("deber", 0x0A80_0001, now);
-    let mut r = RecursiveResolver::new();
-    let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+    let mut r = RecursiveResolver::new(&world.ns);
+    let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
     let mut router = metacdn_suite::netsim::Router::new();
     // Probes traceroute from their host AS (the continental eyeball AS).
     let probe_as = world

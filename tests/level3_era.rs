@@ -27,8 +27,8 @@ fn resolve_many(world: &World, n: u32) -> Vec<String> {
             continent: city.continent,
             now,
         };
-        let mut r = RecursiveResolver::new();
-        let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let mut r = RecursiveResolver::new(&world.ns);
+        let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
         for (_, to, _) in trace.cname_edges() {
             seen.push(to.to_string());
         }
@@ -79,8 +79,8 @@ fn apac_never_uses_level3_even_when_enabled() {
             continent: city.continent,
             now,
         };
-        let mut r = RecursiveResolver::new();
-        let (trace, _) = r.resolve(&world.ns, &names::entry(), RecordType::A, &ctx);
+        let mut r = RecursiveResolver::new(&world.ns);
+        let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
         for (_, to, _) in trace.cname_edges() {
             assert!(!to.to_string().contains("lvl3"), "APAC client reached Level3");
         }

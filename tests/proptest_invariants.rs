@@ -48,24 +48,42 @@ proptest! {
     /// larger TTL than it was stored with.
     #[test]
     fn cache_ttl_monotonicity(ttl in 1u32..10_000, mut probe_offsets in proptest::collection::vec(0u64..20_000, 1..20)) {
-        use metacdn_suite::dnssim::Cache;
-        use metacdn_suite::dnswire::{Name, RData, RecordType, ResourceRecord};
-        let mut cache = Cache::new();
+        use metacdn_suite::dnssim::{Namespace, QueryContext, RecursiveResolver, Zone};
+        use metacdn_suite::dnswire::{Name, RecordType};
+        use metacdn_suite::geo::{Continent, Coord};
+        let mut ns = Namespace::new();
+        let mut zone = Zone::new(Name::parse("apple.com").unwrap());
+        zone.add_a("x.apple.com", Ipv4Addr::new(17, 0, 0, 1), ttl);
+        ns.add_zone(zone);
+        let mut resolver = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 1);
         let name = Name::parse("x.apple.com").unwrap();
-        let rr = ResourceRecord::new(name.clone(), ttl, RData::A(Ipv4Addr::new(17, 0, 0, 1)));
-        cache.put(name.clone(), RecordType::A, vec![rr], t0);
-        // Simulation time is monotonic; probe in order.
+        let ctx = |now| QueryContext {
+            client_ip: Ipv4Addr::new(198, 51, 100, 1),
+            locode: Locode::parse("deber").unwrap(),
+            coord: Coord::new(52.5, 13.4),
+            continent: Continent::Europe,
+            now,
+        };
+        // The first resolution stores the answer at t0.
+        let (trace, res) = resolver.resolve(&name, RecordType::A, &ctx(t0));
+        prop_assert!(res.is_ok() && !trace.steps[0].from_cache);
+        // Simulation time is monotonic; probe in order. A miss re-resolves,
+        // and the fresh answer restarts the entry's lifetime.
         probe_offsets.sort_unstable();
+        let mut stored = 0u64;
         for off in probe_offsets {
-            let now = t0 + Duration::secs(off);
-            match cache.get(&name, RecordType::A, now) {
-                Some(rrs) => {
-                    prop_assert!(off < ttl as u64, "hit after expiry at +{off}s (ttl {ttl})");
-                    prop_assert!(rrs[0].ttl <= ttl);
-                    prop_assert!(rrs[0].ttl as u64 <= ttl as u64 - off);
-                }
-                None => prop_assert!(off >= ttl as u64, "miss before expiry at +{off}s (ttl {ttl})"),
+            let (trace, res) = resolver.resolve(&name, RecordType::A, &ctx(t0 + Duration::secs(off)));
+            prop_assert!(res.is_ok());
+            let step = &trace.steps[0];
+            let age = off - stored;
+            if step.from_cache {
+                prop_assert!(age < ttl as u64, "hit after expiry at +{off}s (ttl {ttl})");
+                prop_assert!(step.records[0].ttl <= ttl);
+                prop_assert!(step.records[0].ttl as u64 <= ttl as u64 - age);
+            } else {
+                prop_assert!(age >= ttl as u64, "miss before expiry at +{off}s (ttl {ttl})");
+                stored = off;
             }
         }
     }
