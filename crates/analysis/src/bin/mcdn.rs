@@ -139,10 +139,18 @@ fn metrics_arg(args: &[String]) -> Option<std::path::PathBuf> {
 }
 
 fn path_arg(args: &[String], flag: &str) -> Option<std::path::PathBuf> {
-    let i = args.iter().position(|a| a == flag)?;
+    path_arg_value(args, flag).unwrap_or_else(|()| usage())
+}
+
+/// The file named after `flag`: `Ok(None)` when the flag is absent, `Err`
+/// when it has no value — nothing follows it, or the next argument is
+/// another option (`--journal --metrics m.jsonl` must not write a journal
+/// named `--metrics`).
+fn path_arg_value(args: &[String], flag: &str) -> Result<Option<std::path::PathBuf>, ()> {
+    let Some(i) = args.iter().position(|a| a == flag) else { return Ok(None) };
     match args.get(i + 1) {
-        Some(path) => Some(std::path::PathBuf::from(path)),
-        None => usage(),
+        Some(path) if !path.starts_with("--") => Ok(Some(std::path::PathBuf::from(path))),
+        _ => Err(()),
     }
 }
 
@@ -273,5 +281,15 @@ mod tests {
         for bad in ["2017-13-40 25:61", "2017-09-00 10:00", "1960-01-01 00:00", "yesterday"] {
             assert!(parse_at_spec(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn path_arg_rejects_a_missing_value_or_a_flag_as_the_value() {
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let journal = |s: &str| path_arg_value(&args(s), "--journal");
+        assert_eq!(journal("global --journal j.bin"), Ok(Some("j.bin".into())));
+        assert_eq!(journal("global --metrics m.jsonl"), Ok(None));
+        assert_eq!(journal("global --journal"), Err(()));
+        assert_eq!(journal("global --journal --metrics m.jsonl"), Err(()));
     }
 }
