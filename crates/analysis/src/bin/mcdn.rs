@@ -17,9 +17,8 @@
 
 use mcdn_analysis::{fig2, fig3, fig4, fig5, fig7, fig8, table1};
 use mcdn_scenario::{
-    loads, params, run_global_dns, run_global_dns_observed, run_global_dns_resumable_with_observed,
-    run_isp_dns, run_isp_dns_observed, run_isp_dns_resumable_with_observed, run_isp_traffic,
-    CampaignRun, DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
+    loads, params, run_dns_campaign, run_isp_traffic, CampaignKind, CampaignOutput, CampaignRun,
+    CampaignSpec, DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
 };
 use mcdn_geo::{Locode, Registry, SimTime};
 
@@ -154,10 +153,18 @@ fn path_arg_value(args: &[String], flag: &str) -> Result<Option<std::path::PathB
     }
 }
 
-/// `MCDN_KILL_AFTER_ROUND=N`: run N rounds, checkpoint, then die by
-/// SIGKILL — the crash half of the CI crash→resume gate.
-fn kill_after_round() -> Option<u64> {
-    std::env::var("MCDN_KILL_AFTER_ROUND").ok()?.parse().ok()
+/// `MCDN_KILL_AFTER_ROUND=N` (`raw`): run N rounds, checkpoint, then die
+/// by SIGKILL — the crash half of the CI crash→resume gate. Unset is
+/// `Ok(None)`. Anything but a positive integer, or a value for a run
+/// without a journal to resume from, is an error rather than a silently
+/// complete run.
+fn kill_after_round(raw: Option<&str>, journaled: bool) -> Result<Option<u64>, String> {
+    let Some(raw) = raw else { return Ok(None) };
+    match raw.parse::<u64>() {
+        Ok(n) if n > 0 && journaled => Ok(Some(n)),
+        Ok(n) if n > 0 => Err("MCDN_KILL_AFTER_ROUND needs --journal".to_string()),
+        _ => Err(format!("MCDN_KILL_AFTER_ROUND={raw:?} is not a positive round count")),
+    }
 }
 
 /// Dies as abruptly as the OS allows: no destructors, no exit handlers.
@@ -168,30 +175,27 @@ fn die_hard() -> ! {
     std::process::abort();
 }
 
-/// Runs the selected campaign, journaled (`--journal`) or plain. A
+/// Runs the selected campaign, journaled (`--journal`) or in memory. A
 /// journaled run that suspends under `MCDN_KILL_AFTER_ROUND` self-kills
 /// after its checkpoint is durable and never returns.
 fn run_selected_campaign(
-    which: &str,
+    kind: CampaignKind,
     world: &World,
     cfg: &ScenarioConfig,
     args: &[String],
 ) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    let Some(path) = journal_arg(args) else {
-        return match which {
-            "global" => run_global_dns_observed(world, cfg),
-            _ => run_isp_dns_observed(world, cfg),
-        };
-    };
-    let stop_after = kill_after_round();
-    let opts = ResumeOptions { threads: 0, checkpoint_every: 1, stop_after_rounds: stop_after };
-    let run = match which {
-        "global" => run_global_dns_resumable_with_observed(world, cfg, &path, opts),
-        _ => run_isp_dns_resumable_with_observed(world, cfg, &path, opts),
-    };
-    match run {
-        Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
-        Ok((CampaignRun::Suspended { rounds_done, total_rounds }, _)) => {
+    let journal = journal_arg(args);
+    let kill_after = std::env::var("MCDN_KILL_AFTER_ROUND").ok();
+    let stop_after_rounds =
+        kill_after_round(kill_after.as_deref(), journal.is_some()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        });
+    let opts = ResumeOptions { stop_after_rounds, ..ResumeOptions::default() };
+    let spec = CampaignSpec { kind, journal: journal.as_deref(), opts };
+    match run_dns_campaign(world, cfg, &spec) {
+        Ok(CampaignOutput { run: CampaignRun::Complete(result), metrics, .. }) => (result, metrics),
+        Ok(CampaignOutput { run: CampaignRun::Suspended { rounds_done, total_rounds }, .. }) => {
             eprintln!("suspending after {rounds_done}/{total_rounds} rounds (checkpoint durable)");
             die_hard();
         }
@@ -203,13 +207,14 @@ fn run_selected_campaign(
 }
 
 fn cmd_campaign(args: &[String]) {
-    let which = args.first().map(String::as_str).unwrap_or("global");
-    if !matches!(which, "global" | "isp") {
-        usage();
-    }
+    let kind = match args.first().map(String::as_str).unwrap_or("global") {
+        "global" => CampaignKind::Global,
+        "isp" => CampaignKind::Isp,
+        _ => usage(),
+    };
     let cfg = cfg_from(args);
     let world = World::build(&cfg);
-    let (result, metrics) = run_selected_campaign(which, &world, &cfg, args);
+    let (result, metrics) = run_selected_campaign(kind, &world, &cfg, args);
     if let Some(path) = metrics_arg(args) {
         if let Err(e) = std::fs::write(&path, metrics.jsonl()) {
             eprintln!("cannot write metrics to {}: {e}", path.display());
@@ -217,12 +222,12 @@ fn cmd_campaign(args: &[String]) {
         }
     }
     println!("{} resolutions", result.resolutions);
-    match which {
-        "global" => {
+    match kind {
+        CampaignKind::Global => {
             println!("{}", fig4::fig4_summary(&result, params::release()));
             println!("{}", fig4::fig4_eu_peak_breakdown(&result, params::release()));
         }
-        _ => {
+        CampaignKind::Isp => {
             let (rise, apple) = fig5::fig5_akamai_rise(&result);
             println!("Akamai unique IPs Sep 18 → 20: {rise:+.0}%  (Apple stability {apple:.2})");
         }
@@ -233,12 +238,14 @@ fn cmd_traffic(args: &[String]) {
     let cfg = cfg_from(args);
     let world = World::build(&cfg);
     eprintln!("running DNS campaigns for the cross-correlation IP set…");
-    let global = run_global_dns(&world, &cfg);
-    let isp = run_isp_dns(&world, &cfg);
+    let global = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
+        .expect("global campaign").run.into_result();
+    let isp = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
+        .expect("in-ISP campaign").run.into_result();
     let mut ip_classes = isp.ip_classes;
     ip_classes.extend(global.ip_classes);
     eprintln!("running border telemetry…");
-    let traffic = run_isp_traffic(&world, &cfg);
+    let traffic = run_isp_traffic(&world, &cfg, 0).0;
     println!("{}", fig7::fig7_summary(&traffic, &ip_classes, params::release()));
     println!("{}", fig8::fig8_series(&traffic, &ip_classes, &world));
     println!("{}", fig8::fig8_d_link_saturation(&traffic, &world, cfg.traffic_tick));
@@ -291,5 +298,16 @@ mod tests {
         assert_eq!(journal("global --metrics m.jsonl"), Ok(None));
         assert_eq!(journal("global --journal"), Err(()));
         assert_eq!(journal("global --journal --metrics m.jsonl"), Err(()));
+    }
+
+    #[test]
+    fn kill_after_round_rejects_a_non_positive_count_or_a_missing_journal() {
+        assert_eq!(kill_after_round(None, true), Ok(None));
+        assert_eq!(kill_after_round(None, false), Ok(None));
+        assert_eq!(kill_after_round(Some("3"), true), Ok(Some(3)));
+        for bad in ["3x", "0", "", "-1", " 3"] {
+            assert!(kill_after_round(Some(bad), true).is_err(), "{bad:?} must be rejected");
+        }
+        assert!(kill_after_round(Some("3"), false).is_err(), "needs --journal");
     }
 }

@@ -6,21 +6,22 @@
 //! pure engine overhead/speedup — never a different workload.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mcdn_bench::micro_world;
-use mcdn_scenario::{run_global_dns_threads, run_isp_dns_threads, run_isp_traffic_threads};
+use mcdn_bench::{dns_campaign, micro_world};
+use mcdn_scenario::{run_isp_traffic, CampaignKind};
 
 fn bench_global_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_global_dns_threads(&world, &cfg, 1);
+    let serial = dns_campaign(&world, &cfg, CampaignKind::Global, 1).run.into_result();
     let mut g = c.benchmark_group("engine/global_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_global_dns_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(dns_campaign(&world, &cfg, CampaignKind::Global, 1)))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_global_dns_threads(&world, &cfg, mcdn_exec::thread_count()))
+            let threads = mcdn_exec::thread_count();
+            std::hint::black_box(dns_campaign(&world, &cfg, CampaignKind::Global, threads))
         })
     });
     g.finish();
@@ -28,16 +29,17 @@ fn bench_global_campaign(c: &mut Criterion) {
 
 fn bench_isp_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_isp_dns_threads(&world, &cfg, 1);
+    let serial = dns_campaign(&world, &cfg, CampaignKind::Isp, 1).run.into_result();
     let mut g = c.benchmark_group("engine/isp_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_isp_dns_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(dns_campaign(&world, &cfg, CampaignKind::Isp, 1)))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_isp_dns_threads(&world, &cfg, mcdn_exec::thread_count()))
+            let threads = mcdn_exec::thread_count();
+            std::hint::black_box(dns_campaign(&world, &cfg, CampaignKind::Isp, threads))
         })
     });
     g.finish();
@@ -45,16 +47,16 @@ fn bench_isp_campaign(c: &mut Criterion) {
 
 fn bench_traffic(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = run_isp_traffic_threads(&world, &cfg, 1);
+    let (serial, _) = run_isp_traffic(&world, &cfg, 1);
     let mut g = c.benchmark_group("engine/isp_traffic");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.flows.len() as u64));
     g.bench_function("serial", |b| {
-        b.iter(|| std::hint::black_box(run_isp_traffic_threads(&world, &cfg, 1)))
+        b.iter(|| std::hint::black_box(run_isp_traffic(&world, &cfg, 1)))
     });
     g.bench_function("parallel", |b| {
         b.iter(|| {
-            std::hint::black_box(run_isp_traffic_threads(&world, &cfg, mcdn_exec::thread_count()))
+            std::hint::black_box(run_isp_traffic(&world, &cfg, mcdn_exec::thread_count()))
         })
     });
     g.finish();

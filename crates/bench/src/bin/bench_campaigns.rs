@@ -14,11 +14,10 @@ use mcdn_dnswire::RecordType;
 use mcdn_faults::RetryPolicy;
 use mcdn_geo::{Duration, SimTime};
 use mcdn_scenario::classes::{attribute_interned, classify_ip_from_origin, AttributionTable};
+use mcdn_bench::dns_campaign;
 use mcdn_scenario::{
-    params, run_global_dns_resumable_with, run_global_dns_threads,
-    run_global_dns_threads_observed, run_global_dns_threads_timed, run_isp_dns_threads_timed,
-    run_isp_traffic_threads_timed, CampaignRun, ResumeOptions, ScenarioConfig, World,
-    TRAFFIC_BATCH_TICKS,
+    params, run_dns_campaign, run_isp_traffic, CampaignKind, CampaignSpec, ResumeOptions,
+    ScenarioConfig, World, TRAFFIC_BATCH_TICKS,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -348,7 +347,7 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
         for _ in 0..OVERHEAD_REPS_PER_ROUND {
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = run_global_dns_threads(&world, cfg, 1);
+            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1).run.into_result();
             plain_ms = plain_ms.min(start.elapsed().as_secs_f64() * 1e3);
             plain_result = Some(r);
 
@@ -357,13 +356,9 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
             let _ = std::fs::remove_file(&path);
             let world = World::build(cfg);
             let opts = ResumeOptions { threads: 1, checkpoint_every: 1, stop_after_rounds: None };
+            let spec = CampaignSpec { journal: Some(&path), opts, ..CampaignSpec::global() };
             let start = Instant::now();
-            let r = match run_global_dns_resumable_with(&world, cfg, &path, opts)
-                .expect("journaled campaign")
-            {
-                CampaignRun::Complete(r) => r,
-                CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
-            };
+            let r = run_dns_campaign(&world, cfg, &spec).expect("journaled run").run.into_result();
             journaled_ms = journaled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             let _ = std::fs::remove_file(&path);
             journaled_result = Some(r);
@@ -437,15 +432,15 @@ fn bench_obs_overhead(cfg: &ScenarioConfig) -> (ObsOverhead, mcdn_obs::MetricsSn
             mcdn_obs::set_enabled(true);
             let world = World::build(cfg);
             let start = Instant::now();
-            let (r, snap) = run_global_dns_threads_observed(&world, cfg, 1);
+            let out = dns_campaign(&world, cfg, CampaignKind::Global, 1);
             enabled_ms = enabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            snapshot = Some(snap);
-            enabled_result = Some(r);
+            snapshot = Some(out.metrics);
+            enabled_result = Some(out.run.into_result());
 
             mcdn_obs::set_enabled(false);
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = run_global_dns_threads(&world, cfg, 1);
+            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1).run.into_result();
             disabled_ms = disabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             mcdn_obs::set_enabled(true);
             disabled_result = Some(r);
@@ -710,8 +705,9 @@ fn main() {
     let mut benches = Vec::new();
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_global_dns_threads_timed(world, cfg, threads);
-        (r.resolutions, r, walls)
+        let out = dns_campaign(world, cfg, CampaignKind::Global, threads);
+        let r = out.run.into_result();
+        (r.resolutions, r, out.shard_walls)
     });
     let first = &outs[0];
     benches.push(Bench {
@@ -725,8 +721,9 @@ fn main() {
     });
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_isp_dns_threads_timed(world, cfg, threads);
-        (r.resolutions, r, walls)
+        let out = dns_campaign(world, cfg, CampaignKind::Isp, threads);
+        let r = out.run.into_result();
+        (r.resolutions, r, out.shard_walls)
     });
     let first = &outs[0];
     benches.push(Bench {
@@ -740,7 +737,7 @@ fn main() {
     });
 
     let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
-        let (r, walls) = run_isp_traffic_threads_timed(world, cfg, threads);
+        let (r, walls) = run_isp_traffic(world, cfg, threads);
         (r.flows.len() as u64, r, walls)
     });
     let first = &outs[0];

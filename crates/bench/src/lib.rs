@@ -7,7 +7,10 @@
 //! same world.
 
 use mcdn_geo::{Duration, SimTime};
-use mcdn_scenario::{ScenarioConfig, World};
+use mcdn_scenario::{
+    run_dns_campaign, CampaignKind, CampaignOutput, CampaignSpec, ResumeOptions, ScenarioConfig,
+    World,
+};
 
 /// A configuration small enough for statistical benching: a few dozen
 /// probes, hour-level sampling, and a window around the release.
@@ -32,6 +35,19 @@ pub fn micro_world() -> (ScenarioConfig, World) {
     let cfg = micro_cfg();
     let world = World::build(&cfg);
     (cfg, world)
+}
+
+/// The in-memory `kind` campaign on `threads` workers — the run every
+/// campaign benchmark times.
+pub fn dns_campaign(
+    world: &World,
+    cfg: &ScenarioConfig,
+    kind: CampaignKind,
+    threads: usize,
+) -> CampaignOutput {
+    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
+    run_dns_campaign(world, cfg, &CampaignSpec { kind, journal: None, opts })
+        .expect("in-memory campaign")
 }
 
 #[cfg(test)]

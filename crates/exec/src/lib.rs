@@ -107,8 +107,8 @@ pub fn shard_bounds(n: usize, shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Default retry budget for [`shard_map_supervised`]: one clean rerun
-/// after the initial attempt, then one more — enough to outlast any
+/// Default retry budget of the retrying [`Recovery`] policies: one clean
+/// rerun after the initial attempt, then one more — enough to outlast any
 /// one-shot injected fault while still bounding a deterministic panic.
 pub const DEFAULT_SHARD_RETRIES: u32 = 2;
 
@@ -670,12 +670,28 @@ where
     out
 }
 
-/// Collects supervised outcomes into the canonical result: every shard's
-/// value in shard order, or the failure of the **lowest-indexed** failing
-/// shard — independent of worker scheduling.
-fn collect_supervised<R>(
-    outcomes: Vec<Outcome<R>>,
-) -> Result<(Vec<R>, Vec<Duration>), ShardFailure> {
+/// [`shard_map`] with panic isolation under an explicit [`Recovery`]
+/// policy: each shard runs under [`catch_unwind`] and recovers per the
+/// policy. If any shard exhausts its budget the whole map returns the
+/// failure of the **lowest-indexed** failing shard (canonical order),
+/// instead of aborting the process.
+///
+/// Also reports each shard's wall time (attempts included), in canonical
+/// shard order. The timings are side-band observability — bench harnesses
+/// use them to spot shards that straggle — and never feed back into any
+/// result, so determinism of the returned `Vec<R>` is untouched.
+pub fn shard_map_recover<T, R, F>(
+    items: &mut [T],
+    threads: usize,
+    recovery: Recovery,
+    f: F,
+) -> Result<(Vec<R>, Vec<Duration>), ShardFailure>
+where
+    T: Send + Clone + 'static,
+    R: Send,
+    F: Fn(usize, &mut [T]) -> R + Sync,
+{
+    let outcomes = pool::execute_supervised(items, threads, recovery, &f);
     let mut values = Vec::with_capacity(outcomes.len());
     let mut walls = Vec::with_capacity(outcomes.len());
     for outcome in outcomes {
@@ -689,77 +705,6 @@ fn collect_supervised<R>(
         }
     }
     Ok((values, walls))
-}
-
-/// [`shard_map`] with panic isolation under an explicit [`Recovery`]
-/// policy: each shard runs under [`catch_unwind`] and recovers per the
-/// policy. If any shard exhausts its budget the whole map returns the
-/// failure of the **lowest-indexed** failing shard (canonical order),
-/// instead of aborting the process.
-pub fn shard_map_recover<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    recovery: Recovery,
-    f: F,
-) -> Result<Vec<R>, ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    collect_supervised(pool::execute_supervised(items, threads, recovery, &f)).map(|(v, _)| v)
-}
-
-/// [`shard_map_recover`] that additionally reports each shard's wall time
-/// (attempts included), in canonical shard order. The timings are
-/// side-band observability — bench harnesses use them to spot shards that
-/// straggle — and never feed back into any result, so determinism of the
-/// returned `Vec<R>` is untouched.
-pub fn shard_map_recover_timed<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    recovery: Recovery,
-    f: F,
-) -> Result<(Vec<R>, Vec<Duration>), ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    collect_supervised(pool::execute_supervised(items, threads, recovery, &f))
-}
-
-/// [`shard_map`] with panic isolation and pristine-restore retries: the
-/// historical supervised entry point, equivalent to [`shard_map_recover`]
-/// with [`Recovery::Pristine`]`{ retries }`.
-pub fn shard_map_supervised<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    retries: u32,
-    f: F,
-) -> Result<Vec<R>, ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    shard_map_recover(items, threads, Recovery::Pristine { retries }, f)
-}
-
-/// [`shard_map_supervised`] with per-shard wall times; see
-/// [`shard_map_recover_timed`].
-pub fn shard_map_supervised_timed<T, R, F>(
-    items: &mut [T],
-    threads: usize,
-    retries: u32,
-    f: F,
-) -> Result<(Vec<R>, Vec<Duration>), ShardFailure>
-where
-    T: Send + Clone + 'static,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    shard_map_recover_timed(items, threads, Recovery::Pristine { retries }, f)
 }
 
 /// The retired spawn-per-round engine, kept verbatim as the pool's
@@ -810,7 +755,7 @@ pub mod reference {
 
     /// Scoped-thread supervised map with per-call pristine clones — the
     /// pre-pool recovery semantics under [`Recovery::Pristine`].
-    pub fn shard_map_supervised_scoped<T, R, F>(
+    pub fn shard_map_pristine_scoped<T, R, F>(
         items: &mut [T],
         threads: usize,
         retries: u32,
@@ -947,17 +892,18 @@ mod tests {
 
     use std::sync::atomic::{AtomicU32, Ordering};
 
+    const PRISTINE: Recovery = Recovery::Pristine { retries: DEFAULT_SHARD_RETRIES };
+
     #[test]
     fn supervised_matches_unsupervised_when_nothing_panics() {
         for threads in [1usize, 3, 8] {
             let mut a: Vec<u32> = (0..57).collect();
             let mut b = a.clone();
             let plain = shard_map(&mut a, threads, |i, s| (i, s.iter().sum::<u32>()));
-            let supervised =
-                shard_map_supervised(&mut b, threads, DEFAULT_SHARD_RETRIES, |i, s| {
-                    (i, s.iter().sum::<u32>())
-                })
-                .unwrap();
+            let (supervised, _) = shard_map_recover(&mut b, threads, PRISTINE, |i, s| {
+                (i, s.iter().sum::<u32>())
+            })
+            .unwrap();
             assert_eq!(plain, supervised, "threads={threads}");
             assert_eq!(a, b);
         }
@@ -969,7 +915,8 @@ mod tests {
             let fired = AtomicU32::new(0);
             let mut items: Vec<u64> = (0..40).collect();
             let expected: Vec<u64> = items.iter().map(|x| x + 1).collect();
-            let parts = shard_map_supervised(&mut items, threads, 1, |i, shard| {
+            let pristine = Recovery::Pristine { retries: 1 };
+            let (parts, _) = shard_map_recover(&mut items, threads, pristine, |i, shard| {
                 // Mutate first, then panic once mid-shard on shard 0: the
                 // supervisor must roll the mutation back before retrying.
                 for x in shard.iter_mut() {
@@ -993,7 +940,7 @@ mod tests {
     #[test]
     fn exhausted_retry_budget_is_a_typed_failure_for_the_lowest_shard() {
         let mut items: Vec<u8> = (0..32).collect();
-        let err = shard_map_supervised(&mut items, 4, 2, |i, _shard| {
+        let err = shard_map_recover(&mut items, 4, Recovery::Pristine { retries: 2 }, |i, _| {
             if i >= 1 {
                 panic!("shard {i} always fails");
             }
@@ -1012,15 +959,11 @@ mod tests {
         for threads in [1usize, 4] {
             let mut a: Vec<u32> = (0..57).collect();
             let mut b = a.clone();
-            let plain = shard_map_supervised(&mut a, threads, DEFAULT_SHARD_RETRIES, |i, s| {
+            let plain = shard_map(&mut a, threads, |i, s| (i, s.iter().sum::<u32>()));
+            let (timed, walls) = shard_map_recover(&mut b, threads, PRISTINE, |i, s| {
                 (i, s.iter().sum::<u32>())
             })
             .unwrap();
-            let (timed, walls) =
-                shard_map_supervised_timed(&mut b, threads, DEFAULT_SHARD_RETRIES, |i, s| {
-                    (i, s.iter().sum::<u32>())
-                })
-                .unwrap();
             assert_eq!(plain, timed, "threads={threads}");
             assert_eq!(walls.len(), timed.len(), "threads={threads}");
         }
@@ -1029,7 +972,7 @@ mod tests {
     #[test]
     fn non_string_panic_payloads_do_not_crash_the_supervisor() {
         let mut items = vec![0u8; 4];
-        let err = shard_map_supervised(&mut items, 1, 0, |_, _| {
+        let err = shard_map_recover(&mut items, 1, Recovery::Pristine { retries: 0 }, |_, _| {
             std::panic::panic_any(42u32);
         })
         .unwrap_err();
@@ -1061,24 +1004,19 @@ mod tests {
         for threads in [1usize, 4] {
             let mut a: Vec<u32> = (0..41).collect();
             let mut b = a.clone();
-            let fast = shard_map_recover(&mut a, threads, Recovery::FailFast, |i, s| {
+            let (fast, _) = shard_map_recover(&mut a, threads, Recovery::FailFast, |i, s| {
                 for x in s.iter_mut() {
                     *x = x.wrapping_mul(3) ^ i as u32;
                 }
                 s.iter().sum::<u32>()
             })
             .unwrap();
-            let pristine = shard_map_recover(
-                &mut b,
-                threads,
-                Recovery::Pristine { retries: DEFAULT_SHARD_RETRIES },
-                |i, s| {
-                    for x in s.iter_mut() {
-                        *x = x.wrapping_mul(3) ^ i as u32;
-                    }
-                    s.iter().sum::<u32>()
-                },
-            )
+            let (pristine, _) = shard_map_recover(&mut b, threads, PRISTINE, |i, s| {
+                for x in s.iter_mut() {
+                    *x = x.wrapping_mul(3) ^ i as u32;
+                }
+                s.iter().sum::<u32>()
+            })
             .unwrap();
             assert_eq!(fast, pristine, "threads={threads}");
             assert_eq!(a, b, "threads={threads}");
@@ -1089,7 +1027,7 @@ mod tests {
     fn retry_unrestored_retries_read_only_shards() {
         let fired = AtomicU32::new(0);
         let mut items: Vec<u32> = (0..20).collect();
-        let sums = shard_map_recover(
+        let (sums, _) = shard_map_recover(
             &mut items,
             4,
             Recovery::RetryUnrestored { retries: 1 },
@@ -1151,9 +1089,11 @@ mod tests {
                     s.iter().sum::<u64>()
                 }
             }
-            let pooled = shard_map_supervised(&mut a, threads, 2, run(&fired_pool)).unwrap();
+            let pristine = Recovery::Pristine { retries: 2 };
+            let (pooled, _) =
+                shard_map_recover(&mut a, threads, pristine, run(&fired_pool)).unwrap();
             let scoped =
-                reference::shard_map_supervised_scoped(&mut b, threads, 2, run(&fired_scope))
+                reference::shard_map_pristine_scoped(&mut b, threads, 2, run(&fired_scope))
                     .unwrap();
             assert_eq!(pooled, scoped, "threads={threads}");
             assert_eq!(a, b, "threads={threads}");

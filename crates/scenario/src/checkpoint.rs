@@ -35,7 +35,7 @@ const TAG_FINGERPRINT: u8 = 1;
 /// Record tag for a round checkpoint.
 const TAG_CHECKPOINT: u8 = 2;
 
-/// Why a resumable campaign could not run (or resume).
+/// Why a campaign could not run (or resume).
 #[derive(Debug)]
 pub enum CampaignError {
     /// The journal file could not be created, read, or appended.
@@ -68,6 +68,9 @@ pub enum CampaignError {
     UncheckpointableCache,
     /// A shard kept panicking past its deterministic retry budget.
     Shard(ShardFailure),
+    /// [`ResumeOptions::stop_after_rounds`] was set without a journal: the
+    /// run would suspend with nothing to resume from.
+    SuspendWithoutJournal,
 }
 
 impl core::fmt::Display for CampaignError {
@@ -91,6 +94,9 @@ impl core::fmt::Display for CampaignError {
                 f.write_str("probe cache holds an overlay name id and cannot be checkpointed")
             }
             CampaignError::Shard(e) => write!(f, "campaign shard failed: {e}"),
+            CampaignError::SuspendWithoutJournal => {
+                f.write_str("a round budget needs a journal to resume from")
+            }
         }
     }
 }
@@ -124,11 +130,11 @@ impl From<ShardFailure> for CampaignError {
     }
 }
 
-/// Knobs of a resumable campaign run.
+/// Knobs of a campaign run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResumeOptions {
     /// Worker threads; 0 means [`mcdn_exec::thread_count`]. The resolved
-    /// count is part of the config fingerprint.
+    /// count is part of a journal's config fingerprint.
     pub threads: usize,
     /// Checkpoint cadence: every this many rounds, the round boundary is
     /// *eligible* for a checkpoint. Whether an eligible checkpoint is
@@ -136,11 +142,11 @@ pub struct ResumeOptions {
     /// cumulative checkpoint cost is kept within a fixed fraction of
     /// cumulative compute — so cadence trades recovery granularity
     /// against journal bytes, never correctness. A suspension always
-    /// checkpoints regardless.
+    /// checkpoints regardless. Without a journal it has no effect.
     pub checkpoint_every: u64,
     /// Stop (gracefully, with a durable checkpoint) after this many
     /// rounds have completed *in total* — the batch-operation and
-    /// crash-drill hook.
+    /// crash-drill hook. Needs a journal.
     pub stop_after_rounds: Option<u64>,
 }
 
@@ -150,7 +156,7 @@ impl Default for ResumeOptions {
     }
 }
 
-/// Outcome of a resumable campaign invocation.
+/// Outcome of a campaign invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CampaignRun {
     /// The campaign ran (or resumed) to the end of its window.
@@ -164,6 +170,23 @@ pub enum CampaignRun {
         /// Rounds the full campaign window spans.
         total_rounds: u64,
     },
+}
+
+impl CampaignRun {
+    /// The completed campaign result.
+    ///
+    /// # Panics
+    ///
+    /// If the run suspended, which only a round budget
+    /// ([`ResumeOptions::stop_after_rounds`]) can ask for.
+    pub fn into_result(self) -> crate::dnscampaign::DnsCampaignResult {
+        match self {
+            CampaignRun::Complete(result) => result,
+            CampaignRun::Suspended { rounds_done, total_rounds } => {
+                panic!("campaign suspended after {rounds_done}/{total_rounds} rounds")
+            }
+        }
+    }
 }
 
 /// One probe's serialized interned-resolver cache.

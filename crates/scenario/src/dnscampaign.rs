@@ -409,8 +409,8 @@ pub mod testhooks {
     }
 }
 
-/// The flat knobs of one campaign, bundled so the plain and resumable
-/// drivers share a single signature.
+/// The flat knobs of one campaign, resolved from a [`CampaignSpec`] and
+/// the scenario config.
 #[derive(Clone, Copy)]
 struct CampaignParams<'a> {
     world: &'a World,
@@ -460,10 +460,10 @@ impl CampaignParams<'_> {
     }
 }
 
-/// The campaign engine. One code path serves all four public entry
-/// points:
+/// The campaign engine behind [`run_dns_campaign`]. One code path serves
+/// every kind of run:
 ///
-/// * plain runs (`journal_path: None`, `stop_after: None`),
+/// * in-memory runs (`journal_path: None`, `stop_after: None`),
 /// * journaled runs (checkpoint after every `checkpoint_every`-th round),
 /// * resumed runs (the journal's latest checkpoint replays the cursors,
 ///   accumulators, controller signals, and probe caches, then the loop
@@ -472,7 +472,7 @@ impl CampaignParams<'_> {
 ///   checkpoint).
 ///
 /// Rounds dispatch onto the persistent worker pool
-/// ([`mcdn_exec::shard_map_recover_timed`]), with the recovery policy
+/// ([`mcdn_exec::shard_map_recover`]), with the recovery policy
 /// picked per round: zero-copy fail-fast when nothing can panic (the
 /// production default), pristine-restore with deterministic retry when a
 /// test hook arms a mid-shard panic.
@@ -481,8 +481,7 @@ fn drive_campaign(
     journal_path: Option<&Path>,
     checkpoint_every: u64,
     stop_after: Option<u64>,
-    mut walls: Option<&mut Vec<std::time::Duration>>,
-) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
+) -> Result<CampaignOutput, CampaignError> {
     let world = p.world;
     let mut fleet = build_fleet(p.specs.to_vec());
     let mut agg = UniqueIpAggregator::new(p.bin);
@@ -492,6 +491,7 @@ fn drive_campaign(
     let mut retry_exhausted = 0u64;
     let mut memo_lookups = 0u64;
     let mut memo_hits = 0u64;
+    let mut walls = Vec::new();
     let entry = metacdn::names::entry();
     // Compile the round-invariant structures once per campaign: the
     // namespace is frozen into the id-keyed form every shard shares
@@ -607,7 +607,7 @@ fn drive_campaign(
         // live state's lock, and a probe's answer cannot depend on which
         // shard ran first.
         let snap = Arc::new(world.state.capture());
-        let (partials, shard_walls) = mcdn_exec::shard_map_recover_timed(
+        let (partials, shard_walls) = mcdn_exec::shard_map_recover(
             &mut fleet,
             p.threads,
             round_recovery(&p.profile),
@@ -690,11 +690,7 @@ fn drive_campaign(
                 partial
             },
         )?;
-        if let Some(w) = walls.as_deref_mut() {
-            // Side-band telemetry only: the walls never feed back into the
-            // merged result, so timed and untimed runs stay bit-identical.
-            w.extend(shard_walls);
-        }
+        walls.extend(shard_walls);
         // Canonical merge, in shard order. Memo counts are summed per key
         // across shards first: `lookups` is the total demand for memoizable
         // answers and `hits` what a single-shard memo would have served —
@@ -778,11 +774,15 @@ fn drive_campaign(
             }
         }
         if suspending {
-            return Ok((CampaignRun::Suspended { rounds_done, total_rounds }, obs.finish()));
+            return Ok(CampaignOutput {
+                run: CampaignRun::Suspended { rounds_done, total_rounds },
+                shard_walls: walls,
+                metrics: obs.finish(),
+            });
         }
     }
-    Ok((
-        CampaignRun::Complete(DnsCampaignResult {
+    Ok(CampaignOutput {
+        run: CampaignRun::Complete(DnsCampaignResult {
             unique_ips: agg,
             ip_classes: classes.into_classes(),
             resolutions,
@@ -792,273 +792,119 @@ fn drive_campaign(
             memo_hits,
             reused_resolutions: 0,
         }),
-        obs.finish(),
-    ))
+        shard_walls: walls,
+        metrics: obs.finish(),
+    })
 }
 
-/// Runs a campaign to completion without a journal, preserving the
-/// historical infallible contract of the classic entry points: shards are
-/// still panic-isolated and retried, but a shard that defeats its whole
-/// retry budget aborts the process here.
-fn run_to_completion(p: &CampaignParams<'_>) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    match drive_campaign(p, None, 1, None, None) {
-        Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
-        Ok((CampaignRun::Suspended { .. }, _)) => unreachable!("no stop_after was requested"),
-        Err(e) => panic!("campaign failed: {e}"),
+/// Which of the paper's two DNS measurements a [`CampaignSpec`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CampaignKind {
+    /// The worldwide campaign (Figure 4): `cfg.global_probes` probes
+    /// resolving the entry name every `cfg.global_dns_interval` from
+    /// `cfg.global_start` to `cfg.global_end`, binned hourly.
+    Global,
+    /// The in-ISP campaign (Figure 5): probes inside the Eyeball ISP
+    /// resolving every `cfg.isp_dns_interval` from `cfg.isp_start` to
+    /// `cfg.isp_end`, binned daily.
+    Isp,
+}
+
+/// One DNS campaign invocation: which measurement, where to journal it,
+/// and the run knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CampaignSpec<'a> {
+    /// The measurement to run.
+    pub kind: CampaignKind,
+    /// `Some`: crash-safe run. Progress is checkpointed into this journal
+    /// and, when it already holds a checkpoint from an interrupted run
+    /// with the same config fingerprint, the run resumes from it. `None`:
+    /// the campaign runs in memory.
+    pub journal: Option<&'a Path>,
+    /// Worker count (0 means [`mcdn_exec::thread_count`]), checkpoint
+    /// cadence and round budget. The last two need a journal.
+    pub opts: ResumeOptions,
+}
+
+impl CampaignSpec<'static> {
+    /// The in-memory global campaign on the ambient worker count.
+    pub fn global() -> CampaignSpec<'static> {
+        CampaignSpec { kind: CampaignKind::Global, journal: None, opts: ResumeOptions::default() }
+    }
+
+    /// The in-memory in-ISP campaign on the ambient worker count.
+    pub fn isp() -> CampaignSpec<'static> {
+        CampaignSpec { kind: CampaignKind::Isp, ..CampaignSpec::global() }
     }
 }
 
-/// [`run_to_completion`] that also collects the wall-clock time of every
-/// supervised shard execution, in canonical (round-major, shard-minor)
-/// order.
-fn run_to_completion_timed(
-    p: &CampaignParams<'_>,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    let mut walls = Vec::new();
-    let (result, snapshot) = match drive_campaign(p, None, 1, None, Some(&mut walls)) {
-        Ok((CampaignRun::Complete(result), snapshot)) => (result, snapshot),
-        Ok((CampaignRun::Suspended { .. }, _)) => unreachable!("no stop_after was requested"),
-        Err(e) => panic!("campaign failed: {e}"),
+/// What one [`run_dns_campaign`] invocation produced.
+#[derive(Debug, Clone)]
+pub struct CampaignOutput {
+    /// The completed result, or where a round budget suspended the run.
+    pub run: CampaignRun,
+    /// Wall-clock time of every shard execution this process ran,
+    /// round-major in canonical shard order. Side-band telemetry only: it
+    /// never feeds back into the result. A resumed run reports only the
+    /// rounds it ran itself.
+    pub shard_walls: Vec<std::time::Duration>,
+    /// The deterministic counter registry, trace events and per-campaign
+    /// process-global deltas. Deterministic counters and trace events are
+    /// bit-identical for any worker count and survive kill→resume exactly
+    /// (they ride in every checkpoint); process-class counters describe
+    /// only the work this process performed.
+    pub metrics: mcdn_obs::MetricsSnapshot,
+}
+
+/// Runs the DNS campaign `spec` selects over `world`.
+///
+/// The result is bit-identical for any worker count, journaled or not,
+/// and regardless of how many times a journaled run died and resumed in
+/// between. A shard panic the round's recovery policy cannot absorb is a
+/// typed [`CampaignError::Shard`], never an abort.
+///
+/// # Errors
+///
+/// Journal I/O, decode and fingerprint failures; a shard failure; and
+/// [`CampaignError::SuspendWithoutJournal`] — before round 1 — for a round
+/// budget with no journal to resume from.
+pub fn run_dns_campaign(
+    world: &World,
+    cfg: &ScenarioConfig,
+    spec: &CampaignSpec<'_>,
+) -> Result<CampaignOutput, CampaignError> {
+    let ResumeOptions { threads, checkpoint_every, stop_after_rounds } = spec.opts;
+    if spec.journal.is_none() && stop_after_rounds.is_some() {
+        return Err(CampaignError::SuspendWithoutJournal);
+    }
+    let threads = if threads == 0 { mcdn_exec::thread_count() } else { threads };
+    let p = match spec.kind {
+        CampaignKind::Global => CampaignParams {
+            world,
+            specs: &world.global_probe_specs,
+            start: cfg.global_start,
+            end: cfg.global_end,
+            interval: cfg.global_dns_interval,
+            bin: Duration::hours(1),
+            availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xA7A5),
+            profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xA7A5),
+            retry: cfg.retry,
+            threads,
+        },
+        CampaignKind::Isp => CampaignParams {
+            world,
+            specs: &world.isp_probe_specs,
+            start: cfg.isp_start,
+            end: cfg.isp_end,
+            interval: cfg.isp_dns_interval,
+            bin: Duration::days(1),
+            availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xB7B5),
+            profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xB7B5),
+            retry: cfg.retry,
+            threads,
+        },
     };
-    (result, walls, snapshot)
-}
-
-/// The worldwide campaign (Figure 4): `cfg.global_probes` probes resolving
-/// the entry name every `cfg.global_dns_interval`, binned hourly. Runs on
-/// [`mcdn_exec::thread_count()`] workers (the `MCDN_THREADS` environment
-/// variable overrides); the result is identical for any thread count.
-pub fn run_global_dns(world: &World, cfg: &ScenarioConfig) -> DnsCampaignResult {
-    run_global_dns_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_global_dns`] that also returns the campaign's
-/// [`mcdn_obs::MetricsSnapshot`] — the deterministic counter registry,
-/// trace events, and per-campaign process-global deltas.
-pub fn run_global_dns_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_global_dns_threads_observed(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_global_dns`] with an explicit worker count.
-pub fn run_global_dns_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> DnsCampaignResult {
-    run_global_dns_threads_observed(world, cfg, threads).0
-}
-
-/// [`run_global_dns_threads`] with the campaign's metrics snapshot. The
-/// deterministic portion of the snapshot is bit-identical for any worker
-/// count, like the result itself.
-pub fn run_global_dns_threads_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_to_completion(&global_params(world, cfg, threads))
-}
-
-/// [`run_global_dns_threads`] that additionally reports the wall-clock
-/// time of every supervised shard execution, round-major in canonical
-/// shard order — the load-balance telemetry the campaign benchmark
-/// records. Timing is side-band only: the campaign result is
-/// bit-identical to the untimed entry point's.
-pub fn run_global_dns_threads_timed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>) {
-    let (result, walls, _) = run_to_completion_timed(&global_params(world, cfg, threads));
-    (result, walls)
-}
-
-/// [`run_global_dns_threads_timed`] that additionally returns the
-/// metrics snapshot — what the campaign benchmark embeds in its report.
-pub fn run_global_dns_threads_timed_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    run_to_completion_timed(&global_params(world, cfg, threads))
-}
-
-/// [`run_isp_dns_threads`] with per-shard wall times; see
-/// [`run_global_dns_threads_timed`].
-pub fn run_isp_dns_threads_timed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>) {
-    let (result, walls, _) = run_to_completion_timed(&isp_params(world, cfg, threads));
-    (result, walls)
-}
-
-/// [`run_isp_dns_threads_timed`] with the metrics snapshot; see
-/// [`run_global_dns_threads_timed_observed`].
-pub fn run_isp_dns_threads_timed_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, Vec<std::time::Duration>, mcdn_obs::MetricsSnapshot) {
-    run_to_completion_timed(&isp_params(world, cfg, threads))
-}
-
-/// The in-ISP campaign (Figure 5): probes inside the Eyeball ISP resolving
-/// every `cfg.isp_dns_interval` from Aug 20 to Dec 31, binned daily. Runs
-/// on [`mcdn_exec::thread_count()`] workers; the result is identical for
-/// any thread count.
-pub fn run_isp_dns(world: &World, cfg: &ScenarioConfig) -> DnsCampaignResult {
-    run_isp_dns_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_dns`] with the campaign's metrics snapshot; see
-/// [`run_global_dns_observed`].
-pub fn run_isp_dns_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_isp_dns_threads_observed(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_dns`] with an explicit worker count.
-pub fn run_isp_dns_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> DnsCampaignResult {
-    run_isp_dns_threads_observed(world, cfg, threads).0
-}
-
-/// [`run_isp_dns_threads`] with the campaign's metrics snapshot; see
-/// [`run_global_dns_threads_observed`].
-pub fn run_isp_dns_threads_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> (DnsCampaignResult, mcdn_obs::MetricsSnapshot) {
-    run_to_completion(&isp_params(world, cfg, threads))
-}
-
-/// [`CampaignParams`] of the global campaign, shared by the plain and
-/// resumable entry points so both walk the identical trajectory.
-fn global_params<'a>(world: &'a World, cfg: &ScenarioConfig, threads: usize) -> CampaignParams<'a> {
-    CampaignParams {
-        world,
-        specs: &world.global_probe_specs,
-        start: cfg.global_start,
-        end: cfg.global_end,
-        interval: cfg.global_dns_interval,
-        bin: Duration::hours(1),
-        availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xA7A5),
-        profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xA7A5),
-        retry: cfg.retry,
-        threads,
-    }
-}
-
-/// [`CampaignParams`] of the in-ISP campaign.
-fn isp_params<'a>(world: &'a World, cfg: &ScenarioConfig, threads: usize) -> CampaignParams<'a> {
-    CampaignParams {
-        world,
-        specs: &world.isp_probe_specs,
-        start: cfg.isp_start,
-        end: cfg.isp_end,
-        interval: cfg.isp_dns_interval,
-        bin: Duration::days(1),
-        availability: Availability::with_rate(cfg.probe_availability, cfg.seed ^ 0xB7B5),
-        profile: cfg.faults.with_seed(cfg.faults.seed ^ 0xB7B5),
-        retry: cfg.retry,
-        threads,
-    }
-}
-
-/// Resolves `ResumeOptions::threads == 0` to the ambient worker count.
-fn resolve_threads(threads: usize) -> usize {
-    if threads == 0 {
-        mcdn_exec::thread_count()
-    } else {
-        threads
-    }
-}
-
-/// Crash-safe [`run_global_dns`]: checkpoints progress into the journal at
-/// `journal` after every round and, when the journal already holds a
-/// checkpoint from an interrupted run with the same config fingerprint,
-/// resumes from it instead of starting over. The completed result is
-/// bit-identical to an uninterrupted [`run_global_dns`] regardless of how
-/// many times the process died and resumed in between.
-pub fn run_global_dns_resumable(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-) -> Result<DnsCampaignResult, CampaignError> {
-    match run_global_dns_resumable_with(world, cfg, journal, ResumeOptions::default())? {
-        CampaignRun::Complete(result) => Ok(result),
-        CampaignRun::Suspended { .. } => unreachable!("no stop_after was requested"),
-    }
-}
-
-/// [`run_global_dns_resumable`] with explicit [`ResumeOptions`]: worker
-/// count, checkpoint cadence, and an optional round budget after which the
-/// run suspends with a durable checkpoint instead of completing.
-pub fn run_global_dns_resumable_with(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<CampaignRun, CampaignError> {
-    Ok(run_global_dns_resumable_with_observed(world, cfg, journal, opts)?.0)
-}
-
-/// [`run_global_dns_resumable_with`] that also returns the metrics
-/// snapshot. Deterministic counters and trace events survive kill→resume
-/// bit-exactly (they ride in every checkpoint); process-class counters
-/// describe only the work the final process performed.
-pub fn run_global_dns_resumable_with_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
-    let p = global_params(world, cfg, resolve_threads(opts.threads));
-    drive_campaign(&p, Some(journal), opts.checkpoint_every, opts.stop_after_rounds, None)
-}
-
-/// Crash-safe [`run_isp_dns`]; see [`run_global_dns_resumable`].
-pub fn run_isp_dns_resumable(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-) -> Result<DnsCampaignResult, CampaignError> {
-    match run_isp_dns_resumable_with(world, cfg, journal, ResumeOptions::default())? {
-        CampaignRun::Complete(result) => Ok(result),
-        CampaignRun::Suspended { .. } => unreachable!("no stop_after was requested"),
-    }
-}
-
-/// [`run_isp_dns_resumable`] with explicit [`ResumeOptions`].
-pub fn run_isp_dns_resumable_with(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<CampaignRun, CampaignError> {
-    Ok(run_isp_dns_resumable_with_observed(world, cfg, journal, opts)?.0)
-}
-
-/// [`run_isp_dns_resumable_with`] with the metrics snapshot; see
-/// [`run_global_dns_resumable_with_observed`].
-pub fn run_isp_dns_resumable_with_observed(
-    world: &World,
-    cfg: &ScenarioConfig,
-    journal: &Path,
-    opts: ResumeOptions,
-) -> Result<(CampaignRun, mcdn_obs::MetricsSnapshot), CampaignError> {
-    let p = isp_params(world, cfg, resolve_threads(opts.threads));
-    drive_campaign(&p, Some(journal), opts.checkpoint_every, opts.stop_after_rounds, None)
+    drive_campaign(&p, spec.journal, checkpoint_every, stop_after_rounds)
 }
 
 #[cfg(test)]
@@ -1120,7 +966,9 @@ mod tests {
             cfg.global_end = SimTime::from_ymd(2017, 9, 19);
             cfg.faults = faults;
             let world = World::build(&cfg);
-            let result = run_global_dns_threads(&world, &cfg, 2);
+            let opts = ResumeOptions { threads: 2, ..ResumeOptions::default() };
+            let spec = CampaignSpec { opts, ..CampaignSpec::global() };
+            let result = run_dns_campaign(&world, &cfg, &spec).expect("campaign").run.into_result();
             assert!(result.resolutions > 0);
             got.push((label, result_digest(&result), want));
         }
@@ -1179,7 +1027,8 @@ mod tests {
         cfg.global_start = SimTime::from_ymd_hms(2017, 9, 18, 12, 0, 0);
         cfg.global_end = SimTime::from_ymd(2017, 9, 20);
         let world = World::build(&cfg);
-        let result = run_global_dns(&world, &cfg);
+        let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
+            .expect("campaign").run.into_result();
         assert!(result.resolutions > 0);
 
         let day_bin = |d: u32, h: u32| SimTime::from_ymd_hms(2017, 9, d, h, 0, 0);
@@ -1205,7 +1054,8 @@ mod tests {
         cfg.global_start = SimTime::from_ymd_hms(2017, 9, 19, 12, 0, 0);
         cfg.global_end = SimTime::from_ymd_hms(2017, 9, 20, 0, 0, 0);
         let world = World::build(&cfg);
-        let result = run_global_dns(&world, &cfg);
+        let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
+            .expect("campaign").run.into_result();
         let classes: std::collections::HashSet<_> = result.ip_classes.values().copied().collect();
         assert!(classes.contains(&CdnClass::Apple));
         assert!(classes.contains(&CdnClass::Akamai));
@@ -1223,7 +1073,8 @@ mod tests {
         cfg.isp_start = SimTime::from_ymd(2017, 9, 16);
         cfg.isp_end = SimTime::from_ymd(2017, 9, 22);
         let world = World::build(&cfg);
-        let result = run_isp_dns(&world, &cfg);
+        let result = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
+            .expect("campaign").run.into_result();
         // Apple's count varies little between a quiet day and the event day
         // ("Apple's CDN [has] a somewhat stable number of IPs").
         let quiet = result.unique_ips.count(

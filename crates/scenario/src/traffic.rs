@@ -99,44 +99,18 @@ struct RoutedFlow {
 /// size and any thread count.
 pub const TRAFFIC_BATCH_TICKS: usize = 8;
 
-/// Runs the border telemetry over `cfg`'s traffic window on
-/// [`mcdn_exec::thread_count()`] workers (the `MCDN_THREADS` environment
-/// variable overrides); the result is identical for any thread count.
-pub fn run_isp_traffic(world: &World, cfg: &ScenarioConfig) -> TrafficResult {
-    run_isp_traffic_threads(world, cfg, mcdn_exec::thread_count())
-}
-
-/// [`run_isp_traffic`] with an explicit worker count.
-pub fn run_isp_traffic_threads(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-) -> TrafficResult {
-    run_traffic(world, cfg, threads, None)
-}
-
-/// [`run_isp_traffic_threads`] that additionally reports the wall-clock
-/// time of every phase-B shard execution, dispatch-major in canonical
-/// shard order — the telemetry the campaign benchmark summarizes. Timing
-/// is side-band only: the result is bit-identical to the untimed entry
-/// point's.
-pub fn run_isp_traffic_threads_timed(
+/// Runs the border telemetry over `cfg`'s traffic window on `threads`
+/// workers (0 means [`mcdn_exec::thread_count()`], which the
+/// `MCDN_THREADS` environment variable overrides); the result is identical
+/// for any thread count. Also returns the wall-clock time of every
+/// phase-B shard execution, dispatch-major in canonical shard order —
+/// side-band telemetry that never feeds back into the result.
+pub fn run_isp_traffic(
     world: &World,
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (TrafficResult, Vec<std::time::Duration>) {
-    let mut walls = Vec::new();
-    let result = run_traffic(world, cfg, threads, Some(&mut walls));
-    (result, walls)
-}
-
-/// The traffic engine behind both public entry points.
-fn run_traffic(
-    world: &World,
-    cfg: &ScenarioConfig,
-    threads: usize,
-    mut walls: Option<&mut Vec<std::time::Duration>>,
-) -> TrafficResult {
+    let threads = if threads == 0 { mcdn_exec::thread_count() } else { threads };
     let mut router = Router::new();
     let mut snmp = SnmpCounters::new();
     let sampler = Sampler::new(cfg.netflow_sampling);
@@ -144,6 +118,7 @@ fn run_traffic(
     let mut dropped = 0u64;
     let mut export_losses = 0u64;
     let mut polls_missed = 0u64;
+    let mut walls = Vec::new();
     // Telemetry faults draw from their own seed stream so DNS-side and
     // traffic-side fault patterns are independent.
     let profile = cfg.faults.with_seed(cfg.faults.seed ^ 0x7E1E);
@@ -296,7 +271,7 @@ fn run_traffic(
         // tick-major flow order, so the record stream is bit-identical to
         // a per-tick (or serial) sweep. The closure never mutates its
         // shard, so a panicking shard retries without a restore.
-        let (partials, shard_walls) = mcdn_exec::shard_map_recover_timed(
+        let (partials, shard_walls) = mcdn_exec::shard_map_recover(
             &mut batch,
             threads,
             mcdn_exec::Recovery::RetryUnrestored { retries: mcdn_exec::DEFAULT_SHARD_RETRIES },
@@ -352,11 +327,7 @@ fn run_traffic(
             },
         )
         .unwrap_or_else(|e| panic!("traffic phase B failed: {e}"));
-        if let Some(w) = walls.as_deref_mut() {
-            // Side-band telemetry only; timed and untimed runs stay
-            // bit-identical.
-            w.extend(shard_walls);
-        }
+        walls.extend(shard_walls);
         for (shard_flows, shard_losses) in partials {
             flows.extend(shard_flows);
             export_losses += shard_losses;
@@ -364,14 +335,15 @@ fn run_traffic(
         batch.clear();
         ticks_in_batch = 0;
     }
-    TrafficResult {
+    let result = TrafficResult {
         flows,
         snmp,
         dropped_bytes: dropped,
         sampling: cfg.netflow_sampling,
         export_losses,
         polls_missed,
-    }
+    };
+    (result, walls)
 }
 
 /// The Limelight A-side cache addresses used for pre-fill injection.
@@ -406,7 +378,7 @@ mod tests {
     fn produces_flows_and_snmp() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_isp_traffic(&world, &cfg, 0).0;
         assert!(!r.flows.is_empty());
         assert!(r.snmp.samples().count() > 0);
         // Every flow's link actually touches the eyeball AS.
@@ -419,7 +391,7 @@ mod tests {
     fn event_day_saturates_d_links() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_isp_traffic(&world, &cfg, 0).0;
         // At some poll during the event, at least two of the four D links
         // run at their capacity.
         let cap_bytes =
@@ -444,7 +416,7 @@ mod tests {
     fn d_links_are_quiet_before_release() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_isp_traffic(&world, &cfg, 0).0;
         let before: u64 = r
             .snmp
             .samples()
@@ -464,7 +436,7 @@ mod tests {
     fn akamai_link_carries_dominant_baseline() {
         let cfg = small_cfg();
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_isp_traffic(&world, &cfg, 0).0;
         // On the quiet day, the Akamai direct link carries more than the
         // Limelight direct link (Akamai is the biggest CDN traffic-wise).
         let day = SimTime::from_ymd(2017, 9, 18);
@@ -496,7 +468,7 @@ mod link_selection_tests {
         cfg.traffic_tick = Duration::mins(30);
         cfg.link_selection = selection;
         let world = World::build(&cfg);
-        let r = run_isp_traffic(&world, &cfg);
+        let r = run_isp_traffic(&world, &cfg, 0).0;
         (world, r, cfg)
     }
 

@@ -184,4 +184,24 @@ else
   echo "    no committed BENCH_campaigns.json; skipping"
 fi
 
+echo "==> benchmark package: pipebench builds, its tests pass, its digests hold"
+# pipebench/ is a workspace of its own that calls mcdn-scenario by name, so
+# nothing above compiles it. --trace 1 runs one untraced and one traced
+# iteration, which executes every library entry point pipebench calls
+# except the two only paper_repro uses. The digests are the workloads'
+# outputs at the default seed.
+cargo build --release --offline -q --manifest-path pipebench/Cargo.toml
+cargo test --release --offline -q --manifest-path pipebench/Cargo.toml
+for pinned in dense_probing:6d3efe742497722a faulted_isp_view:09504a626da89872; do
+  workload="${pinned%%:*}"
+  digest="${pinned##*:}"
+  out="$tmpdir/pipebench_$workload.txt"
+  pipebench/target/release/pipebench --workload "$workload" --seconds 0 --trace 1 \
+    > "$out" 2> /dev/null
+  grep -q '"correct": true' "$out" || { echo "    FAIL: $workload is not correct"; exit 1; }
+  grep -q "^# digest $digest " "$out" || {
+    echo "    FAIL: $workload digest moved from $digest"; grep '^# digest' "$out"; exit 1; }
+  echo "    $workload: correct, digest $digest"
+done
+
 echo "CI OK"

@@ -15,7 +15,7 @@ use crate::core::names;
 use crate::dnssim::{QueryContext, RecursiveResolver};
 use crate::dnswire::RecordType;
 use crate::geo::{Continent, Duration, Locode, Region, Registry, SimTime};
-use crate::scenario::{loads, params, run_global_dns_observed, CdnClass, ScenarioConfig};
+use crate::scenario::{loads, params, run_dns_campaign, CampaignSpec, CdnClass, ScenarioConfig};
 
 /// The quickstart walkthrough: resolve the update entry point as a Berlin
 /// client, show the CNAME chain, the answer set, cache behavior on
@@ -107,7 +107,9 @@ pub fn ios_update_rollout_report() -> String {
         cfg.global_start,
         cfg.global_end
     );
-    let (result, metrics) = run_global_dns_observed(&world, &cfg);
+    let campaign =
+        run_dns_campaign(&world, &cfg, &CampaignSpec::global()).expect("global campaign");
+    let (result, metrics) = (campaign.run.into_result(), campaign.metrics);
     let _ = writeln!(out, "{} resolutions performed\n", result.resolutions);
 
     // Hourly EU unique-IP series, paper-figure style.

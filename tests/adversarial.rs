@@ -13,8 +13,8 @@ use metacdn_suite::build_world_or_exit;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::{
-    params, poison_grid, run_global_dns_resumable_with, run_global_dns_threads, run_poison_sweep,
-    CampaignRun, DnsCampaignResult, ResumeOptions, ScenarioConfig,
+    params, poison_grid, run_dns_campaign, run_poison_sweep, CampaignRun, CampaignSpec,
+    ResumeOptions, ScenarioConfig,
 };
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
@@ -53,21 +53,18 @@ fn mutation_profiles() -> [(&'static str, FaultProfile); 3] {
     ]
 }
 
-fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {
-    let world = build_world_or_exit(cfg);
-    let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: Some(stop_after) };
-    match run_global_dns_resumable_with(&world, cfg, path, opts).expect("suspending campaign") {
-        CampaignRun::Suspended { rounds_done, .. } => assert_eq!(rounds_done, stop_after),
-        CampaignRun::Complete(_) => panic!("run with stop_after={stop_after} must suspend"),
-    }
+/// The global campaign on 2 workers over a fresh world, journaled into
+/// `journal` if given, suspending after `stop_after` rounds if given.
+fn global(cfg: &ScenarioConfig, journal: Option<&Path>, stop_after: Option<u64>) -> CampaignRun {
+    let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: stop_after };
+    let spec = CampaignSpec { journal, opts, ..CampaignSpec::global() };
+    run_dns_campaign(&build_world_or_exit(cfg), cfg, &spec).expect("campaign").run
 }
 
-fn run_resuming(cfg: &ScenarioConfig, path: &Path) -> DnsCampaignResult {
-    let world = build_world_or_exit(cfg);
-    let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: None };
-    match run_global_dns_resumable_with(&world, cfg, path, opts).expect("resumed campaign") {
-        CampaignRun::Complete(result) => result,
-        CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
+fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {
+    match global(cfg, Some(path), Some(stop_after)) {
+        CampaignRun::Suspended { rounds_done, .. } => assert_eq!(rounds_done, stop_after),
+        CampaignRun::Complete(_) => panic!("run with stop_after={stop_after} must suspend"),
     }
 }
 
@@ -78,14 +75,13 @@ fn run_resuming(cfg: &ScenarioConfig, path: &Path) -> DnsCampaignResult {
 fn journal_resume_is_byte_identical_under_every_mutation_profile() {
     for (label, faults) in mutation_profiles() {
         let cfg = tiny_cfg(faults);
-        let world = build_world_or_exit(&cfg);
-        let want = run_global_dns_threads(&world, &cfg, 2);
+        let want = global(&cfg, None, None).into_result();
         assert!(want.resolutions > 0);
 
         let path = journal_path(label);
         let _ = std::fs::remove_file(&path);
         run_suspending(&cfg, &path, 3);
-        let got = run_resuming(&cfg, &path);
+        let got = global(&cfg, Some(&path), None).into_result();
         let _ = std::fs::remove_file(&path);
         assert_eq!(got, want, "resumed campaign diverged under profile {label}");
     }
@@ -98,8 +94,8 @@ fn journal_resume_is_byte_identical_under_every_mutation_profile() {
 fn enforcement_is_a_no_op_for_honest_answers() {
     let on = tiny_cfg(FaultProfile::none());
     let off = tiny_cfg(FaultProfile::none().with_bailiwick_enforcement(false));
-    let want = run_global_dns_threads(&build_world_or_exit(&on), &on, 2);
-    let got = run_global_dns_threads(&build_world_or_exit(&off), &off, 2);
+    let want = global(&on, None, None).into_result();
+    let got = global(&off, None, None).into_result();
     assert_eq!(got, want);
 }
 
@@ -112,7 +108,7 @@ fn campaign_routes_no_demand_to_the_attacker_unless_enforcement_is_off() {
     let prefix = enforced.faults.attacker_prefix;
     let in_attacker_prefix = move |ip: &Ipv4Addr| ip.octets()[..2] == prefix[..];
 
-    let hardened = run_global_dns_threads(&build_world_or_exit(&enforced), &enforced, 2);
+    let hardened = global(&enforced, None, None).into_result();
     assert!(hardened.resolutions > 0);
     assert!(
         !hardened.ip_classes.keys().any(in_attacker_prefix),
@@ -120,7 +116,7 @@ fn campaign_routes_no_demand_to_the_attacker_unless_enforcement_is_off() {
     );
 
     let open = tiny_cfg(FaultProfile::poisoning(7).with_bailiwick_enforcement(false));
-    let poisoned = run_global_dns_threads(&build_world_or_exit(&open), &open, 2);
+    let poisoned = global(&open, None, None).into_result();
     assert!(
         poisoned.ip_classes.keys().any(in_attacker_prefix),
         "open campaign must show the measurable mis-mapping delta"

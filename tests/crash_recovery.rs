@@ -13,12 +13,10 @@ use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::dnscampaign::testhooks;
 use metacdn_suite::scenario::{
-    run_global_dns_resumable, run_global_dns_resumable_with,
-    run_global_dns_resumable_with_observed, run_global_dns_threads,
-    total_dark_scenario, CampaignError, CampaignRun, DnsCampaignResult, ResumeOptions,
-    ScenarioConfig, World,
+    run_dns_campaign, total_dark_scenario, CampaignError, CampaignOutput, CampaignRun,
+    CampaignSpec, DnsCampaignResult, ResumeOptions, ScenarioConfig, World,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Serializes the campaigns of this test binary: the shard-panic hook is
@@ -49,29 +47,33 @@ fn profiles() -> [(&'static str, FaultProfile); 2] {
     [("none", FaultProfile::none()), ("total-dark", total_dark_scenario(41).faults)]
 }
 
-fn opts(threads: usize, stop_after: Option<u64>) -> ResumeOptions {
-    ResumeOptions { threads, checkpoint_every: 1, stop_after_rounds: stop_after }
+/// The global campaign, journaled into `journal` if given, on `threads`
+/// workers, suspending after `stop_after` rounds if given.
+fn spec(journal: Option<&Path>, threads: usize, stop_after: Option<u64>) -> CampaignSpec<'_> {
+    let opts = ResumeOptions { threads, checkpoint_every: 1, stop_after_rounds: stop_after };
+    CampaignSpec { journal, opts, ..CampaignSpec::global() }
+}
+
+/// Runs `spec` over a freshly built world.
+fn run(cfg: &ScenarioConfig, spec: CampaignSpec<'_>) -> Result<CampaignOutput, CampaignError> {
+    run_dns_campaign(&build_world_or_exit(cfg), cfg, &spec)
+}
+
+/// The in-memory campaign's result: the baseline of every identity check.
+fn in_memory(cfg: &ScenarioConfig, threads: usize) -> DnsCampaignResult {
+    run(cfg, spec(None, threads, None)).expect("in-memory campaign").run.into_result()
 }
 
 /// Runs the journaled campaign to completion (fresh world), panicking on
 /// any engine error — the happy path of every identity check below.
-fn run_journaled(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize) -> DnsCampaignResult {
-    let world = build_world_or_exit(cfg);
-    match run_global_dns_resumable_with(&world, cfg, path, opts(threads, None))
-        .expect("journaled campaign")
-    {
-        CampaignRun::Complete(result) => result,
-        CampaignRun::Suspended { .. } => unreachable!("no round budget given"),
-    }
+fn run_journaled(cfg: &ScenarioConfig, path: &Path, threads: usize) -> DnsCampaignResult {
+    run(cfg, spec(Some(path), threads, None)).expect("journaled campaign").run.into_result()
 }
 
 /// Runs `stop_after` rounds and suspends with a durable checkpoint — the
 /// graceful half of a crash (the CI gate does the SIGKILL half).
-fn run_partial(cfg: &ScenarioConfig, path: &std::path::Path, threads: usize, stop_after: u64) {
-    let world = build_world_or_exit(cfg);
-    match run_global_dns_resumable_with(&world, cfg, path, opts(threads, Some(stop_after)))
-        .expect("suspending campaign")
-    {
+fn run_partial(cfg: &ScenarioConfig, path: &Path, threads: usize, stop_after: u64) {
+    match run(cfg, spec(Some(path), threads, Some(stop_after))).expect("suspending campaign").run {
         CampaignRun::Suspended { rounds_done, total_rounds } => {
             assert_eq!(rounds_done, stop_after);
             assert_eq!(total_rounds, TINY_ROUNDS);
@@ -86,7 +88,7 @@ fn kill_at_every_round_resume_is_bit_identical() {
     for (label, faults) in profiles() {
         let cfg = tiny_cfg(faults);
         for threads in [1usize, 4] {
-            let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+            let baseline = in_memory(&cfg, threads);
 
             // Uninterrupted journaled run: journaling itself must not
             // perturb the trajectory.
@@ -120,7 +122,7 @@ fn repeatedly_killed_run_still_matches() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(total_dark_scenario(41).faults);
     let threads = 4;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = in_memory(&cfg, threads);
     let path = journal_path("multi-kill");
     let _ = std::fs::remove_file(&path);
     // Die after rounds 1, 3, and 5 of 6, then finish.
@@ -136,13 +138,13 @@ fn injected_shard_panic_is_retried_with_identical_output() {
     let _guard = CAMPAIGNS.lock().unwrap();
     for threads in [1usize, 4] {
         let cfg = tiny_cfg(FaultProfile::none());
-        let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+        let baseline = in_memory(&cfg, threads);
         // Arm a one-shot panic in the last shard: it fires mid-shard in the
         // first round, after earlier probes already mutated their caches.
         // The supervisor must quarantine the shard, restore its pristine
         // probes, retry, and complete with bit-identical output.
         testhooks::arm_shard_panic(threads - 1);
-        let faulted = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+        let faulted = in_memory(&cfg, threads);
         testhooks::disarm();
         assert_eq!(
             faulted, baseline,
@@ -156,7 +158,7 @@ fn bit_flip_in_journal_falls_back_to_intact_checkpoint() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(FaultProfile::none());
     let threads = 1;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = in_memory(&cfg, threads);
     let path = journal_path("bit-flip");
     let _ = std::fs::remove_file(&path);
     run_partial(&cfg, &path, threads, 4);
@@ -176,7 +178,7 @@ fn truncated_journal_tail_resumes_from_durable_prefix() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(FaultProfile::none());
     let threads = 1;
-    let baseline = run_global_dns_threads(&build_world_or_exit(&cfg), &cfg, threads);
+    let baseline = in_memory(&cfg, threads);
     let path = journal_path("torn-tail");
     let _ = std::fs::remove_file(&path);
     run_partial(&cfg, &path, threads, 3);
@@ -198,8 +200,7 @@ fn stale_fingerprint_is_a_typed_error_not_a_panic() {
     // Same journal, different campaign config (seed moved): refused.
     let mut other = cfg;
     other.seed ^= 0x5EED;
-    let world = build_world_or_exit(&other);
-    match run_global_dns_resumable(&world, &other, &path) {
+    match run(&other, spec(Some(&path), 1, None)) {
         Err(CampaignError::FingerprintMismatch { expected, found }) => {
             assert_ne!(expected, found);
         }
@@ -208,10 +209,11 @@ fn stale_fingerprint_is_a_typed_error_not_a_panic() {
 
     // Same journal, different worker count: the shard layout is part of
     // the fingerprint too.
-    let world = build_world_or_exit(&cfg);
-    let run = run_global_dns_resumable_with(&world, &cfg, &path, opts(2, None));
     assert!(
-        matches!(run, Err(CampaignError::FingerprintMismatch { .. })),
+        matches!(
+            run(&cfg, spec(Some(&path), 2, None)),
+            Err(CampaignError::FingerprintMismatch { .. })
+        ),
         "thread-count change must be refused"
     );
     let _ = std::fs::remove_file(&path);
@@ -222,8 +224,7 @@ fn foreign_file_is_rejected_as_bad_magic() {
     let cfg = tiny_cfg(FaultProfile::none());
     let path = journal_path("foreign");
     std::fs::write(&path, b"definitely not a campaign journal").unwrap();
-    let world = build_world_or_exit(&cfg);
-    match run_global_dns_resumable(&world, &cfg, &path) {
+    match run(&cfg, spec(Some(&path), 0, None)) {
         Err(CampaignError::Journal(metacdn_suite::journal::JournalError::BadMagic)) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }
@@ -256,29 +257,72 @@ fn resumed_metrics_snapshot_is_byte_identical() {
         let threads = 4;
         let path = journal_path(&format!("obs-baseline-{label}"));
         let _ = std::fs::remove_file(&path);
-        let world = build_world_or_exit(&cfg);
-        let (run, baseline_snap) =
-            run_global_dns_resumable_with_observed(&world, &cfg, &path, opts(threads, None))
-                .expect("uninterrupted observed run");
-        assert!(matches!(run, CampaignRun::Complete(_)));
-        let baseline = baseline_snap.det_jsonl();
+        let out = run(&cfg, spec(Some(&path), threads, None)).expect("uninterrupted run");
+        assert!(matches!(out.run, CampaignRun::Complete(_)));
+        let baseline = out.metrics.det_jsonl();
         let _ = std::fs::remove_file(&path);
 
         for k in 1..TINY_ROUNDS {
             let path = journal_path(&format!("obs-kill-{label}-{k}"));
             let _ = std::fs::remove_file(&path);
             run_partial(&cfg, &path, threads, k);
-            let world = build_world_or_exit(&cfg);
-            let (run, snap) =
-                run_global_dns_resumable_with_observed(&world, &cfg, &path, opts(threads, None))
-                    .expect("resumed observed run");
-            assert!(matches!(run, CampaignRun::Complete(_)));
+            let out = run(&cfg, spec(Some(&path), threads, None)).expect("resumed run");
+            assert!(matches!(out.run, CampaignRun::Complete(_)));
             assert_eq!(
-                snap.det_jsonl(),
+                out.metrics.det_jsonl(),
                 baseline,
                 "[{label}] metrics export diverged after kill+resume at round {k}"
             );
             let _ = std::fs::remove_file(&path);
         }
     }
+}
+
+#[test]
+fn journaled_run_from_an_empty_journal_matches_the_in_memory_run() {
+    let _guard = CAMPAIGNS.lock().unwrap();
+    // Journaling changes where state is kept, not what the campaign
+    // returns: the result, the deterministic metrics and the shard
+    // telemetry (one wall per shard per round) all match.
+    for (label, faults) in profiles() {
+        let cfg = tiny_cfg(faults);
+        let threads = 4;
+        let plain = run(&cfg, spec(None, threads, None)).expect("in-memory run");
+        let path = journal_path(&format!("contract-{label}"));
+        let _ = std::fs::remove_file(&path);
+        let journaled = run(&cfg, spec(Some(&path), threads, None)).expect("journaled run");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(journaled.metrics.det_jsonl(), plain.metrics.det_jsonl(), "[{label}]");
+        assert_eq!(journaled.shard_walls.len(), plain.shard_walls.len(), "[{label}]");
+        assert_eq!(plain.shard_walls.len() as u64, TINY_ROUNDS * threads as u64, "[{label}]");
+        assert_eq!(journaled.run.into_result(), plain.run.into_result(), "[{label}]");
+    }
+}
+
+#[test]
+fn round_budget_without_a_journal_is_a_typed_error() {
+    let cfg = tiny_cfg(FaultProfile::none());
+    match run(&cfg, spec(None, 1, Some(2))) {
+        Err(CampaignError::SuspendWithoutJournal) => {}
+        other => panic!("expected SuspendWithoutJournal, got {other:?}"),
+    }
+}
+
+#[test]
+fn zero_threads_means_the_ambient_worker_count() {
+    let _guard = CAMPAIGNS.lock().unwrap();
+    let cfg = tiny_cfg(FaultProfile::none());
+    let ambient = metacdn_suite::exec::thread_count();
+    let explicit = run(&cfg, spec(None, ambient, None)).expect("explicit thread count");
+    let zero = run(&cfg, spec(None, 0, None)).expect("zero thread count");
+    // The shard count follows the resolved worker count.
+    assert_eq!(zero.shard_walls.len(), explicit.shard_walls.len());
+    assert_eq!(zero.run.into_result(), explicit.run.into_result());
+    // The resolved count is what a journal's fingerprint pins: a run
+    // begun with 0 resumes under the explicit ambient count.
+    let path = journal_path("zero-threads");
+    let _ = std::fs::remove_file(&path);
+    run_partial(&cfg, &path, 0, 2);
+    assert_eq!(run_journaled(&cfg, &path, ambient), in_memory(&cfg, ambient));
+    let _ = std::fs::remove_file(&path);
 }

@@ -12,8 +12,8 @@ use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::obs;
 use metacdn_suite::scenario::{
-    run_global_dns_threads_observed, run_isp_dns_threads_observed, total_dark_scenario,
-    DnsCampaignResult, ScenarioConfig, World,
+    run_dns_campaign, total_dark_scenario, CampaignKind, CampaignSpec, DnsCampaignResult,
+    ResumeOptions, ScenarioConfig, World,
 };
 use std::sync::Mutex;
 
@@ -48,13 +48,22 @@ fn profiles() -> [(&'static str, FaultProfile); 3] {
     ]
 }
 
-/// The two campaigns under oracle, as (label, runner) pairs.
-type Runner = fn(&World, &ScenarioConfig, usize) -> (DnsCampaignResult, obs::MetricsSnapshot);
-fn campaigns() -> [(&'static str, Runner); 2] {
-    [
-        ("global", run_global_dns_threads_observed as Runner),
-        ("isp", run_isp_dns_threads_observed as Runner),
-    ]
+/// The two campaigns under oracle.
+fn campaigns() -> [(&'static str, CampaignKind); 2] {
+    [("global", CampaignKind::Global), ("isp", CampaignKind::Isp)]
+}
+
+/// The in-memory `kind` campaign on `threads` workers, with its metrics.
+fn observed(
+    world: &World,
+    cfg: &ScenarioConfig,
+    kind: CampaignKind,
+    threads: usize,
+) -> (DnsCampaignResult, obs::MetricsSnapshot) {
+    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
+    let out = run_dns_campaign(world, cfg, &CampaignSpec { kind, journal: None, opts })
+        .expect("campaign");
+    (out.run.into_result(), out.metrics)
 }
 
 /// The exact-equality oracle: every deterministic counter with an engine
@@ -104,11 +113,11 @@ fn assert_snapshot_matches(
 #[test]
 fn counters_equal_engine_ground_truth_under_every_profile() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    for (campaign, runner) in campaigns() {
+    for (campaign, kind) in campaigns() {
         for (profile, faults) in profiles() {
             let cfg = tiny_cfg(faults);
             let world = build_world_or_exit(&cfg);
-            let (result, snap) = runner(&world, &cfg, 2);
+            let (result, snap) = observed(&world, &cfg, kind, 2);
             assert!(result.resolutions > 0);
             assert_snapshot_matches(&format!("{campaign}/{profile}"), &result, &snap);
         }
@@ -121,7 +130,7 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
     // Quiet profile: the adversarial counters must stay exactly zero.
     let cfg = tiny_cfg(FaultProfile::none());
     let world = build_world_or_exit(&cfg);
-    let (_, quiet) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let (_, quiet) = observed(&world, &cfg, CampaignKind::Global, 2);
     for id in [
         obs::id::FAULT_SERVFAIL,
         obs::id::FAULT_TIMEOUT,
@@ -137,7 +146,7 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
     // The chaos blackout injects transport faults.
     let cfg = tiny_cfg(total_dark_scenario(41).faults);
     let world = build_world_or_exit(&cfg);
-    let (_, dark) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let (_, dark) = observed(&world, &cfg, CampaignKind::Global, 2);
     assert!(
         dark.counter(obs::id::FAULT_SERVFAIL) + dark.counter(obs::id::FAULT_TIMEOUT) > 0,
         "total-dark must record transport faults"
@@ -146,7 +155,7 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
     // out-of-bailiwick ones.
     let cfg = tiny_cfg(FaultProfile::poisoning(43));
     let world = build_world_or_exit(&cfg);
-    let (_, poisoned) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let (_, poisoned) = observed(&world, &cfg, CampaignKind::Global, 2);
     let tampers = poisoned.counter(obs::id::TAMPER_SPOOF_A)
         + poisoned.counter(obs::id::TAMPER_INJECT_NS)
         + poisoned.counter(obs::id::TAMPER_TRUNCATE)
@@ -161,13 +170,13 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
 #[test]
 fn det_export_is_byte_identical_across_worker_counts() {
     let _guard = CAMPAIGNS.lock().unwrap();
-    for (campaign, runner) in campaigns() {
+    for (campaign, kind) in campaigns() {
         for (profile, faults) in profiles() {
             let cfg = tiny_cfg(faults);
             let mut exports = Vec::new();
             for threads in [1usize, 2, 8] {
                 let world = build_world_or_exit(&cfg);
-                let (_, snap) = runner(&world, &cfg, threads);
+                let (_, snap) = observed(&world, &cfg, kind, threads);
                 exports.push(snap.det_jsonl());
             }
             assert_eq!(
@@ -187,7 +196,7 @@ fn full_export_is_a_superset_of_the_det_export() {
     let _guard = CAMPAIGNS.lock().unwrap();
     let cfg = tiny_cfg(FaultProfile::none());
     let world = build_world_or_exit(&cfg);
-    let (_, snap) = run_global_dns_threads_observed(&world, &cfg, 2);
+    let (_, snap) = observed(&world, &cfg, CampaignKind::Global, 2);
     // The CI determinism stage strips the full export down to the det
     // lines with `grep -v '"det":false'`; pin that contract here.
     let stripped: String = snap

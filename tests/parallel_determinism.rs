@@ -7,8 +7,8 @@ use metacdn_suite::exec::shard_bounds;
 use metacdn_suite::faults::FaultProfile;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::scenario::{
-    run_global_dns_threads, run_isp_dns_threads, run_isp_traffic_threads, standard_grid,
-    CdnClass, IpClassLedger, ScenarioConfig, World,
+    run_dns_campaign, run_isp_traffic, standard_grid, CampaignKind, CampaignSpec, CdnClass,
+    DnsCampaignResult, IpClassLedger, ResumeOptions, ScenarioConfig, World,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -58,15 +58,22 @@ fn profiles() -> [(&'static str, FaultProfile); 3] {
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
+/// The in-memory `kind` campaign over a fresh world on `threads` workers.
+fn campaign(cfg: &ScenarioConfig, kind: CampaignKind, threads: usize) -> DnsCampaignResult {
+    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
+    let spec = CampaignSpec { kind, journal: None, opts };
+    run_dns_campaign(&World::build(cfg), cfg, &spec).expect("campaign").run.into_result()
+}
+
 #[test]
 fn global_campaign_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_global_dns_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = campaign(&cfg, CampaignKind::Global, THREAD_COUNTS[0]);
         assert!(baseline.resolutions > 0);
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_global_dns_threads(&World::build(&cfg), &cfg, *threads);
+            let r = campaign(&cfg, CampaignKind::Global, *threads);
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
         // The memo accounting must be canonical too (covered by the
@@ -80,10 +87,10 @@ fn isp_campaign_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_isp_dns_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = campaign(&cfg, CampaignKind::Isp, THREAD_COUNTS[0]);
         assert!(baseline.resolutions > 0);
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_isp_dns_threads(&World::build(&cfg), &cfg, *threads);
+            let r = campaign(&cfg, CampaignKind::Isp, *threads);
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
     }
@@ -94,10 +101,10 @@ fn traffic_bit_identical_across_thread_counts() {
     for (label, faults) in profiles() {
         let mut cfg = small_cfg();
         cfg.faults = faults;
-        let baseline = run_isp_traffic_threads(&World::build(&cfg), &cfg, THREAD_COUNTS[0]);
+        let baseline = run_isp_traffic(&World::build(&cfg), &cfg, THREAD_COUNTS[0]).0;
         assert!(!baseline.flows.is_empty());
         for threads in &THREAD_COUNTS[1..] {
-            let r = run_isp_traffic_threads(&World::build(&cfg), &cfg, *threads);
+            let r = run_isp_traffic(&World::build(&cfg), &cfg, *threads).0;
             assert_eq!(r, baseline, "faults={label} threads={threads}");
         }
     }
@@ -115,9 +122,9 @@ fn pool_is_reused_across_back_to_back_campaigns() {
     // can trigger a spawn, the stability assertion below cannot be
     // perturbed by a neighbour.
     metacdn_suite::exec::warm(*THREAD_COUNTS.iter().max().unwrap());
-    let first = run_global_dns_threads(&World::build(&cfg), &cfg, threads);
+    let first = campaign(&cfg, CampaignKind::Global, threads);
     let between = metacdn_suite::exec::pool_stats();
-    let second = run_global_dns_threads(&World::build(&cfg), &cfg, threads);
+    let second = campaign(&cfg, CampaignKind::Global, threads);
     let after = metacdn_suite::exec::pool_stats();
     assert_eq!(first, second, "back-to-back campaigns must agree");
     assert_eq!(

@@ -63,7 +63,7 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
 fn netflow_export_packets_roundtrip_from_simulated_records() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_isp_traffic(&world, &cfg, 0).0;
     assert!(result.flows.len() > 100);
     // Pack records 30-at-a-time into v5 export packets and decode them back
     // — the collector boundary a real deployment would cross.
@@ -87,7 +87,7 @@ fn netflow_export_packets_roundtrip_from_simulated_records() {
 fn snmp_totals_match_generated_traffic_modulo_drops() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_isp_traffic(&world, &cfg, 0).0;
     // Everything SNMP counted entered via a link that touches the ISP, and
     // drops happen only when parallel links fill — on the uncongested big
     // CDN links, SNMP must never exceed capacity.
@@ -106,7 +106,7 @@ fn snmp_totals_match_generated_traffic_modulo_drops() {
 fn sampled_flows_estimate_true_link_volume() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_isp_traffic(&world, &cfg, 0).0;
     // Pick the busiest link; the SNMP-scaled flow sum equals the SNMP
     // total by construction, and the *unscaled* sampled sum times the
     // sampling rate should land within ~5% (law of large numbers).
@@ -134,7 +134,7 @@ fn sampled_flows_estimate_true_link_volume() {
 fn source_as_fields_match_bgp_origin() {
     let cfg = small_cfg();
     let world = World::build(&cfg);
-    let result = run_isp_traffic(&world, &cfg);
+    let result = run_isp_traffic(&world, &cfg, 0).0;
     for (_, _, rec) in result.flows.iter().take(2000) {
         let origin = world.topo.origin_of(rec.src).expect("flow sources are routable");
         assert_eq!(
