@@ -6,13 +6,21 @@
 //! Usage: `bench_campaigns [--smoke] [OUT.json]`. `--smoke` shrinks the
 //! workload for CI gating; the default output path is
 //! `BENCH_campaigns.json` in the working directory.
+//!
+//! Two allocation audits gate the resolution path at exactly zero heap
+//! allocations per resolution: a warm pass (one probe re-resolving at a
+//! fixed instant, every hop a cache hit) and a cold pass (the paper fleet
+//! over successive campaign rounds, where hops miss the cache and reach
+//! every mapping policy).
 
 use alloc_counter::CountingAlloc;
-use mcdn_atlas::build_fleet;
+use mcdn_atlas::{build_fleet, Probe};
 use mcdn_dnssim::{CompiledNamespace, IRoundMemo, NoInternedFaults, ResolveScratch};
 use mcdn_dnswire::RecordType;
 use mcdn_faults::RetryPolicy;
 use mcdn_geo::{Duration, SimTime};
+use mcdn_intern::NameId;
+use mcdn_netsim::{AsId, FlatLpm};
 use mcdn_scenario::classes::{attribute_interned, classify_ip_from_origin, AttributionTable};
 use mcdn_bench::dns_campaign;
 use mcdn_scenario::{
@@ -20,10 +28,11 @@ use mcdn_scenario::{
     ScenarioConfig, World, TRAFFIC_BATCH_TICKS,
 };
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
-/// Counts every heap allocation in the process so the steady-state
-/// audit can assert the warm resolve loop performs none.
+/// Counts every heap allocation in the process so the allocation audits
+/// can assert the resolve loop performs none.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
 
@@ -214,11 +223,62 @@ where
     (runs, identical, outputs)
 }
 
-/// Heap traffic of the warm (steady-state) resolve loop.
+/// Heap traffic of a resolve loop.
 struct AllocAudit {
     resolutions: u64,
     allocs: u64,
     bytes: u64,
+}
+
+/// The per-probe work of a campaign round, compiled for one world: what
+/// both allocation audits replay.
+struct ProbeWork<'a> {
+    cns: CompiledNamespace<'a>,
+    attr: AttributionTable,
+    rib: FlatLpm<AsId>,
+    retry: RetryPolicy,
+    entry: NameId,
+}
+
+impl<'a> ProbeWork<'a> {
+    fn new(world: &'a World, scratch: &mut ResolveScratch) -> ProbeWork<'a> {
+        let cns = CompiledNamespace::compile(&world.ns);
+        let attr = AttributionTable::build(cns.table());
+        let entry = cns.intern_in(scratch, &metacdn::names::entry());
+        ProbeWork { cns, attr, rib: world.topo.compiled_rib(), retry: RetryPolicy::standard(), entry }
+    }
+
+    /// One probe's round at `t`: resolve the entry chain, attribute the
+    /// trace to a CDN, classify every answered address by BGP origin.
+    /// Returns how many addresses classified as `Other`, so the work
+    /// stays observable.
+    fn run(&self, probe: &mut Probe, scratch: &mut ResolveScratch, memo: &mut IRoundMemo, t: SimTime) -> u64 {
+        let (result, _) = probe.measure_interned(
+            &self.cns,
+            scratch,
+            self.entry,
+            RecordType::A,
+            t,
+            &NoInternedFaults,
+            &self.retry,
+            memo,
+        );
+        assert!(result.is_ok(), "audited resolution failed");
+        let attribution = attribute_interned(scratch.trace(), &self.attr, &self.cns, scratch);
+        let mut other = 0;
+        for ip in scratch.trace().addresses() {
+            let origin = self.rib.lookup(ip).map(|(_, asn)| asn);
+            let class = classify_ip_from_origin(
+                attribution,
+                origin,
+                params::AKAMAI_AS,
+                params::LIMELIGHT_AS,
+                params::APPLE_AS,
+            );
+            other += u64::from(std::hint::black_box(class) == mcdn_scenario::CdnClass::Other);
+        }
+        other
+    }
 }
 
 /// Measures heap allocations per steady-state resolution: one probe with a
@@ -227,66 +287,100 @@ struct AllocAudit {
 /// of a campaign round after the first contact. The gate demands zero.
 fn audit_steady_state(cfg: &ScenarioConfig) -> AllocAudit {
     let world = World::build(cfg);
-    let cns = CompiledNamespace::compile(&world.ns);
-    let attr = AttributionTable::build(cns.table());
-    let rib = world.topo.compiled_rib();
-    let retry = RetryPolicy::standard();
+    let mut scratch = ResolveScratch::new();
+    let work = ProbeWork::new(&world, &mut scratch);
     let mut probe = build_fleet(world.global_probe_specs.clone())
         .into_iter()
         .next()
         .expect("world has at least one global probe");
     let t = cfg.global_start;
-    let entry = metacdn::names::entry();
-    let mut scratch = ResolveScratch::new();
-    let entry_id = cns.intern_in(&mut scratch, &entry);
     let mut memo = IRoundMemo::new();
     // Two warm passes: the first fills the probe's cache at `t`, the second
     // lets every retained scratch buffer reach its steady capacity.
+    let mut classified = 0u64;
     for _ in 0..2 {
-        let (result, _) = probe.measure_interned(
-            &cns,
-            &mut scratch,
-            entry_id,
-            RecordType::A,
-            t,
-            &NoInternedFaults,
-            &retry,
-            &mut memo,
-        );
-        assert!(result.is_ok(), "warm-up resolution failed");
-        let _ = attribute_interned(scratch.trace(), &attr, &cns, &scratch);
+        classified += work.run(&mut probe, &mut scratch, &mut memo, t);
     }
     let resolutions: u64 = 100_000;
-    let mut classified = 0u64;
     let before = ALLOC.snapshot();
     for _ in 0..resolutions {
-        let (result, _) = probe.measure_interned(
-            &cns,
-            &mut scratch,
-            entry_id,
-            RecordType::A,
-            t,
-            &NoInternedFaults,
-            &retry,
-            &mut memo,
-        );
-        assert!(result.is_ok());
-        let attribution = attribute_interned(scratch.trace(), &attr, &cns, &scratch);
-        for ip in scratch.trace().addresses() {
-            let origin = rib.lookup(ip).map(|(_, asn)| asn);
-            let class = classify_ip_from_origin(
-                attribution,
-                origin,
-                params::AKAMAI_AS,
-                params::LIMELIGHT_AS,
-                params::APPLE_AS,
-            );
-            classified += u64::from(std::hint::black_box(class) == mcdn_scenario::CdnClass::Other);
-        }
+        classified += work.run(&mut probe, &mut scratch, &mut memo, t);
     }
     let delta = ALLOC.snapshot().since(before);
     std::hint::black_box(classified);
     AllocAudit { resolutions, allocs: delta.allocs, bytes: delta.bytes }
+}
+
+/// The cold audit's window: six hours of the paper cadence around the
+/// a1015 event map's activation (release + 6 h), so the window's rounds
+/// take every branch of the mapping chain.
+const COLD_WINDOW_START: Duration = Duration::hours(5);
+const COLD_WINDOW_ROUNDS: u32 = 72;
+
+/// Measures heap allocations per resolution on the cache-miss path. The
+/// paper fleet resolves the entry chain round after round,
+/// `global_dns_interval` apart, exactly as the campaign engine drives it:
+/// controller loads updated, a mapping snapshot installed and the memo
+/// cleared per round. The geo split's 120 s TTL and the selector's, the
+/// GSLBs' and the CDN maps' 15–60 s TTLs are shorter than the 5 min
+/// cadence, so most hops miss the cache and reach a mapping policy.
+///
+/// The window runs twice. The first pass warms every buffer up. Then the
+/// controller is reset to its state at the window's start and every cached
+/// entry is marked expired, so the second pass repeats the first one's
+/// resolutions exactly, from caches that answer nothing — only the second
+/// pass is counted. Only per-probe work is counted (resolution,
+/// attribution, origin classification): the per-round controller update
+/// and snapshot capture are not resolution work. The gate demands zero.
+fn audit_cold_path() -> AllocAudit {
+    let cfg = ScenarioConfig::paper();
+    let world = World::build(&cfg);
+    let mut scratch = ResolveScratch::new();
+    let work = ProbeWork::new(&world, &mut scratch);
+    let mut fleet = build_fleet(world.global_probe_specs.clone());
+    let mut memo = IRoundMemo::new();
+    // Walk the controller up to the window as the engine does, so load
+    // history (and with it the a1015 activation) matches the campaign's.
+    let window_start = params::release() + COLD_WINDOW_START;
+    let mut t = cfg.global_start;
+    while t < window_start {
+        mcdn_scenario::loads::update_loads(&world, t);
+        t += cfg.global_dns_interval;
+    }
+    let signals = world.state.export_signals();
+    let mut audit = AllocAudit { resolutions: 0, allocs: 0, bytes: 0 };
+    let mut classified = 0u64;
+    for measured in [false, true] {
+        if measured {
+            world.state.restore_signals(&signals);
+            for probe in &mut fleet {
+                let (mut entries, hits, misses) = probe.interned_cache_export();
+                for entry in &mut entries {
+                    entry.2 = SimTime(0);
+                }
+                probe.interned_cache_restore(entries, hits, misses);
+            }
+        }
+        let mut t = window_start;
+        for _ in 0..COLD_WINDOW_ROUNDS {
+            mcdn_scenario::loads::update_loads(&world, t);
+            let _guard = metacdn::install_snapshot(Arc::new(world.state.capture()));
+            memo.clear();
+            let before = ALLOC.snapshot();
+            for probe in &mut fleet {
+                classified += work.run(probe, &mut scratch, &mut memo, t);
+            }
+            let delta = ALLOC.snapshot().since(before);
+            if measured {
+                audit.resolutions += fleet.len() as u64;
+                audit.allocs += delta.allocs;
+                audit.bytes += delta.bytes;
+            }
+            t += cfg.global_dns_interval;
+        }
+    }
+    std::hint::black_box(classified);
+    audit
 }
 
 /// Wall-time cost of journaled checkpointing versus the plain engine.
@@ -576,13 +670,14 @@ fn write_json(
     counts: &[usize],
     benches: &[Bench],
     audit: &AllocAudit,
+    cold: &AllocAudit,
     ckpt: &CheckpointOverhead,
     dispatch: &DispatchMicrobench,
     obs: &ObsOverhead,
     metrics: &mcdn_obs::MetricsSnapshot,
 ) {
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v8\",");
+    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v9\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let counts_s: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
     let _ = writeln!(out, "  \"thread_counts\": [{}],", counts_s.join(", "));
@@ -647,6 +742,14 @@ fn write_json(
         audit.allocs as f64 / per
     );
     let _ = writeln!(out, "    \"bytes_per_resolution\": {:.4}", audit.bytes as f64 / per);
+    let _ = writeln!(out, "  }},");
+    let per = cold.resolutions.max(1) as f64;
+    let _ = writeln!(out, "  \"cold_path\": {{");
+    let _ = writeln!(out, "    \"resolutions\": {},", cold.resolutions);
+    let _ = writeln!(out, "    \"allocs\": {},", cold.allocs);
+    let _ = writeln!(out, "    \"bytes\": {},", cold.bytes);
+    let _ = writeln!(out, "    \"cold_allocs_per_resolution\": {:.4},", cold.allocs as f64 / per);
+    let _ = writeln!(out, "    \"cold_bytes_per_resolution\": {:.4}", cold.bytes as f64 / per);
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"campaigns\": [");
     for (i, b) in benches.iter().enumerate() {
@@ -786,6 +889,12 @@ fn main() {
         "  steady_state resolutions={} allocs={} bytes={}",
         audit.resolutions, audit.allocs, audit.bytes
     );
+    eprintln!("bench_campaigns: auditing cold-path allocations");
+    let cold = audit_cold_path();
+    eprintln!(
+        "  cold_path resolutions={} allocs={} bytes={}",
+        cold.resolutions, cold.allocs, cold.bytes
+    );
 
     let all_identical = benches.iter().all(|b| b.identical);
     let top_threads = counts.iter().copied().max().unwrap_or(1);
@@ -802,7 +911,7 @@ fn main() {
         dispatch.scoped_over_pool(),
     );
     let mut json = String::new();
-    write_json(&mut json, smoke, &counts, &benches, &audit, &ckpt, &dispatch, &obs, &metrics);
+    write_json(&mut json, smoke, &counts, &benches, &audit, &cold, &ckpt, &dispatch, &obs, &metrics);
     std::fs::write(&out_path, &json).expect("write BENCH json");
     for b in &benches {
         let serial = b.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
@@ -865,6 +974,14 @@ fn main() {
             "bench_campaigns: FAIL — steady-state resolve loop allocated \
              ({} allocs / {} bytes over {} resolutions)",
             audit.allocs, audit.bytes, audit.resolutions
+        );
+        std::process::exit(1);
+    }
+    if cold.allocs != 0 {
+        eprintln!(
+            "bench_campaigns: FAIL — cold-path resolve loop allocated \
+             ({} allocs / {} bytes over {} resolutions)",
+            cold.allocs, cold.bytes, cold.resolutions
         );
         std::process::exit(1);
     }

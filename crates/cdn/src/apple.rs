@@ -186,25 +186,31 @@ impl Clone for GslbDirectory {
 impl GslbDirectory {
     /// See [`AppleCdn::gslb_answer`].
     pub fn answer(&self, client_ip: Ipv4Addr, coord: Coord, now: SimTime) -> Vec<Ipv4Addr> {
-        self.answer_filtered(client_ip, coord, now, &|_| false)
+        let mut out = Vec::new();
+        self.answer_filtered(client_ip, coord, now, &|_| false, &mut out);
+        out
     }
 
-    /// The GSLB answer with down sites skipped: sites whose key makes
-    /// `down` return true are excluded before nearest-site ranking, so
-    /// clients of a dead site silently fail over to the next-nearest one.
-    /// With a never-true filter this is exactly [`GslbDirectory::answer`].
+    /// The GSLB answer with down sites skipped, pushed onto `out`: sites
+    /// whose key makes `down` return true are excluded before nearest-site
+    /// ranking, so clients of a dead site silently fail over to the
+    /// next-nearest one. With a never-true filter this is exactly
+    /// [`GslbDirectory::answer`]. Allocates only the first time a client
+    /// coordinate is ranked.
     pub fn answer_filtered(
         &self,
         client_ip: Ipv4Addr,
         coord: Coord,
         now: SimTime,
         down: &dyn Fn(u64) -> bool,
-    ) -> Vec<Ipv4Addr> {
+        out: &mut Vec<Ipv4Addr>,
+    ) {
         let key = (coord.lat.to_bits(), coord.lon.to_bits());
         {
             let ranks = self.ranks.read().expect("rank cache poisoned");
             if let Some(order) = ranks.get(&key) {
-                return self.answer_ranked(order, client_ip, now, down);
+                self.answer_ranked(order, client_ip, now, down, out);
+                return;
             }
         }
         let mut ranked: Vec<(f64, usize)> = self
@@ -215,9 +221,8 @@ impl GslbDirectory {
             .collect();
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let order: Vec<u16> = ranked.iter().map(|&(_, i)| i as u16).collect();
-        let answer = self.answer_ranked(&order, client_ip, now, down);
+        self.answer_ranked(&order, client_ip, now, down, out);
         self.ranks.write().expect("rank cache poisoned").insert(key, order);
-        answer
     }
 
     /// Answers from a precomputed full rank order, skipping down sites.
@@ -227,7 +232,8 @@ impl GslbDirectory {
         client_ip: Ipv4Addr,
         now: SimTime,
         down: &dyn Fn(u64) -> bool,
-    ) -> Vec<Ipv4Addr> {
+        out: &mut Vec<Ipv4Addr>,
+    ) {
         let mut nearest = None;
         let mut next = None;
         for &i in order {
@@ -242,7 +248,7 @@ impl GslbDirectory {
             }
         }
         let Some(nearest) = nearest else {
-            return Vec::new();
+            return;
         };
         let client_hash = fnv64(&client_ip.octets());
         let pick = match next {
@@ -252,7 +258,7 @@ impl GslbDirectory {
         let vips = &self.sites[pick].2;
         let rot = (client_hash ^ (now.as_secs() / GSLB_ROTATION.as_secs())) as usize;
         let k = 2.min(vips.len());
-        (0..k).map(|j| vips[(rot + j) % vips.len()]).collect()
+        out.extend((0..k).map(|j| vips[(rot + j) % vips.len()]));
     }
 
     /// Every vip address in the directory.
@@ -415,22 +421,26 @@ mod tests {
         // next-nearest site (London/NYC) — never a dead vip.
         for i in 0..64u32 {
             let client = Ipv4Addr::from(0x0A00_0200 + i * 13);
-            let ans = dir.answer_filtered(client, fra, t, &|k| down.contains(&k));
+            let mut ans = Vec::new();
+            dir.answer_filtered(client, fra, t, &|k| down.contains(&k), &mut ans);
             assert!(!ans.is_empty());
             for ip in ans {
                 let name = cdn.ptr_lookup(ip).unwrap();
                 assert_ne!(name.locode.as_str(), "defra", "dead site must not answer");
             }
         }
-        // A never-true filter is bit-identical to the unfiltered answer.
+        // A never-true filter is bit-identical to the unfiltered answer,
+        // and the filtered form appends to what the buffer already holds.
+        let mut filtered = Vec::new();
         for i in 0..64u32 {
             let client = Ipv4Addr::from(0x0A00_0300 + i * 7);
-            assert_eq!(
-                dir.answer(client, fra, t),
-                dir.answer_filtered(client, fra, t, &|_| false)
-            );
+            let before = filtered.len();
+            dir.answer_filtered(client, fra, t, &|_| false, &mut filtered);
+            assert_eq!(dir.answer(client, fra, t), filtered[before..]);
         }
         // Everything down: the GSLB has no answer (NXDOMAIN upstream).
-        assert!(dir.answer_filtered(Ipv4Addr::new(10, 0, 0, 1), fra, t, &|_| true).is_empty());
+        let mut none = Vec::new();
+        dir.answer_filtered(Ipv4Addr::new(10, 0, 0, 1), fra, t, &|_| true, &mut none);
+        assert!(none.is_empty());
     }
 }

@@ -98,14 +98,19 @@ impl ThirdPartyCdn {
         self
     }
 
+    /// How many surge addresses are exposed at a (clamped) `load`, out of
+    /// a surge pool of `pool` addresses.
+    fn surge_exposed(&self, pool: usize, load: f64) -> usize {
+        ((pool as f64 * load.powf(self.surge_exponent)).round() as usize).min(pool)
+    }
+
     /// The set of addresses the CDN exposes in `region` at `load ∈ [0,1]`.
     /// Deterministic and monotone in `load`.
     pub fn exposed(&self, region: Region, load: f64) -> Vec<Ipv4Addr> {
         let load = load.clamp(0.0, 1.0);
         let mut out = self.base.get(&region).cloned().unwrap_or_default();
         if let Some(surge) = self.surge.get(&region) {
-            let n = (surge.len() as f64 * load.powf(self.surge_exponent)).round() as usize;
-            out.extend_from_slice(&surge[..n.min(surge.len())]);
+            out.extend_from_slice(&surge[..self.surge_exposed(surge.len(), load)]);
         }
         for pool in self.offnet.get(&region).into_iter().flatten() {
             if load >= pool.engage_at {
@@ -139,9 +144,13 @@ impl ThirdPartyCdn {
             + self.offnet.get(&region).into_iter().flatten().map(|p| p.ips.len()).sum::<usize>()
     }
 
-    /// The DNS answer for one client: `k` addresses drawn from the exposed
-    /// set, rotated per client and per minute — the pattern that makes a
-    /// probe fleet's unique-IP union grow with the exposed set size.
+    /// The DNS answer for one client, pushed onto `out`: `k` addresses
+    /// drawn from the exposed set, rotated per client and per minute — the
+    /// pattern that makes a probe fleet's unique-IP union grow with the
+    /// exposed set size. Picks by index into the exposed set's parts (base,
+    /// exposed surge, engaged off-net pools, in [`exposed`](Self::exposed)
+    /// order) without building it, so answering allocates nothing beyond
+    /// `out`'s own growth.
     pub fn answer(
         &self,
         region: Region,
@@ -149,14 +158,32 @@ impl ThirdPartyCdn {
         client_ip: Ipv4Addr,
         now: SimTime,
         k: usize,
-    ) -> Vec<Ipv4Addr> {
-        let pool = self.exposed(region, load);
-        if pool.is_empty() {
-            return Vec::new();
+        out: &mut Vec<Ipv4Addr>,
+    ) {
+        let load = load.clamp(0.0, 1.0);
+        let base = self.base.get(&region).map_or(&[][..], Vec::as_slice);
+        let surge = self
+            .surge
+            .get(&region)
+            .map_or(&[][..], |s| &s[..self.surge_exposed(s.len(), load)]);
+        let offnet = self.offnet.get(&region).map_or(&[][..], Vec::as_slice);
+        let engaged = || offnet.iter().filter(|p| load >= p.engage_at).map(|p| p.ips.as_slice());
+        let len = base.len() + surge.len() + engaged().map(<[_]>::len).sum::<usize>();
+        if len == 0 {
+            return;
         }
         let salt = fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
-        let k = k.min(pool.len());
-        (0..k).map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()]).collect()
+        let k = k.min(len);
+        out.extend((0..k).map(|j| {
+            let mut i = (salt as usize).wrapping_add(j * 7919) % len;
+            for part in [base, surge].into_iter().chain(engaged()) {
+                if i < part.len() {
+                    return part[i];
+                }
+                i -= part.len();
+            }
+            unreachable!("index {i} past the exposed set of {len}")
+        }));
     }
 }
 
@@ -218,14 +245,17 @@ mod tests {
     fn unknown_region_is_empty() {
         let c = cdn();
         assert!(c.exposed(Region::Apac, 1.0).is_empty());
-        assert!(c.answer(Region::Apac, 1.0, "10.0.0.1".parse().unwrap(), SimTime(0), 2).is_empty());
+        let mut ans = Vec::new();
+        c.answer(Region::Apac, 1.0, "10.0.0.1".parse().unwrap(), SimTime(0), 2, &mut ans);
+        assert!(ans.is_empty());
     }
 
     #[test]
     fn answers_drawn_from_exposed_set() {
         let c = cdn();
         let exposed = c.exposed(Region::Eu, 0.5);
-        let ans = c.answer(Region::Eu, 0.5, "10.1.2.3".parse().unwrap(), SimTime(1000), 3);
+        let mut ans = Vec::new();
+        c.answer(Region::Eu, 0.5, "10.1.2.3".parse().unwrap(), SimTime(1000), 3, &mut ans);
         assert_eq!(ans.len(), 3);
         for ip in ans {
             assert!(exposed.contains(&ip));
@@ -242,7 +272,9 @@ mod tests {
             for minute in 0..12 {
                 let ip = Ipv4Addr::new(10, 0, 1, client);
                 let t = SimTime(minute * 300);
-                union.extend(c.answer(Region::Eu, 1.0, ip, t, 2));
+                let mut ans = Vec::new();
+                c.answer(Region::Eu, 1.0, ip, t, 2, &mut ans);
+                union.extend(ans);
             }
         }
         assert!(union.len() > 100, "union {} should approach pool size 150", union.len());
@@ -253,6 +285,84 @@ mod tests {
         let c = cdn();
         assert_eq!(c.pool_size(Region::Eu), 10 + 100 + 40);
         assert_eq!(c.pool_size(Region::Apac), 0);
+    }
+
+    /// The reference pick: build the whole exposed set, then index into
+    /// it — what the index-based [`ThirdPartyCdn::answer`] must match.
+    fn answer_via_exposed(
+        c: &ThirdPartyCdn,
+        region: Region,
+        load: f64,
+        client_ip: Ipv4Addr,
+        now: SimTime,
+        k: usize,
+    ) -> Vec<Ipv4Addr> {
+        let pool = c.exposed(region, load);
+        if pool.is_empty() {
+            return Vec::new();
+        }
+        let salt = fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
+        let k = k.min(pool.len());
+        (0..k).map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()]).collect()
+    }
+
+    /// Base and surge in EU, two off-net pools engaging at different
+    /// loads; off-net only in US (no base, no surge); nothing in APAC.
+    fn cdn_with_two_offnets(surge_exponent: f64) -> ThirdPartyCdn {
+        let off = Ipv4Net::parse("198.19.0.0/24").unwrap();
+        cdn()
+            .with_surge_exponent(surge_exponent)
+            .with_offnet(
+                Region::Eu,
+                OffNetPool {
+                    host_as: AsId(64501),
+                    ips: ThirdPartyCdn::ips_from_prefix(off, 0, 7),
+                    engage_at: 0.3,
+                },
+            )
+            .with_offnet(
+                Region::Us,
+                OffNetPool {
+                    host_as: AsId(64502),
+                    ips: ThirdPartyCdn::ips_from_prefix(off, 100, 5),
+                    engage_at: 0.5,
+                },
+            )
+    }
+
+    proptest::proptest! {
+        /// The index-based pick equals "build `exposed`, then pick" below,
+        /// at and above every off-net threshold, past both ends of the load
+        /// range, for empty pools, and for `k` beyond the exposed set.
+        #[test]
+        fn index_pick_matches_exposed_then_pick(
+            ip in proptest::arbitrary::any::<u32>(),
+            secs in 0u64..10_000_000,
+            k in 0usize..200,
+            load in -1.0f64..2.0,
+            exponent in 0.25f64..4.0,
+        ) {
+            let c = cdn_with_two_offnets(exponent);
+            let client = Ipv4Addr::from(ip);
+            let now = SimTime(secs);
+            let edges = [-0.5, 0.0, 0.3 - 1e-9, 0.3, 0.5 - 1e-9, 0.5, 0.7 - 1e-9, 0.7, 1.0, 1.5];
+            for load in edges.into_iter().chain([load]) {
+                for region in Region::ALL {
+                    let mut got = vec![Ipv4Addr::UNSPECIFIED];
+                    c.answer(region, load, client, now, k, &mut got);
+                    let want = answer_via_exposed(&c, region, load, client, now, k);
+                    proptest::prop_assert!(got[0] == Ipv4Addr::UNSPECIFIED, "answer appends to out");
+                    proptest::prop_assert!(
+                        got[1..] == want[..],
+                        "{:?} at load {}: {:?} vs {:?}",
+                        region,
+                        load,
+                        &got[1..],
+                        want
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -61,9 +61,9 @@ impl CdnShare {
 
     /// Normalized weights over the CDNs available in `region`, as
     /// `(kind, probability)` pairs in [`CdnKind::ALL`] order. Returns an
-    /// empty vector if no available CDN has positive weight.
-    pub fn normalized_in(&self, region: Region) -> Vec<(CdnKind, f64)> {
-        let avail: Vec<(CdnKind, f64)> = CdnKind::ALL
+    /// empty list if no available CDN has positive weight.
+    pub fn normalized_in(&self, region: Region) -> ShareList {
+        let avail: ShareList = CdnKind::ALL
             .into_iter()
             .filter(|k| k.available_in(region))
             .map(|k| (k, self.weight(k)))
@@ -71,9 +71,88 @@ impl CdnShare {
             .collect();
         let total: f64 = avail.iter().map(|(_, w)| w).sum();
         if total <= 0.0 {
-            return Vec::new();
+            return ShareList::new();
         }
-        avail.into_iter().map(|(k, w)| (k, w / total)).collect()
+        avail.iter().map(|&(k, w)| (k, w / total)).collect()
+    }
+}
+
+/// A list of `(kind, weight)` pairs, at most one per [`CdnKind`], stored
+/// inline: the share vectors a mapping policy computes per query live on
+/// the stack, not the heap. Dereferences to a slice; compares, prints and
+/// iterates like the `Vec` it replaces.
+#[derive(Clone, Copy)]
+pub struct ShareList {
+    len: usize,
+    items: [(CdnKind, f64); CdnKind::ALL.len()],
+}
+
+impl ShareList {
+    /// An empty list.
+    pub fn new() -> ShareList {
+        ShareList { len: 0, items: [(CdnKind::Apple, 0.0); CdnKind::ALL.len()] }
+    }
+
+    /// Appends one pair. Panics past one entry per CDN kind.
+    pub fn push(&mut self, item: (CdnKind, f64)) {
+        assert!(self.len < self.items.len(), "ShareList holds at most one entry per CDN kind");
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+}
+
+impl Default for ShareList {
+    fn default() -> ShareList {
+        ShareList::new()
+    }
+}
+
+impl std::ops::Deref for ShareList {
+    type Target = [(CdnKind, f64)];
+    fn deref(&self) -> &[(CdnKind, f64)] {
+        &self.items[..self.len]
+    }
+}
+
+impl std::ops::DerefMut for ShareList {
+    fn deref_mut(&mut self) -> &mut [(CdnKind, f64)] {
+        &mut self.items[..self.len]
+    }
+}
+
+impl FromIterator<(CdnKind, f64)> for ShareList {
+    fn from_iter<I: IntoIterator<Item = (CdnKind, f64)>>(iter: I) -> ShareList {
+        let mut list = ShareList::new();
+        for item in iter {
+            list.push(item);
+        }
+        list
+    }
+}
+
+impl<'a> IntoIterator for &'a ShareList {
+    type Item = &'a (CdnKind, f64);
+    type IntoIter = std::slice::Iter<'a, (CdnKind, f64)>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl std::fmt::Debug for ShareList {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl PartialEq for ShareList {
+    fn eq(&self, other: &ShareList) -> bool {
+        **self == **other
+    }
+}
+
+impl PartialEq<ShareList> for Vec<(CdnKind, f64)> {
+    fn eq(&self, other: &ShareList) -> bool {
+        **self == **other
     }
 }
 

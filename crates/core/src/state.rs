@@ -27,7 +27,7 @@
 //!   signal set, the pipeline is bit-identical to the health-blind one.
 
 use crate::kinds::CdnKind;
-use crate::policy::{CdnShare, Schedule};
+use crate::policy::{CdnShare, Schedule, ShareList};
 use mcdn_cdn::site::fnv64;
 use mcdn_geo::{Duration, Region, SimTime};
 use std::cell::RefCell;
@@ -232,16 +232,18 @@ impl MetaCdnState {
     }
 
     /// Runs `f` over the state's inner view: the thread's innermost
-    /// installed snapshot of *this* state if one exists (lock-free),
-    /// otherwise the live data under the read lock.
+    /// installed snapshot of *this* state if one exists (lock-free, and
+    /// borrowed in place — no reference-count traffic on the shared
+    /// snapshot), otherwise the live data under the read lock. `f` must
+    /// not install or uninstall snapshots.
     fn with_inner<R>(&self, f: impl FnOnce(&Inner) -> R) -> R {
-        let snap = INSTALLED.with(|s| {
-            s.borrow().iter().rev().find(|m| m.state_id == self.state_id).cloned()
-        });
-        match snap {
-            Some(snap) => f(&snap.inner),
-            None => f(&self.inner.read().expect("state lock")),
-        }
+        INSTALLED.with(|s| {
+            let installed = s.borrow();
+            match installed.iter().rev().find(|m| m.state_id == self.state_id) {
+                Some(snap) => f(&snap.inner),
+                None => f(&self.inner.read().expect("state lock")),
+            }
+        })
     }
 
     /// Whether a snapshot of this state is installed on the current thread
@@ -349,13 +351,13 @@ impl MetaCdnState {
     /// with Apple's overflow spilled onto the available third parties,
     /// then degraded by the health/capacity signals of the chaos layer
     /// (no-op while no degradation signal is set).
-    pub fn effective_share(&self, region: Region, now: SimTime) -> Vec<(CdnKind, f64)> {
+    pub fn effective_share(&self, region: Region, now: SimTime) -> ShareList {
         let probs = self.overflow_share(region, now);
         self.degraded_share(region, probs)
     }
 
     /// The scheduled share with Apple's overflow applied (health-blind).
-    fn overflow_share(&self, region: Region, now: SimTime) -> Vec<(CdnKind, f64)> {
+    fn overflow_share(&self, region: Region, now: SimTime) -> ShareList {
         let base = self.schedule.share_at(region, now);
         let mut probs = base.normalized_in(region);
         if probs.is_empty() {
@@ -385,12 +387,14 @@ impl MetaCdnState {
         if third_total == 0.0 && spill > 0.0 {
             // No third party scheduled: engage every available one equally
             // (the controller's last-resort overflow).
-            let thirds: Vec<CdnKind> = CdnKind::THIRD_PARTY
-                .into_iter()
-                .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
-                .collect();
-            for k in &thirds {
-                probs.push((*k, spill / thirds.len() as f64));
+            let thirds = || {
+                CdnKind::THIRD_PARTY
+                    .into_iter()
+                    .filter(|k| k.available_in(region) && *k != CdnKind::Level3)
+            };
+            let n = thirds().count();
+            for k in thirds() {
+                probs.push((k, spill / n as f64));
             }
         }
         probs
@@ -411,7 +415,7 @@ impl MetaCdnState {
     ///
     /// With no health verdicts and all factors at 1 the input is returned
     /// untouched, keeping fault-free pipelines bit-identical.
-    fn degraded_share(&self, region: Region, probs: Vec<(CdnKind, f64)>) -> Vec<(CdnKind, f64)> {
+    fn degraded_share(&self, region: Region, probs: ShareList) -> ShareList {
         if probs.is_empty() {
             return probs;
         }
@@ -427,7 +431,7 @@ impl MetaCdnState {
                         .write()
                         .expect("state lock")
                         .last_good
-                        .insert(region, out.clone());
+                        .insert(region, out.to_vec());
                 }
                 out
             }
@@ -449,9 +453,10 @@ impl MetaCdnState {
         client_ip: Ipv4Addr,
         now: SimTime,
     ) -> Option<CdnKind> {
-        let probs: Vec<(CdnKind, f64)> = self
+        let probs: ShareList = self
             .effective_share(region, now)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|(k, _)| *k != CdnKind::Apple)
             .collect();
         pick_weighted(&probs, client_ip, now, 0x33)
@@ -482,9 +487,9 @@ enum DegradeOutcome {
     Untouched,
     /// Every CDN ejected or at factor 0 — freeze onto the last-known-good
     /// mapping (`None` when degradation struck before one was recorded).
-    Frozen(Option<Vec<(CdnKind, f64)>>),
+    Frozen(Option<ShareList>),
     /// Shed-and-renormalized share over the surviving CDNs.
-    Shed(Vec<(CdnKind, f64)>),
+    Shed(ShareList),
 }
 
 /// The pure half of [`MetaCdnState::degraded_share`]: steps 1–3 of the
@@ -497,7 +502,7 @@ fn degrade_in(inner: &Inner, region: Region, probs: &[(CdnKind, f64)]) -> Degrad
     if !degraded {
         return DegradeOutcome::Untouched;
     }
-    let kept: Vec<(CdnKind, f64)> = probs
+    let kept: ShareList = probs
         .iter()
         .map(|(k, p)| {
             let healthy = *inner.cdn_health.get(&(*k, region)).unwrap_or(&true);
@@ -511,15 +516,16 @@ fn degrade_in(inner: &Inner, region: Region, probs: &[(CdnKind, f64)]) -> Degrad
     if kept_total <= 0.0 {
         // Every health signal lost: graceful degradation to the
         // last-known-good mapping.
-        return DegradeOutcome::Frozen(inner.last_good.get(&region).cloned());
+        return DegradeOutcome::Frozen(
+            inner.last_good.get(&region).map(|good| good.iter().copied().collect()),
+        );
     }
-    let mut out: Vec<(CdnKind, f64)> = kept
-        .into_iter()
-        .filter(|(_, p)| *p > 0.0)
-        .map(|(k, p)| (k, p * total / kept_total))
-        .collect();
-    out.shrink_to_fit();
-    DegradeOutcome::Shed(out)
+    DegradeOutcome::Shed(
+        kept.iter()
+            .filter(|(_, p)| *p > 0.0)
+            .map(|&(k, p)| (k, p * total / kept_total))
+            .collect(),
+    )
 }
 
 /// Deterministic weighted choice among CDNs for one client at one instant.

@@ -7,13 +7,17 @@
 //! the three decision points. The result is a namespace that a
 //! [`RecursiveResolver`](mcdn_dnssim::RecursiveResolver) can query exactly
 //! like the paper's probes queried the real infrastructure.
+//!
+//! Every policy answers A queries only — the paper found the mapping
+//! entry points answer no AAAA — and leaves its [`PolicyAnswer`] empty
+//! (NODATA) for any other type.
 
 use crate::kinds::CdnKind;
 use crate::names;
 use crate::state::MetaCdnState;
 use mcdn_cdn::site::fnv64;
 use mcdn_cdn::{GslbDirectory, ThirdPartyCdn};
-use mcdn_dnssim::{Namespace, PolicyScope, QueryContext, Zone};
+use mcdn_dnssim::{Namespace, PolicyAnswer, PolicyScope, QueryContext, Zone};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::Region;
 use std::net::Ipv4Addr;
@@ -57,26 +61,6 @@ pub const COVERAGE_KM: f64 = 4000.0;
 /// third-party CDNs. This multiplicative penalty reproduces that.
 pub const COVERAGE_PENALTY: f64 = 0.15;
 
-fn cname(owner: &Name, target: &Name, ttl: u32) -> ResourceRecord {
-    ResourceRecord::new(owner.clone(), ttl, RData::Cname(target.clone()))
-}
-
-fn a_records(owner: &Name, ttl: u32, addrs: &[Ipv4Addr]) -> Vec<ResourceRecord> {
-    addrs.iter().map(|ip| ResourceRecord::new(owner.clone(), ttl, RData::A(*ip))).collect()
-}
-
-/// IPv4-only guard: the paper found the mapping entry points answer no AAAA.
-fn only_a<F>(qtype: RecordType, f: F) -> Vec<ResourceRecord>
-where
-    F: FnOnce() -> Vec<ResourceRecord>,
-{
-    if qtype == RecordType::A {
-        f()
-    } else {
-        Vec::new()
-    }
-}
-
 /// The continent whose demand dominates a routing region.
 fn primary_continent(region: Region) -> mcdn_geo::Continent {
     match region {
@@ -118,7 +102,7 @@ pub fn build_namespace(cfg: &MetaCdnConfig) -> Namespace {
 /// `apple.com`: the static entry CNAME and the manifest host.
 fn apple_com_zone(cfg: &MetaCdnConfig) -> Zone {
     let mut z = Zone::new(Name::parse("apple.com").expect("static"));
-    z.add(cname(&names::entry(), &names::geo_split(), names::TTL_ENTRY));
+    z.add(ResourceRecord::new(names::entry(), names::TTL_ENTRY, RData::Cname(names::geo_split())));
     z.add(ResourceRecord::new(names::mesu(), 300, RData::A(cfg.mesu_ip)));
     z
 }
@@ -131,60 +115,61 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
     // The answer depends only on the client's city (its special-market
     // membership), never its address — declared City-scoped so the
     // engine's per-round memo can replay it across a city's probes.
-    // Owner and target names are built once here; parsing them inside the
-    // closure would put redundant `Name::parse` calls on the hot path.
-    let geo_split = names::geo_split();
-    let owner_for_policy = geo_split.clone();
-    let china_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::China.label());
-    let india_lb = names::special_lb(mcdn_geo::continent::SpecialMarket::India.label());
-    let selector = names::selector();
     z.set_policy_scoped(
-        geo_split,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-            only_a(qtype, || {
-                let target = match ctx.locode.special_market() {
-                    Some(mcdn_geo::continent::SpecialMarket::China) => &china_lb,
-                    Some(mcdn_geo::continent::SpecialMarket::India) => &india_lb,
-                    None => &selector,
-                };
-                vec![cname(&owner_for_policy, target, names::TTL_GEO)]
-            })
+        names::geo_split(),
+        vec![
+            names::selector(),
+            names::special_lb(mcdn_geo::continent::SpecialMarket::China.label()),
+            names::special_lb(mcdn_geo::continent::SpecialMarket::India.label()),
+        ],
+        Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+            if qtype != RecordType::A {
+                return;
+            }
+            let target = match ctx.locode.special_market() {
+                None => 0,
+                Some(mcdn_geo::continent::SpecialMarket::China) => 1,
+                Some(mcdn_geo::continent::SpecialMarket::India) => 2,
+            };
+            out.cname(target, names::TTL_GEO);
         }),
         PolicyScope::City,
     );
 
     // Dedicated market pools (terminal A records).
     for (market, ips) in [("china", &cfg.china_ips), ("india", &cfg.india_ips)] {
-        let owner = names::special_lb(market);
-        for rr in a_records(&owner, names::TTL_SPECIAL_A, ips) {
-            z.add(rr);
+        for ip in ips {
+            z.add(ResourceRecord::new(names::special_lb(market), names::TTL_SPECIAL_A, RData::A(*ip)));
         }
     }
 
     // Step ③: one selector per region, choosing among third-party CDNs.
+    // Level3's handover is a target only while Level3 is configured: the
+    // default namespace never names it.
     for region in Region::ALL {
         let state = Arc::clone(&cfg.state);
         let has_level3 = cfg.level3.is_some();
-        let owner = names::region_lb(region);
-        let owner_for_policy = owner.clone();
-        let edgesuite = names::akamai_edgesuite();
-        let limelight = names::limelight_lb(region);
-        let level3 = names::level3_lb();
+        let mut targets = vec![names::akamai_edgesuite(), names::limelight_lb(region)];
+        if has_level3 {
+            targets.push(names::level3_lb());
+        }
         z.set_policy(
-            owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-                only_a(qtype, || {
-                    let pick = state
-                        .select_third_party(region, ctx.client_ip, ctx.now)
-                        .unwrap_or(CdnKind::Akamai);
-                    let target = match pick {
-                        CdnKind::Akamai | CdnKind::Apple => &edgesuite,
-                        CdnKind::Limelight => &limelight,
-                        CdnKind::Level3 if has_level3 => &level3,
-                        CdnKind::Level3 => &edgesuite,
-                    };
-                    vec![cname(&owner_for_policy, target, names::TTL_REGION_LB)]
-                })
+            names::region_lb(region),
+            targets,
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let pick = state
+                    .select_third_party(region, ctx.client_ip, ctx.now)
+                    .unwrap_or(CdnKind::Akamai);
+                let target = match pick {
+                    CdnKind::Akamai | CdnKind::Apple => 0,
+                    CdnKind::Limelight => 1,
+                    CdnKind::Level3 if has_level3 => 2,
+                    CdnKind::Level3 => 0,
+                };
+                out.cname(target, names::TTL_REGION_LB);
             }),
         );
     }
@@ -197,80 +182,82 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
 
     let state = Arc::clone(&cfg.state);
     let site_coords = cfg.apple_site_coords.clone();
-    let selector = names::selector();
-    let owner_for_policy = selector.clone();
-    let gslb_a = names::gslb('a');
-    let gslb_b = names::gslb('b');
-    let lb_us = names::region_lb(Region::Us);
-    let lb_eu = names::region_lb(Region::Eu);
-    let lb_apac = names::region_lb(Region::Apac);
     // Whether a client coordinate is outside Apple's footprint is a pure
     // function of the coordinate; memoize it so the per-query cost is one
     // map probe instead of a distance scan over every site.
     let coverage: std::sync::RwLock<std::collections::HashMap<(u64, u64), bool>> =
         std::sync::RwLock::new(std::collections::HashMap::new());
     z.set_policy(
-        selector,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-            only_a(qtype, || {
-                let region = ctx.region();
-                let mut probs = state.effective_share(region, ctx.now);
-                // Coverage rule: clients far from every Apple site are
-                // mostly mapped to third parties.
-                let ckey = (ctx.coord.lat.to_bits(), ctx.coord.lon.to_bits());
-                let cached = coverage.read().expect("coverage cache poisoned").get(&ckey).copied();
-                let remote = cached.unwrap_or_else(|| {
-                    let nearest_km = site_coords
-                        .iter()
-                        .map(|c| ctx.coord.distance_km(c))
-                        .fold(f64::INFINITY, f64::min);
-                    let remote = nearest_km > COVERAGE_KM;
-                    coverage.write().expect("coverage cache poisoned").insert(ckey, remote);
-                    remote
-                });
-                if remote {
-                    for (k, p) in probs.iter_mut() {
-                        if *k == CdnKind::Apple {
-                            *p *= COVERAGE_PENALTY;
-                        }
+        names::selector(),
+        vec![
+            names::gslb('a'),
+            names::gslb('b'),
+            names::region_lb(Region::Us),
+            names::region_lb(Region::Eu),
+            names::region_lb(Region::Apac),
+        ],
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+            if qtype != RecordType::A {
+                return;
+            }
+            let region = ctx.region();
+            let mut probs = state.effective_share(region, ctx.now);
+            // Coverage rule: clients far from every Apple site are
+            // mostly mapped to third parties.
+            let ckey = (ctx.coord.lat.to_bits(), ctx.coord.lon.to_bits());
+            let cached = coverage.read().expect("coverage cache poisoned").get(&ckey).copied();
+            let remote = cached.unwrap_or_else(|| {
+                let nearest_km = site_coords
+                    .iter()
+                    .map(|c| ctx.coord.distance_km(c))
+                    .fold(f64::INFINITY, f64::min);
+                let remote = nearest_km > COVERAGE_KM;
+                coverage.write().expect("coverage cache poisoned").insert(ckey, remote);
+                remote
+            });
+            if remote {
+                for (k, p) in probs.iter_mut() {
+                    if *k == CdnKind::Apple {
+                        *p *= COVERAGE_PENALTY;
                     }
                 }
-                let pick = crate::state::pick_weighted(&probs, ctx.client_ip, ctx.now, 0)
-                    .unwrap_or(CdnKind::Apple);
-                let target = match pick {
-                    CdnKind::Apple => {
-                        // Two interchangeable GSLB heads, split per client.
-                        if fnv64(&ctx.client_ip.octets()) & 1 == 0 { &gslb_a } else { &gslb_b }
-                    }
-                    _ => match region {
-                        Region::Us => &lb_us,
-                        Region::Eu => &lb_eu,
-                        Region::Apac => &lb_apac,
-                    },
-                };
-                vec![cname(&owner_for_policy, target, names::TTL_SELECTOR)]
-            })
+            }
+            let pick = crate::state::pick_weighted(&probs, ctx.client_ip, ctx.now, 0)
+                .unwrap_or(CdnKind::Apple);
+            let target = match pick {
+                // Two interchangeable GSLB heads, split per client.
+                CdnKind::Apple => (fnv64(&ctx.client_ip.octets()) & 1) as usize,
+                _ => match region {
+                    Region::Us => 2,
+                    Region::Eu => 3,
+                    Region::Apac => 4,
+                },
+            };
+            out.cname(target, names::TTL_SELECTOR);
         }),
     );
 
     for which in ['a', 'b'] {
         let gslb = cfg.gslb.clone();
         let state = Arc::clone(&cfg.state);
-        let owner = names::gslb(which);
-        let owner_for_policy = owner.clone();
         z.set_policy(
-            owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-                only_a(qtype, || {
-                    // Health-checked mapping: sites the controller marked
-                    // down are skipped, so clients fail over to the next
-                    // nearest site instead of receiving dead vips. With no
-                    // down sites this is bit-identical to plain `answer`.
-                    let addrs = gslb.answer_filtered(ctx.client_ip, ctx.coord, ctx.now, &|key| {
-                        state.site_is_down(key)
-                    });
-                    a_records(&owner_for_policy, names::TTL_APPLE_A, &addrs)
-                })
+            names::gslb(which),
+            Vec::new(),
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                // Health-checked mapping: sites the controller marked
+                // down are skipped, so clients fail over to the next
+                // nearest site instead of receiving dead vips. With no
+                // down sites this is bit-identical to plain `answer`.
+                gslb.answer_filtered(
+                    ctx.client_ip,
+                    ctx.coord,
+                    ctx.now,
+                    &|key| state.site_is_down(key),
+                    out.a(names::TTL_APPLE_A),
+                );
             }),
         );
     }
@@ -282,23 +269,21 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
 fn edgesuite_zone(cfg: &MetaCdnConfig) -> Zone {
     let mut z = Zone::new(Name::parse("edgesuite.net").expect("static"));
     let state = Arc::clone(&cfg.state);
-    let owner_for_policy = names::akamai_edgesuite();
-    let map_event = names::akamai_map_event();
-    let map_baseline = names::akamai_map_baseline();
     z.set_policy(
         names::akamai_edgesuite(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-            only_a(qtype, || {
-                // When the event map is live, it takes the bulk (~70 %) of
-                // clients; assignment re-randomizes every five minutes, as
-                // Akamai's mapping continuously re-decides.
-                let mut key = [0u8; 12];
-                key[..4].copy_from_slice(&ctx.client_ip.octets());
-                key[4..].copy_from_slice(&(ctx.now.as_secs() / 300).to_be_bytes());
-                let event = state.a1015_active(ctx.region(), ctx.now) && fnv64(&key) % 10 < 7;
-                let target = if event { &map_event } else { &map_baseline };
-                vec![cname(&owner_for_policy, target, names::TTL_EDGESUITE)]
-            })
+        vec![names::akamai_map_baseline(), names::akamai_map_event()],
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+            if qtype != RecordType::A {
+                return;
+            }
+            // When the event map is live, it takes the bulk (~70 %) of
+            // clients; assignment re-randomizes every five minutes, as
+            // Akamai's mapping continuously re-decides.
+            let mut key = [0u8; 12];
+            key[..4].copy_from_slice(&ctx.client_ip.octets());
+            key[4..].copy_from_slice(&(ctx.now.as_secs() / 300).to_be_bytes());
+            let event = state.a1015_active(ctx.region(), ctx.now) && fnv64(&key) % 10 < 7;
+            out.cname(usize::from(event), names::TTL_EDGESUITE);
         }),
     );
     z
@@ -315,22 +300,22 @@ fn akamai_net_zone(cfg: &MetaCdnConfig) -> Zone {
         let akamai = Arc::clone(&cfg.akamai);
         let state = Arc::clone(&cfg.state);
         let k = cfg.akamai_answer_k;
-        let owner_for_policy = owner.clone();
         z.set_policy(
             owner,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-                only_a(qtype, || {
-                    let region = ctx.region();
-                    let load = state.cdn_load(CdnKind::Akamai, region);
-                    // The baseline map never exposes more than half the
-                    // ramp; the a1015 event map is pre-provisioned for the
-                    // event and answers from the full widened pool
-                    // (including off-net caches) for as long as it exists.
-                    let load = if full_pool { load.max(0.8) } else { load.min(0.5) };
-                    let load = client_load(region, ctx.continent, load);
-                    let addrs = akamai.answer(region, load, ctx.client_ip, ctx.now, k);
-                    a_records(&owner_for_policy, names::TTL_AKAMAI_A, &addrs)
-                })
+            Vec::new(),
+            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let region = ctx.region();
+                let load = state.cdn_load(CdnKind::Akamai, region);
+                // The baseline map never exposes more than half the
+                // ramp; the a1015 event map is pre-provisioned for the
+                // event and answers from the full widened pool
+                // (including off-net caches) for as long as it exists.
+                let load = if full_pool { load.max(0.8) } else { load.min(0.5) };
+                let load = client_load(region, ctx.continent, load);
+                akamai.answer(region, load, ctx.client_ip, ctx.now, k, out.a(names::TTL_AKAMAI_A));
             }),
         );
     }
@@ -342,17 +327,17 @@ fn limelight_policy_zone(cfg: &MetaCdnConfig, origin: &str, owner: Name) -> Zone
     let limelight = Arc::clone(&cfg.limelight);
     let state = Arc::clone(&cfg.state);
     let k = cfg.limelight_answer_k;
-    let owner_for_policy = owner.clone();
     z.set_policy(
         owner,
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-            only_a(qtype, || {
-                let region = ctx.region();
-                let load = state.cdn_load(CdnKind::Limelight, region);
-                let load = client_load(region, ctx.continent, load);
-                let addrs = limelight.answer(region, load, ctx.client_ip, ctx.now, k);
-                a_records(&owner_for_policy, names::TTL_LIMELIGHT_A, &addrs)
-            })
+        Vec::new(),
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+            if qtype != RecordType::A {
+                return;
+            }
+            let region = ctx.region();
+            let load = state.cdn_load(CdnKind::Limelight, region);
+            let load = client_load(region, ctx.continent, load);
+            limelight.answer(region, load, ctx.client_ip, ctx.now, k, out.a(names::TTL_LIMELIGHT_A));
         }),
     );
     z
@@ -374,16 +359,16 @@ fn level3_zone(cfg: &MetaCdnConfig) -> Zone {
     let level3 = Arc::clone(cfg.level3.as_ref().expect("level3 configured"));
     let state = Arc::clone(&cfg.state);
     let k = cfg.limelight_answer_k;
-    let owner_for_policy = names::level3_lb();
     z.set_policy(
         names::level3_lb(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
-            only_a(qtype, || {
-                let region = ctx.region();
-                let load = state.cdn_load(CdnKind::Level3, region);
-                let addrs = level3.answer(region, load, ctx.client_ip, ctx.now, k);
-                a_records(&owner_for_policy, 60, &addrs)
-            })
+        Vec::new(),
+        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+            if qtype != RecordType::A {
+                return;
+            }
+            let region = ctx.region();
+            let load = state.cdn_load(CdnKind::Level3, region);
+            level3.answer(region, load, ctx.client_ip, ctx.now, k, out.a(60));
         }),
     );
     z

@@ -11,14 +11,17 @@
 //!   authoritative zone, declared [`PolicyScope`], existence bit, and
 //!   display-form FNV-1a digest (the fault-key prefix). Static record
 //!   sets become flat arena slices; dynamic [`MappingPolicy`] hooks are
-//!   kept as borrowed trait objects.
+//!   kept as borrowed trait objects beside their declared CNAME targets,
+//!   resolved to ids, so a policy's [`PolicyAnswer`] turns into
+//!   [`IRecord`]s without touching a name.
 //! * [`InternedResolver`] runs the resolution decision sequence — cache,
 //!   fault hook, mutation hook, memo, authoritative query, bailiwick
 //!   filter — against id-keyed structures, writing answers and trace
 //!   steps into a caller-owned [`ResolveScratch`] instead of allocating.
 //!   Once its per-probe [`ICache`] and the scratch buffers are warm, a
-//!   resolution performs **zero heap allocations** (the bench gate in
-//!   `bench_campaigns` asserts this).
+//!   resolution performs **zero heap allocations**, whether its hops hit
+//!   the cache or reach the mapping policies (the warm and cold audits in
+//!   `bench_campaigns` assert both).
 //! * [`IRoundMemo`] memoizes one round's scope-stable answers per shard
 //!   and canonicalizes its lookup counts back to [`Name`]-keyed
 //!   [`MemoKey`]s at round end, so cross-shard merging (and therefore
@@ -46,7 +49,7 @@ use crate::faults::UpstreamFault;
 use crate::memo::{MemoKey, MemoScope};
 use crate::mutation::{apply_itamper, BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
 use crate::resolver::{ResolutionError, ResolutionTrace, TraceStep, MAX_CHAIN};
-use crate::zone::{MappingPolicy, Namespace, PolicyScope, ZoneAnswer};
+use crate::zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope, ZoneAnswer};
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::{display_fnv, FnvBuildHasher, NameId, NameTable};
@@ -109,13 +112,20 @@ struct CompiledMeta {
     exists: bool,
 }
 
+/// A mapping policy in compiled form: the borrowed hook plus its declared
+/// CNAME targets, resolved to ids once.
+struct CompiledPolicy<'a> {
+    policy: &'a dyn MappingPolicy,
+    targets: Vec<NameId>,
+}
+
 /// One zone in compiled form: statics as arena slices, policies as
 /// borrowed hooks.
 struct CompiledZone<'a> {
     /// Interned zone origin.
     origin: NameId,
     /// Dynamic mapping policies by interned owner id.
-    policies: HashMap<u32, &'a dyn MappingPolicy, FnvBuildHasher>,
+    policies: HashMap<u32, CompiledPolicy<'a>, FnvBuildHasher>,
     /// Static record sets: `(owner id, wire qtype) → arena range`.
     statics: HashMap<(u32, u16), (u32, u32), FnvBuildHasher>,
     /// Backing storage for all static record sets.
@@ -214,8 +224,9 @@ fn compiled_rr(table: &NameTable, rr: &ResourceRecord) -> IRecord {
 
 impl<'a> CompiledNamespace<'a> {
     /// Compiles `ns`: interns every origin, record owner, CNAME target,
-    /// and policy owner, then freezes static record sets into per-zone
-    /// arenas and precomputes per-name authority/scope/existence/FNV.
+    /// policy owner and declared policy target, then freezes static record
+    /// sets into per-zone arenas and precomputes per-name
+    /// authority/scope/existence/FNV.
     pub fn compile(ns: &'a Namespace) -> CompiledNamespace<'a> {
         Self::compile_with_extra(ns, &[])
     }
@@ -245,7 +256,7 @@ impl<'a> CompiledNamespace<'a> {
                     }
                 }
             }
-            let mut owners: Vec<&Name> = zone.policy_entries().map(|(n, _)| n).collect();
+            let mut owners: Vec<&Name> = zone.policy_entries().map(|(n, _, _)| n).collect();
             owners.sort();
             for owner in owners {
                 table.intern(owner);
@@ -253,6 +264,17 @@ impl<'a> CompiledNamespace<'a> {
         }
         for name in extra {
             table.intern(name);
+        }
+        // Declared policy targets go last, so declaring a target never
+        // shifts another name's id: a target already named elsewhere (as
+        // every workspace target is) keeps its id and adds nothing.
+        for zone in ns.zones() {
+            let mut policies: Vec<(&Name, &[Name])> =
+                zone.policy_entries().map(|(owner, _, targets)| (owner, targets)).collect();
+            policies.sort_by_key(|&(owner, _)| owner);
+            for target in policies.into_iter().flat_map(|(_, targets)| targets) {
+                table.intern(target);
+            }
         }
         table.shrink_to_fit();
         // Pass 2: freeze each zone.
@@ -274,8 +296,12 @@ impl<'a> CompiledNamespace<'a> {
                 }
                 let policies = zone
                     .policy_entries()
-                    .map(|(name, policy)| {
-                        (table.get(name).expect("owner interned").0, &**policy)
+                    .map(|(name, policy, targets)| {
+                        let targets = targets
+                            .iter()
+                            .map(|t| table.get(t).expect("policy target interned"))
+                            .collect();
+                        (table.get(name).expect("owner interned").0, CompiledPolicy { policy, targets })
                     })
                     .collect();
                 CompiledZone { origin, policies, statics, arena }
@@ -367,15 +393,17 @@ impl<'a> CompiledNamespace<'a> {
     }
 
     /// Replicates [`Namespace::query`] against the compiled form, writing
-    /// any records into `out`.
+    /// any records into `scratch.answer`. A mapping policy answers into
+    /// `scratch.policy`, and its records are emitted from there under the
+    /// owner and target ids fixed at compile time.
     fn query_into(
         &self,
-        overlay: &mut Overlay,
-        out: &mut Vec<IRecord>,
+        scratch: &mut ResolveScratch,
         current: NameId,
         qtype: RecordType,
         ctx: &QueryContext,
     ) -> (IAnswer, Option<NameId>) {
+        let ResolveScratch { overlay, answer: out, policy: ans, .. } = scratch;
         out.clear();
         let meta = self.meta_of(overlay, current);
         let Some(zi) = meta.authority else {
@@ -385,14 +413,16 @@ impl<'a> CompiledNamespace<'a> {
         let origin = zone.origin;
         let idx = current.index();
         if idx < self.table.len() {
-            if let Some(policy) = zone.policies.get(&current.0) {
-                // The policy's own Vec allocation is its internal business
-                // (workspace policies answer from precomputed state); the
-                // records are immediately re-interned into the scratch.
-                for rr in policy.respond(qtype, ctx) {
-                    let ir = self.runtime_rr(overlay, &rr);
-                    out.push(ir);
+            if let Some(p) = zone.policies.get(&current.0) {
+                ans.clear();
+                p.policy.respond(qtype, ctx, ans);
+                let ttl = ans.ttl();
+                if let Some(&target) = ans.cname_in(self.table.name(current), &p.targets) {
+                    out.push(IRecord { name: current, ttl, rdata: IRData::Cname(target) });
                 }
+                out.extend(
+                    ans.addrs().iter().map(|&a| IRecord { name: current, ttl, rdata: IRData::A(a) }),
+                );
                 return (IAnswer::Records, Some(origin));
             }
             if let Some(&(s, e)) = zone.statics.get(&(current.0, qtype.to_u16())) {
@@ -551,13 +581,14 @@ impl ITrace {
 }
 
 /// Caller-owned scratch state for interned resolution: the answer
-/// buffer, the trace arena, and the overlay interner. One per shard,
-/// reused across every probe and round — this is what makes the
-/// steady-state loop allocation-free.
+/// buffer, the mapping-policy answer, the trace arena, and the overlay
+/// interner. One per shard, reused across every probe and round — this
+/// is what makes the resolution loop allocation-free.
 #[derive(Debug, Default)]
 pub struct ResolveScratch {
     overlay: Overlay,
     answer: Vec<IRecord>,
+    policy: PolicyAnswer,
     trace: ITrace,
 }
 
@@ -588,10 +619,15 @@ struct IEntry {
 /// at an absolute instant (the minimum record TTL, clamped to
 /// [`MAX_CACHE_TTL`]; [`NEGATIVE_TTL`] for empty answers), and a hit
 /// rewrites each record TTL to the remaining lifetime. Entry buffers are
-/// reused on re-store, so a warm cache neither allocates nor frees.
+/// reused on re-store, and the buffer of an entry dropped at expiry waits
+/// on a free list for the next store, so a warm cache neither allocates
+/// nor frees.
 #[derive(Debug, Clone, Default)]
 pub struct ICache {
     entries: HashMap<(u32, u16), IEntry, FnvBuildHasher>,
+    /// Record buffers of expired entries, reused by the next new entry.
+    /// Never exported: checkpoints see only `entries`.
+    spare: Vec<Vec<IRecord>>,
     hits: u64,
     misses: u64,
 }
@@ -615,8 +651,9 @@ impl ICache {
                 self.misses += 1;
                 mcdn_obs::record(mcdn_obs::id::CACHE_MISSES, 1);
                 // Present but past expiry.
-                if self.entries.remove(&key).is_some() {
+                if let Some(expired) = self.entries.remove(&key) {
                     mcdn_obs::record(mcdn_obs::id::CACHE_EXPIRED, 1);
+                    self.spare.push(expired.records);
                 }
                 false
             }
@@ -641,13 +678,10 @@ impl ICache {
                 e.expires = expires;
             }
             MapEntry::Vacant(v) => {
-                v.insert(IEntry {
-                    records: records
-                        .iter()
-                        .map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r })
-                        .collect(),
-                    expires,
-                });
+                let mut buf = self.spare.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend(records.iter().map(|r| IRecord { ttl: r.ttl.min(MAX_CACHE_TTL), ..*r }));
+                v.insert(IEntry { records: buf, expires });
             }
         }
         ttl
@@ -866,8 +900,8 @@ impl InternedResolver {
     }
 
     /// Resolves `qname`/`qtype`, leaving the trace in `scratch.trace()`.
-    /// Steady-state (warm cache, warm scratch) this performs zero heap
-    /// allocations.
+    /// Once the cache and scratch buffers are warm this performs zero heap
+    /// allocations, on cache hits and misses alike.
     #[allow(clippy::too_many_arguments)] // the fault-and-memo face of resolve_inner
     pub fn resolve(
         &mut self,
@@ -1000,13 +1034,7 @@ impl InternedResolver {
                         zone = z;
                     }
                     None => {
-                        let (ans, z) = ns.query_into(
-                            &mut scratch.overlay,
-                            &mut scratch.answer,
-                            current,
-                            qtype,
-                            ctx,
-                        );
+                        let (ans, z) = ns.query_into(scratch, current, qtype, ctx);
                         match ans {
                             IAnswer::Records => {
                                 if let Some(t) = &tamper {
@@ -1154,19 +1182,16 @@ mod tests {
         let mut akadns = Zone::new(n("apple.com.akadns.net"));
         akadns.set_policy_scoped(
             n("appldnld.apple.com.akadns.net"),
-            Arc::new(|qtype: RecordType, ctx: &QueryContext| {
+            vec![n("eu.g.applimg.com"), n("us.g.applimg.com")],
+            Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
                 if qtype != RecordType::A {
-                    return Vec::new(); // IPv4-only mapping
+                    return; // IPv4-only mapping
                 }
                 let target = match ctx.continent {
-                    Continent::Europe => "eu.g.applimg.com",
-                    _ => "us.g.applimg.com",
+                    Continent::Europe => 0,
+                    _ => 1,
                 };
-                vec![ResourceRecord::new(
-                    n("appldnld.apple.com.akadns.net"),
-                    120,
-                    RData::Cname(n(target)),
-                )]
+                out.cname(target, 120);
             }),
             PolicyScope::City,
         );
@@ -1174,20 +1199,15 @@ mod tests {
 
         let mut applimg = Zone::new(n("applimg.com"));
         for region in ["eu", "us"] {
-            let owner = n(&format!("{region}.g.applimg.com"));
-            let record_owner = owner.clone();
             applimg.set_policy(
-                owner,
-                Arc::new(move |qtype: RecordType, ctx: &QueryContext| {
+                n(&format!("{region}.g.applimg.com")),
+                vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
+                Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
                     if qtype != RecordType::A {
-                        return Vec::new();
+                        return;
                     }
-                    let gslb = if ctx.client_ip.octets()[3].is_multiple_of(2) { "a" } else { "b" };
-                    vec![ResourceRecord::new(
-                        record_owner.clone(),
-                        15,
-                        RData::Cname(Name::parse(&format!("{gslb}.gslb.applimg.com")).unwrap()),
-                    )]
+                    let gslb = if ctx.client_ip.octets()[3].is_multiple_of(2) { 0 } else { 1 };
+                    out.cname(gslb, 15);
                 }),
             );
         }
@@ -1295,6 +1315,54 @@ mod tests {
                 assert_eq!(scratch.trace().records_of(step)[0].ttl, 1);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping policy at rogue.apple.com answered CNAME target #5")]
+    fn compiled_cname_index_outside_declared_targets_panics() {
+        let mut ns = Namespace::new();
+        let mut z = Zone::new(n("apple.com"));
+        z.set_policy(
+            n("rogue.apple.com"),
+            vec![n("static.apple.com")],
+            Arc::new(|_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| out.cname(5, 30)),
+        );
+        ns.add_zone(z);
+        let cns = CompiledNamespace::compile(&ns);
+        let mut scratch = ResolveScratch::new();
+        let id = cns.intern_in(&mut scratch, &n("rogue.apple.com"));
+        let c = ctx(1, "deber", Continent::Europe, SimTime::from_ymd(2017, 9, 18));
+        let _ = InternedResolver::new().resolve(
+            &cns,
+            &mut scratch,
+            id,
+            RecordType::A,
+            &c,
+            &NoInternedFaults,
+            0,
+            None,
+        );
+    }
+
+    #[test]
+    fn declared_targets_intern_after_every_other_name() {
+        // Targets already named elsewhere leave the table as it was; a
+        // target named nowhere else is interned after every other name.
+        let ns = build_ns();
+        let cns = CompiledNamespace::compile(&ns);
+        let ids: Vec<Name> = cns.table().iter().map(|(_, name)| name.clone()).collect();
+        let mut with_extra = build_ns();
+        let mut z = Zone::new(n("example.net"));
+        z.set_policy(
+            n("www.example.net"),
+            vec![n("static.apple.com"), n("elsewhere.example.org")],
+            Arc::new(|_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| out.cname(1, 30)),
+        );
+        with_extra.add_zone(z);
+        let cns2 = CompiledNamespace::compile(&with_extra);
+        let ids2: Vec<Name> = cns2.table().iter().map(|(_, name)| name.clone()).collect();
+        assert_eq!(&ids2[..ids.len()], &ids[..], "existing ids unchanged");
+        assert_eq!(ids2.last(), Some(&n("elsewhere.example.org")));
     }
 
     #[test]

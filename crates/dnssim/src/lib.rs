@@ -10,8 +10,9 @@
 //!
 //! * [`Zone`] holds static records *and* [`MappingPolicy`] hooks at
 //!   individual names — a policy sees the [`QueryContext`] (client location,
-//!   simulated time) and returns the records to serve, which is how GSLB and
-//!   the Meta-CDN selector are implemented by `metacdn`.
+//!   simulated time) and writes its answer into a reusable [`PolicyAnswer`]
+//!   (a TTL, a CNAME to one of its declared targets, A addresses), which is
+//!   how GSLB and the Meta-CDN selector are implemented by `metacdn`.
 //! * [`Namespace`] is the set of all authoritative zones; it answers one
 //!   question at a time like the authoritative side of the real DNS.
 //! * [`InternedResolver`] chases CNAME chains across a
@@ -62,4 +63,4 @@ pub use mutation::{
 };
 pub use resolver::{RecursiveResolver, ResolutionError, ResolutionTrace, TraceStep};
 pub use wire::serve;
-pub use zone::{MappingPolicy, Namespace, PolicyScope, Zone, ZoneAnswer};
+pub use zone::{MappingPolicy, Namespace, PolicyAnswer, PolicyScope, Zone, ZoneAnswer};

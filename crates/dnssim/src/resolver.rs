@@ -426,7 +426,7 @@ mod tests {
 
     #[test]
     fn memoized_resolution_is_bit_identical_and_replays_scoped_answers() {
-        use crate::zone::PolicyScope;
+        use crate::zone::{PolicyAnswer, PolicyScope};
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
 
@@ -441,13 +441,10 @@ mod tests {
             let mut akadns = Zone::new(n("akadns.net"));
             akadns.set_policy_scoped(
                 n("appldnld.apple.com.akadns.net"),
-                Arc::new(move |_: RecordType, _: &QueryContext| {
+                vec![n("a.gslb.applimg.com")],
+                Arc::new(move |_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| {
                     counter.fetch_add(1, Ordering::Relaxed);
-                    vec![ResourceRecord::new(
-                        n("appldnld.apple.com.akadns.net"),
-                        120,
-                        RData::Cname(n("a.gslb.applimg.com")),
-                    )]
+                    out.cname(0, 120);
                 }),
                 PolicyScope::City,
             );

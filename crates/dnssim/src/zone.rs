@@ -3,6 +3,7 @@
 use crate::context::QueryContext;
 use mcdn_dnswire::{Name, RData, RecordType, ResourceRecord};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 /// A dynamic record source attached to a name in a zone.
@@ -12,19 +13,83 @@ use std::sync::Arc;
 /// `appldnld.apple.com.akadns.net`, and the GSLBs at
 /// `{a|b}.gslb.applimg.com` are all `MappingPolicy` implementations
 /// registered by the `metacdn` crate.
+///
+/// A policy answers into a reusable [`PolicyAnswer`] rather than building
+/// records: the owner is always the policy's own name, and a CNAME points
+/// at one of the targets declared with [`Zone::set_policy`], by index. The
+/// interned engine resolves those targets to name ids once, at compile
+/// time, so answering a query costs no name clones and no allocation.
 pub trait MappingPolicy: Send + Sync {
-    /// Produces the records to serve for `qtype` under `ctx`. Returning an
-    /// empty vector yields a NODATA answer (the observed behaviour of
-    /// Apple's mapping for AAAA queries).
-    fn respond(&self, qtype: RecordType, ctx: &QueryContext) -> Vec<ResourceRecord>;
+    /// Writes the answer for `qtype` under `ctx` into `out`, which the
+    /// caller hands over empty. Leaving it empty yields a NODATA answer
+    /// (the observed behaviour of Apple's mapping for AAAA queries).
+    fn respond(&self, qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer);
 }
 
 impl<F> MappingPolicy for F
 where
-    F: Fn(RecordType, &QueryContext) -> Vec<ResourceRecord> + Send + Sync,
+    F: Fn(RecordType, &QueryContext, &mut PolicyAnswer) + Send + Sync,
 {
-    fn respond(&self, qtype: RecordType, ctx: &QueryContext) -> Vec<ResourceRecord> {
-        self(qtype, ctx)
+    fn respond(&self, qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer) {
+        self(qtype, ctx, out)
+    }
+}
+
+/// One mapping-policy answer: a TTL shared by every record, an optional
+/// CNAME given as an index into the policy's declared targets, and A
+/// addresses. Materialized in that order — the CNAME first, then one A
+/// record per address — with the policy's own name as every owner.
+#[derive(Debug, Default)]
+pub struct PolicyAnswer {
+    ttl: u32,
+    cname: Option<usize>,
+    addrs: Vec<Ipv4Addr>,
+}
+
+impl PolicyAnswer {
+    /// Empties the answer, keeping the address buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.ttl = 0;
+        self.cname = None;
+        self.addrs.clear();
+    }
+
+    /// Answers with a CNAME to the policy's `target`-th declared target.
+    pub fn cname(&mut self, target: usize, ttl: u32) {
+        self.cname = Some(target);
+        self.ttl = ttl;
+    }
+
+    /// Answers with A records of `ttl`: returns the address buffer to
+    /// fill.
+    pub fn a(&mut self, ttl: u32) -> &mut Vec<Ipv4Addr> {
+        self.ttl = ttl;
+        &mut self.addrs
+    }
+
+    /// The TTL of every record in the answer.
+    pub(crate) fn ttl(&self) -> u32 {
+        self.ttl
+    }
+
+    /// The A-record addresses, in answer order.
+    pub(crate) fn addrs(&self) -> &[Ipv4Addr] {
+        &self.addrs
+    }
+
+    /// The declared target the CNAME points at, resolved through
+    /// `targets` (names or ids). Panics, naming the policy's `owner`, if
+    /// the index lies outside the declared targets.
+    pub(crate) fn cname_in<'t, T>(&self, owner: &Name, targets: &'t [T]) -> Option<&'t T> {
+        self.cname.map(|i| {
+            targets.get(i).unwrap_or_else(|| {
+                panic!(
+                    "mapping policy at {owner} answered CNAME target #{i}, \
+                     but declared {} target(s)",
+                    targets.len()
+                )
+            })
+        })
     }
 }
 
@@ -53,13 +118,20 @@ pub enum PolicyScope {
 /// Key for the static record map: owner name + record type wire value.
 type RecordKey = (Name, u16);
 
+/// A mapping policy as registered at one owner name.
+struct PolicyEntry {
+    policy: Arc<dyn MappingPolicy>,
+    /// The names the policy may answer a CNAME to, by index.
+    targets: Vec<Name>,
+    scope: PolicyScope,
+}
+
 /// One authoritative zone.
 pub struct Zone {
     origin: Name,
     records: HashMap<RecordKey, Vec<ResourceRecord>>,
     names: HashMap<Name, ()>,
-    policies: HashMap<Name, Arc<dyn MappingPolicy>>,
-    scopes: HashMap<Name, PolicyScope>,
+    policies: HashMap<Name, PolicyEntry>,
 }
 
 impl std::fmt::Debug for Zone {
@@ -80,7 +152,6 @@ impl Zone {
             records: HashMap::new(),
             names: HashMap::new(),
             policies: HashMap::new(),
-            scopes: HashMap::new(),
         }
     }
 
@@ -110,9 +181,11 @@ impl Zone {
     }
 
     /// Attaches a dynamic policy at `owner` (replacing any previous one).
-    /// The policy gets the conservative [`PolicyScope::Client`] scope.
-    pub fn set_policy(&mut self, owner: Name, policy: Arc<dyn MappingPolicy>) {
-        self.set_policy_scoped(owner, policy, PolicyScope::Client);
+    /// `targets` are the names its answers may CNAME to, addressed by
+    /// index through [`PolicyAnswer::cname`]. The policy gets the
+    /// conservative [`PolicyScope::Client`] scope.
+    pub fn set_policy(&mut self, owner: Name, targets: Vec<Name>, policy: Arc<dyn MappingPolicy>) {
+        self.set_policy_scoped(owner, targets, policy, PolicyScope::Client);
     }
 
     /// Attaches a dynamic policy at `owner` declaring how much of the
@@ -122,24 +195,20 @@ impl Zone {
     pub fn set_policy_scoped(
         &mut self,
         owner: Name,
+        targets: Vec<Name>,
         policy: Arc<dyn MappingPolicy>,
         scope: PolicyScope,
     ) {
         assert!(owner.is_within(&self.origin), "{} outside zone {}", owner, self.origin);
         self.names.insert(owner.clone(), ());
-        self.scopes.insert(owner.clone(), scope);
-        self.policies.insert(owner, policy);
+        self.policies.insert(owner, PolicyEntry { policy, targets, scope });
     }
 
     /// The declared scope of answers at `qname`: the policy's declared
     /// scope if a policy is attached, otherwise [`PolicyScope::Global`]
     /// (static records and existence facts depend on no context).
     pub fn scope_of(&self, qname: &Name) -> PolicyScope {
-        if self.policies.contains_key(qname) {
-            *self.scopes.get(qname).unwrap_or(&PolicyScope::Client)
-        } else {
-            PolicyScope::Global
-        }
+        self.policies.get(qname).map_or(PolicyScope::Global, |p| p.scope)
     }
 
     /// Whether any record or policy exists at `name` (for NXDOMAIN vs NODATA).
@@ -160,9 +229,10 @@ impl Zone {
         self.records.iter().map(|((name, qtype), rrs)| (name, *qtype, rrs.as_slice()))
     }
 
-    /// Iterates `(owner, policy)` for every dynamic mapping policy.
-    pub fn policy_entries(&self) -> impl Iterator<Item = (&Name, &Arc<dyn MappingPolicy>)> {
-        self.policies.iter()
+    /// Iterates `(owner, policy, declared CNAME targets)` for every
+    /// dynamic mapping policy. Iteration order is unspecified.
+    pub fn policy_entries(&self) -> impl Iterator<Item = (&Name, &dyn MappingPolicy, &[Name])> {
+        self.policies.iter().map(|(owner, p)| (owner, &*p.policy, p.targets.as_slice()))
     }
 
     /// All static records, in deterministic (name, type) order.
@@ -205,8 +275,17 @@ impl Zone {
     /// Answers a question this zone is authoritative for.
     pub fn answer(&self, qname: &Name, qtype: RecordType, ctx: &QueryContext) -> ZoneAnswer {
         // Dynamic policy takes precedence: it is the zone's mapping function.
-        if let Some(policy) = self.policies.get(qname) {
-            return ZoneAnswer::Records(policy.respond(qtype, ctx));
+        if let Some(p) = self.policies.get(qname) {
+            let mut ans = PolicyAnswer::default();
+            p.policy.respond(qtype, ctx, &mut ans);
+            let ttl = ans.ttl();
+            let cname = ans.cname_in(qname, &p.targets);
+            let rrs = cname
+                .map(|t| ResourceRecord::new(qname.clone(), ttl, RData::Cname(t.clone())))
+                .into_iter()
+                .chain(ans.addrs().iter().map(|a| ResourceRecord::new(qname.clone(), ttl, RData::A(*a))))
+                .collect();
+            return ZoneAnswer::Records(rrs);
         }
         if let Some(rrs) = self.records.get(&(qname.clone(), qtype.to_u16())) {
             return ZoneAnswer::Records(rrs.clone());
@@ -367,24 +446,29 @@ mod tests {
         z.add_a("appldnld.g.applimg.com", Ipv4Addr::new(9, 9, 9, 9), 15);
         z.set_policy(
             n("appldnld.g.applimg.com"),
-            Arc::new(|qtype: RecordType, ctx: &QueryContext| {
+            vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
+            Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
                 if qtype != RecordType::A {
-                    return Vec::new(); // IPv4-only mapping, like the paper observed
+                    return; // IPv4-only mapping, like the paper observed
                 }
                 let target = match ctx.continent {
-                    Continent::Europe => "a.gslb.applimg.com",
-                    _ => "b.gslb.applimg.com",
+                    Continent::Europe => 0,
+                    _ => 1,
                 };
-                vec![ResourceRecord::new(
-                    n("appldnld.g.applimg.com"),
-                    15,
-                    RData::Cname(n(target)),
-                )]
+                out.cname(target, 15);
             }),
         );
         match z.answer(&n("appldnld.g.applimg.com"), RecordType::A, &ctx()) {
             ZoneAnswer::Records(rrs) => {
-                assert_eq!(rrs[0].rdata, RData::Cname(n("a.gslb.applimg.com")));
+                assert_eq!(
+                    rrs,
+                    vec![ResourceRecord::new(
+                        n("appldnld.g.applimg.com"),
+                        15,
+                        RData::Cname(n("a.gslb.applimg.com")),
+                    )],
+                    "the policy's own name owns the record",
+                );
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -393,6 +477,38 @@ mod tests {
             ZoneAnswer::Records(rrs) => assert!(rrs.is_empty()),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn policy_addresses_follow_the_cname_under_one_ttl() {
+        let mut z = Zone::new(n("applimg.com"));
+        z.set_policy(
+            n("a.gslb.applimg.com"),
+            vec![n("b.gslb.applimg.com")],
+            Arc::new(|_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| {
+                out.cname(0, 20);
+                out.a(20).extend([Ipv4Addr::new(17, 253, 1, 1), Ipv4Addr::new(17, 253, 1, 2)]);
+            }),
+        );
+        let owner = n("a.gslb.applimg.com");
+        let expected = vec![
+            ResourceRecord::new(owner.clone(), 20, RData::Cname(n("b.gslb.applimg.com"))),
+            ResourceRecord::new(owner.clone(), 20, RData::A(Ipv4Addr::new(17, 253, 1, 1))),
+            ResourceRecord::new(owner.clone(), 20, RData::A(Ipv4Addr::new(17, 253, 1, 2))),
+        ];
+        assert_eq!(z.answer(&owner, RecordType::A, &ctx()), ZoneAnswer::Records(expected));
+    }
+
+    #[test]
+    #[should_panic(expected = "mapping policy at rogue.applimg.com answered CNAME target #2")]
+    fn cname_index_outside_declared_targets_panics() {
+        let mut z = Zone::new(n("applimg.com"));
+        z.set_policy(
+            n("rogue.applimg.com"),
+            vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
+            Arc::new(|_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| out.cname(2, 15)),
+        );
+        let _ = z.answer(&n("rogue.applimg.com"), RecordType::A, &ctx());
     }
 
     #[test]
@@ -426,7 +542,8 @@ mod zonefile_tests {
         z.add_cname("alias.applimg.com", "a.gslb.applimg.com", 60);
         z.set_policy(
             Name::parse("appldnld.g.applimg.com").unwrap(),
-            Arc::new(|_: mcdn_dnswire::RecordType, _: &QueryContext| Vec::new()),
+            Vec::new(),
+            Arc::new(|_: mcdn_dnswire::RecordType, _: &QueryContext, _: &mut PolicyAnswer| {}),
         );
         let text = z.to_zonefile();
         assert!(text.starts_with("$ORIGIN applimg.com.\n"));

@@ -370,7 +370,7 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
                 }
                 None => DnsProbe { ok: true, transient: false, attempts: 1 },
             };
-            ticks.push(TickAudit { t, region, demand_bps: demand, share, capacity, alloc, dns });
+            ticks.push(TickAudit { t, region, demand_bps: demand, share: share.to_vec(), capacity, alloc, dns });
         }
         t += cfg.traffic_tick;
     }

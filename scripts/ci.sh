@@ -128,7 +128,7 @@ if ! scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null; then
   echo "    gate failed once; retrying (single-core scheduler jitter tolerance)"
   scripts/bench.sh --smoke "$tmpdir/BENCH_campaigns.json" > /dev/null
 fi
-grep -q '"schema": "mcdn-bench-campaigns-v8"' "$tmpdir/BENCH_campaigns.json"
+grep -q '"schema": "mcdn-bench-campaigns-v9"' "$tmpdir/BENCH_campaigns.json"
 grep -q '"identical_across_threads": true' "$tmpdir/BENCH_campaigns.json"
 if grep -q '"identical_across_threads": false' "$tmpdir/BENCH_campaigns.json"; then
   echo "    FAIL: some campaign diverged across thread counts"; exit 1
@@ -137,7 +137,7 @@ for field in thread_counts memo_hit_rate wall_ms shard_walls p50_ms p90_ms max_m
              dispatch_overhead_ms speedup_vs_serial speedup_gate dispatch_microbench \
              scoped_over_pool traffic_batch_ticks available_parallelism \
              checkpoint_overhead_pct raw_overhead_pct noise_floor \
-             observability obs_overhead_pct budget_pct metrics trace_events; do
+             observability obs_overhead_pct budget_pct metrics trace_events cold_path; do
   grep -q "\"$field\"" "$tmpdir/BENCH_campaigns.json" || {
     echo "    FAIL: missing field $field"; exit 1; }
 done
@@ -157,11 +157,14 @@ obs_overhead="$(grep -m1 '"obs_overhead_pct"' "$tmpdir/BENCH_campaigns.json" \
   | sed 's/.*"obs_overhead_pct": \(-\{0,1\}[0-9.]*\).*/\1/')"
 echo "    obs_overhead_pct = ${obs_overhead}%"
 
-echo "==> alloc gate: steady-state resolve loop must not allocate"
+echo "==> alloc gate: warm and cold resolve loops must not allocate"
 grep -q '"allocs_per_resolution": 0.0000' "$tmpdir/BENCH_campaigns.json" || {
   echo "    FAIL: steady-state resolutions allocated"
   grep -A5 '"steady_state"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
-echo "    allocs_per_resolution == 0"
+grep -q '"cold_allocs_per_resolution": 0.0000' "$tmpdir/BENCH_campaigns.json" || {
+  echo "    FAIL: cold-path resolutions allocated"
+  grep -A5 '"cold_path"' "$tmpdir/BENCH_campaigns.json"; exit 1; }
+echo "    allocs_per_resolution == 0, cold_allocs_per_resolution == 0"
 
 echo "==> bench regression: smoke throughput vs committed baseline"
 # The committed BENCH_campaigns.json was produced by the full (non-smoke)
