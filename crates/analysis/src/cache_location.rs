@@ -101,7 +101,13 @@ pub fn naming_vs_rtt_agreement(world: &World, probes: &[ProbeSpec]) -> (usize, u
 pub fn location_table(world: &World, probes: &[ProbeSpec], targets: &[Ipv4Addr]) -> Table {
     let mut t = Table::new(
         "Cache location: naming scheme vs minimum-RTT inference",
-        &["cache", "named city", "RTT-inferred city", "min RTT (ms)", "agree"],
+        &[
+            "cache",
+            "named city",
+            "RTT-inferred city",
+            "min RTT (ms)",
+            "agree",
+        ],
     );
     for l in locate_caches(world, probes, targets) {
         let named = l.named_city.clone().unwrap_or_else(|| "—".into());

@@ -36,7 +36,9 @@ pub struct ChaosSummary {
 /// to it, so the baseline row's deltas are zero by construction.
 pub fn summarize_sweep(results: &[ChaosRunResult]) -> Vec<ChaosSummary> {
     let base_avail = results.first().map_or(1.0, ChaosRunResult::availability);
-    let base_offload = results.first().map_or(0.0, ChaosRunResult::offload_fraction);
+    let base_offload = results
+        .first()
+        .map_or(0.0, ChaosRunResult::offload_fraction);
     results
         .iter()
         .map(|r| {
@@ -87,7 +89,10 @@ pub fn chaos_table(results: &[ChaosRunResult]) -> Table {
 /// LL-LB-kill scenario collapses and the spill test tracks.
 pub fn limelight_served_fraction(result: &ChaosRunResult) -> f64 {
     let ll = result.mean_served_bps(CdnKind::Limelight);
-    let total: f64 = CdnKind::ALL.into_iter().map(|k| result.mean_served_bps(k)).sum();
+    let total: f64 = CdnKind::ALL
+        .into_iter()
+        .map(|k| result.mean_served_bps(k))
+        .sum();
     if total <= 0.0 {
         0.0
     } else {
@@ -121,6 +126,9 @@ mod tests {
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.cell(0, 0), Some("baseline"));
         // apple-degraded sheds Apple capacity → offload must not fall.
-        assert!(summaries[1].offload_delta >= 0.0, "degrading Apple cannot reduce offload");
+        assert!(
+            summaries[1].offload_delta >= 0.0,
+            "degrading Apple cannot reduce offload"
+        );
     }
 }

@@ -20,7 +20,13 @@ use mcdn_scenario::{DnsCampaignResult, TrafficResult};
 pub fn dns_campaign_coverage(result: &DnsCampaignResult) -> Table {
     let mut t = Table::new(
         "DNS campaign coverage",
-        &["measurements", "attempts", "retries", "exhausted", "success %"],
+        &[
+            "measurements",
+            "attempts",
+            "retries",
+            "exhausted",
+            "success %",
+        ],
     );
     let retries = result.attempts.saturating_sub(result.resolutions);
     t.push(vec![
@@ -36,8 +42,7 @@ pub fn dns_campaign_coverage(result: &DnsCampaignResult) -> Table {
 /// Coverage summary of the border telemetry: NetFlow export losses, SNMP
 /// poll gaps, and how many scaling cells had real SNMP backing.
 pub fn telemetry_coverage(traffic: &TrafficResult) -> Table {
-    let (_, scaling) =
-        scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
+    let (_, scaling) = scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
     let mut t = Table::new(
         "Border telemetry coverage",
         &[
@@ -92,7 +97,11 @@ pub fn link_series_with_gaps(
         t.push(vec![
             b.t.to_string(),
             format!("{:.0}", b.value),
-            if b.interpolated { "yes".into() } else { "no".into() },
+            if b.interpolated {
+                "yes".into()
+            } else {
+                "no".into()
+            },
         ]);
     }
     t
@@ -161,9 +170,14 @@ mod tests {
         cfg.global_end = SimTime::from_ymd(2017, 9, 20);
         let world = World::build(&cfg);
         let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-            .expect("global campaign").run.into_result();
+            .expect("global campaign")
+            .run
+            .into_result();
         let t = dns_campaign_coverage(&result);
-        assert_eq!(t.rows[0][0], t.rows[0][1], "no faults → attempts == measurements");
+        assert_eq!(
+            t.rows[0][0], t.rows[0][1],
+            "no faults → attempts == measurements"
+        );
         assert_eq!(t.rows[0][2], "0");
         assert_eq!(t.rows[0][4], "100.0");
     }

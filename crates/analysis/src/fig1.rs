@@ -15,7 +15,11 @@ pub fn fig1() -> Table {
             if e.point { "event" } else { "campaign" }.to_string(),
             e.name.to_string(),
             e.start.to_string(),
-            if e.point { String::from("—") } else { e.end.to_string() },
+            if e.point {
+                String::from("—")
+            } else {
+                e.end.to_string()
+            },
         ]);
     }
     t

@@ -71,7 +71,9 @@ pub fn fig2(world: &World) -> Table {
 /// Figure 2. Event-only edges are drawn dashed/orange, like the paper's
 /// checker pattern.
 pub fn to_dot(crawled: &Table) -> String {
-    let mut out = String::from("digraph metacdn_mapping {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n");
+    let mut out = String::from(
+        "digraph metacdn_mapping {\n  rankdir=LR;\n  node [shape=box, fontsize=10];\n",
+    );
     for row in &crawled.rows {
         let style = if row[3] == "event-only" {
             ", style=dashed, color=orange, fontcolor=orange"
@@ -118,12 +120,17 @@ mod tests {
         assert_eq!(entry[2], "21600");
         assert_eq!(entry[3], "steady");
         // The selector with TTL 15 to both Apple and third-party branches.
-        let selector_edges: Vec<_> =
-            t.rows.iter().filter(|r| r[0] == "appldnld.g.applimg.com").collect();
+        let selector_edges: Vec<_> = t
+            .rows
+            .iter()
+            .filter(|r| r[0] == "appldnld.g.applimg.com")
+            .collect();
         assert!(selector_edges.len() >= 2, "both branches crawled");
         assert!(selector_edges.iter().all(|r| r[2] == "15"));
         // The a1015 event path appears, flagged event-only.
-        let a1015 = t.find_row(1, "a1015.gi3.akamai.net").expect("event map edge");
+        let a1015 = t
+            .find_row(1, "a1015.gi3.akamai.net")
+            .expect("event map edge");
         assert_eq!(a1015[3], "event-only");
         // The DOT rendering carries every edge, with the event path dashed.
         let dot = to_dot(&t);

@@ -42,7 +42,9 @@ pub fn discover_sites(world: &World) -> Vec<SiteRow> {
     let mut by_loc: BTreeMap<String, (std::collections::BTreeSet<u8>, usize)> = BTreeMap::new();
     for hit in hits {
         let Some(ptr) = hit.ptr else { continue };
-        let Some(name) = ServerName::parse(&ptr) else { continue };
+        let Some(name) = ServerName::parse(&ptr) else {
+            continue;
+        };
         let entry = by_loc.entry(name.locode.to_string()).or_default();
         entry.0.insert(name.site_id);
         // Count edge-bx servers only, as the paper's labels do.
@@ -56,8 +58,12 @@ pub fn discover_sites(world: &World) -> Vec<SiteRow> {
             let city = Locode::parse(&loc).and_then(Registry::by_locode);
             SiteRow {
                 locode: loc,
-                city: city.map(|c| c.name.to_string()).unwrap_or_else(|| "?".into()),
-                continent: city.map(|c| c.continent.name().to_string()).unwrap_or_default(),
+                city: city
+                    .map(|c| c.name.to_string())
+                    .unwrap_or_else(|| "?".into()),
+                continent: city
+                    .map(|c| c.continent.name().to_string())
+                    .unwrap_or_default(),
                 sites: sites.len(),
                 edge_bx,
             }
@@ -99,7 +105,10 @@ mod tests {
         let total_bx: usize = rows.iter().map(|r| r.edge_bx).sum();
         assert_eq!(total_bx, world.apple.total_bx());
         // London appears under Apple's uklon alias but resolves to London.
-        let london = rows.iter().find(|r| r.locode == "uklon").expect("uklon row");
+        let london = rows
+            .iter()
+            .find(|r| r.locode == "uklon")
+            .expect("uklon row");
         assert_eq!(london.city, "London");
         assert_eq!(london.sites, 2);
         // No South American or African locations.

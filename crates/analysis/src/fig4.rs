@@ -12,7 +12,12 @@ pub fn fig4_series(result: &DnsCampaignResult) -> Table {
         &["bin start", "continent", "cdn", "unique IPs"],
     );
     for (bin, cont, class, count) in result.unique_ips.series() {
-        t.push(vec![bin.to_string(), cont.to_string(), class.to_string(), count.to_string()]);
+        t.push(vec![
+            bin.to_string(),
+            cont.to_string(),
+            class.to_string(),
+            count.to_string(),
+        ]);
     }
     t
 }
@@ -43,7 +48,11 @@ pub fn fig4_summary(result: &DnsCampaignResult, release: SimTime) -> Table {
                 peak = peak.max(total);
             }
         }
-        let avg = if pre.is_empty() { 0.0 } else { pre.iter().sum::<usize>() as f64 / pre.len() as f64 };
+        let avg = if pre.is_empty() {
+            0.0
+        } else {
+            pre.iter().sum::<usize>() as f64 / pre.len() as f64
+        };
         let ratio = if avg > 0.0 { peak as f64 / avg } else { 0.0 };
         t.push(vec![
             cont.to_string(),
@@ -94,7 +103,12 @@ mod tests {
         let mut t = release - Duration::days(2);
         while t < release {
             for i in 0..10u32 {
-                agg.record(t, Continent::Europe, CdnClass::Limelight, Ipv4Addr::from(0x4400_0000 + i));
+                agg.record(
+                    t,
+                    Continent::Europe,
+                    CdnClass::Limelight,
+                    Ipv4Addr::from(0x4400_0000 + i),
+                );
             }
             t += Duration::hours(1);
         }

@@ -33,7 +33,11 @@ pub fn fig5_akamai_rise(result: &DnsCampaignResult) -> (f64, f64) {
     let ak20 = count(d20, CdnClass::Akamai) + count(d20, CdnClass::AkamaiOtherAs);
     let ap18 = count(d18, CdnClass::Apple).max(1);
     let ap20 = count(d20, CdnClass::Apple);
-    let rise = if ak18 > 0 { (ak20 as f64 / ak18 as f64 - 1.0) * 100.0 } else { 0.0 };
+    let rise = if ak18 > 0 {
+        (ak20 as f64 / ak18 as f64 - 1.0) * 100.0
+    } else {
+        0.0
+    };
     (rise, ap20 as f64 / ap18 as f64)
 }
 
@@ -50,19 +54,44 @@ mod tests {
         let d18 = SimTime::from_ymd(2017, 9, 18);
         let d20 = SimTime::from_ymd(2017, 9, 20);
         for i in 0..ak18 {
-            agg.record(d18, Continent::Europe, CdnClass::Akamai, Ipv4Addr::from(0x1700_0000 + i));
+            agg.record(
+                d18,
+                Continent::Europe,
+                CdnClass::Akamai,
+                Ipv4Addr::from(0x1700_0000 + i),
+            );
         }
         for i in 0..ak20 {
-            agg.record(d20, Continent::Europe, CdnClass::Akamai, Ipv4Addr::from(0x1700_0000 + i));
+            agg.record(
+                d20,
+                Continent::Europe,
+                CdnClass::Akamai,
+                Ipv4Addr::from(0x1700_0000 + i),
+            );
         }
         for i in 0..other18 {
-            agg.record(d20, Continent::Europe, CdnClass::AkamaiOtherAs, Ipv4Addr::from(0x6006_0000 + i));
+            agg.record(
+                d20,
+                Continent::Europe,
+                CdnClass::AkamaiOtherAs,
+                Ipv4Addr::from(0x6006_0000 + i),
+            );
         }
         for i in 0..ap18 {
-            agg.record(d18, Continent::Europe, CdnClass::Apple, Ipv4Addr::from(0x11FD_0000 + i));
+            agg.record(
+                d18,
+                Continent::Europe,
+                CdnClass::Apple,
+                Ipv4Addr::from(0x11FD_0000 + i),
+            );
         }
         for i in 0..ap20 {
-            agg.record(d20, Continent::Europe, CdnClass::Apple, Ipv4Addr::from(0x11FD_0000 + i));
+            agg.record(
+                d20,
+                Continent::Europe,
+                CdnClass::Apple,
+                Ipv4Addr::from(0x11FD_0000 + i),
+            );
         }
         DnsCampaignResult {
             unique_ips: agg,

@@ -31,25 +31,53 @@ pub fn fig6(world: &World) -> Table {
         &["server", "source AS", "handover AS", "offload", "overflow"],
     );
     let samples: [(&str, Ipv4Addr); 4] = [
-        ("Apple cache, direct peering", "17.253.1.1".parse().expect("ip")),
-        ("Akamai cache, direct peering", "23.0.0.1".parse().expect("ip")),
-        ("Apple traffic via transit", "17.200.1.1".parse().expect("ip")),
-        ("Limelight cache behind AS D", "69.28.64.1".parse().expect("ip")),
+        (
+            "Apple cache, direct peering",
+            "17.253.1.1".parse().expect("ip"),
+        ),
+        (
+            "Akamai cache, direct peering",
+            "23.0.0.1".parse().expect("ip"),
+        ),
+        (
+            "Apple traffic via transit",
+            "17.200.1.1".parse().expect("ip"),
+        ),
+        (
+            "Limelight cache behind AS D",
+            "69.28.64.1".parse().expect("ip"),
+        ),
     ];
     for (label, ip) in samples {
-        let Some(src) = world.topo.origin_of(ip) else { continue };
-        let Some(path) = router.path(&world.topo, src, params::EYEBALL_AS) else { continue };
+        let Some(src) = world.topo.origin_of(ip) else {
+            continue;
+        };
+        let Some(path) = router.path(&world.topo, src, params::EYEBALL_AS) else {
+            continue;
+        };
         let handover = Router::handover(&path).unwrap_or(src);
         // The "Apple via transit" example models the dedicated China pool
         // whose route to this ISP would cross a transit; in this topology
         // Apple peers directly, so force the transit case explicitly for
         // the illustration.
-        let handover = if label.contains("via transit") { params::TRANSIT_A } else { handover };
+        let handover = if label.contains("via transit") {
+            params::TRANSIT_A
+        } else {
+            handover
+        };
         let class = classify_flow(src, handover, &thirds);
         t.push(vec![
             label.to_string(),
-            world.topo.as_info(src).map(|a| a.name.clone()).unwrap_or_default(),
-            world.topo.as_info(handover).map(|a| a.name.clone()).unwrap_or_default(),
+            world
+                .topo
+                .as_info(src)
+                .map(|a| a.name.clone())
+                .unwrap_or_default(),
+            world
+                .topo
+                .as_info(handover)
+                .map(|a| a.name.clone())
+                .unwrap_or_default(),
             class.offload.to_string(),
             class.overflow.to_string(),
         ]);

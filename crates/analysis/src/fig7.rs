@@ -30,7 +30,9 @@ pub fn hourly_by_cdn(
         scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
     let mut out: BTreeMap<(SimTime, CdnClass), f64> = BTreeMap::new();
     for v in scaled {
-        let Some(class) = ip_classes.get(&v.src) else { continue };
+        let Some(class) = ip_classes.get(&v.src) else {
+            continue;
+        };
         let hour = v.bin.floor_to(Duration::HOUR);
         *out.entry((hour, class.cdn())).or_insert(0.0) += v.bytes;
     }
@@ -72,8 +74,16 @@ pub fn fig7_series(
             continue;
         }
         let peak = peaks.get(class).copied().unwrap_or(0.0);
-        let ratio = if peak > 0.0 { bytes / peak * 100.0 } else { 0.0 };
-        t.push(vec![hour.to_string(), class.to_string(), format!("{ratio:.0}")]);
+        let ratio = if peak > 0.0 {
+            bytes / peak * 100.0
+        } else {
+            0.0
+        };
+        t.push(vec![
+            hour.to_string(),
+            class.to_string(),
+            format!("{ratio:.0}"),
+        ]);
     }
     t
 }
@@ -98,7 +108,9 @@ pub fn fig7_summary(
     let mut pre_hour_sum: HashMap<(u32, CdnClass), (f64, u32)> = HashMap::new();
     for ((hour, class), bytes) in &hourly {
         if *hour >= release_day - Duration::days(3) && *hour < release_day {
-            let e = pre_hour_sum.entry((hour.hour(), *class)).or_insert((0.0, 0));
+            let e = pre_hour_sum
+                .entry((hour.hour(), *class))
+                .or_insert((0.0, 0));
             e.0 += bytes;
             e.1 += 1;
         }
@@ -119,22 +131,33 @@ pub fn fig7_summary(
             .get(&(hour.hour(), *class))
             .map(|(s, n)| s / *n as f64)
             .unwrap_or(0.0);
-        *excess.entry((hour.floor_day(), *class)).or_insert(0.0) +=
-            (bytes - baseline).max(0.0);
+        *excess.entry((hour.floor_day(), *class)).or_insert(0.0) += (bytes - baseline).max(0.0);
     }
 
     let mut t = Table::new(
         "Figure 7 summary — peak ratio and daily excess-volume share",
-        &["cdn", "peak ratio %", "excess share day 0", "day 1", "day 2"],
+        &[
+            "cdn",
+            "peak ratio %",
+            "excess share day 0",
+            "day 1",
+            "day 2",
+        ],
     );
     let day_total = |d: SimTime| -> f64 {
-        PANELS.iter().map(|c| excess.get(&(d, *c)).copied().unwrap_or(0.0)).sum()
+        PANELS
+            .iter()
+            .map(|c| excess.get(&(d, *c)).copied().unwrap_or(0.0))
+            .sum()
     };
     for class in PANELS {
         let share = |d: SimTime| -> String {
             let total = day_total(d);
             if total > 0.0 {
-                format!("{:.0}%", excess.get(&(d, class)).copied().unwrap_or(0.0) / total * 100.0)
+                format!(
+                    "{:.0}%",
+                    excess.get(&(d, class)).copied().unwrap_or(0.0) / total * 100.0
+                )
             } else {
                 "—".into()
             }
@@ -187,7 +210,14 @@ mod tests {
         }
         let mut ip_classes = HashMap::new();
         ip_classes.insert(ll_ip, CdnClass::Limelight);
-        let traffic = TrafficResult { flows, snmp, dropped_bytes: 0, sampling: 1, export_losses: 0, polls_missed: 0 };
+        let traffic = TrafficResult {
+            flows,
+            snmp,
+            dropped_bytes: 0,
+            sampling: 1,
+            export_losses: 0,
+            polls_missed: 0,
+        };
         (traffic, ip_classes, release)
     }
 
@@ -201,8 +231,14 @@ mod tests {
             .filter(|r| r[1] == "Limelight")
             .map(|r| r[2].parse().unwrap())
             .collect();
-        assert!(ratios.iter().any(|r| (*r - 100.0).abs() < 1.0), "pre-days sit at 100%");
-        assert!(ratios.iter().any(|r| (*r - 500.0).abs() < 1.0), "event hits 500%");
+        assert!(
+            ratios.iter().any(|r| (*r - 100.0).abs() < 1.0),
+            "pre-days sit at 100%"
+        );
+        assert!(
+            ratios.iter().any(|r| (*r - 500.0).abs() < 1.0),
+            "event hits 500%"
+        );
     }
 
     #[test]
@@ -211,7 +247,10 @@ mod tests {
         // Empty DNS observation set: nothing can be attributed.
         let empty = HashMap::new();
         let t = fig7_series(&traffic, &empty, release);
-        assert!(t.rows.is_empty(), "the cross-correlation has nothing to match");
+        assert!(
+            t.rows.is_empty(),
+            "the cross-correlation has nothing to match"
+        );
     }
 
     #[test]

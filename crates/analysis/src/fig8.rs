@@ -40,17 +40,21 @@ pub fn overflow_by_handover(
         scale_by_snmp_with_coverage(&traffic.flows, &traffic.snmp, traffic.sampling);
     let mut out: BTreeMap<(SimTime, &'static str), f64> = BTreeMap::new();
     for v in scaled {
-        let Some(class) = ip_classes.get(&v.src) else { continue };
+        let Some(class) = ip_classes.get(&v.src) else {
+            continue;
+        };
         if class.cdn() != CdnClass::Limelight {
             continue;
         }
-        let Some(source_as) = world.topo.origin_of(v.src) else { continue };
+        let Some(source_as) = world.topo.origin_of(v.src) else {
+            continue;
+        };
         let handover = world.topo.link(v.link).other(params::EYEBALL_AS);
         if source_as == handover {
             continue; // direct traffic, not overflow
         }
-        *out.entry((v.bin.floor_day(), handover_label(world, handover))).or_insert(0.0) +=
-            v.bytes;
+        *out.entry((v.bin.floor_day(), handover_label(world, handover)))
+            .or_insert(0.0) += v.bytes;
     }
     out
 }
@@ -92,7 +96,13 @@ pub fn fig8_series(
 pub fn fig8_d_link_saturation(traffic: &TrafficResult, world: &World, tick: Duration) -> Table {
     let mut t = Table::new(
         "Figure 8 companion — AS D link saturation",
-        &["link", "capacity (Gbps)", "peak rate (Gbps)", "peak util %", "polls ≥99% util"],
+        &[
+            "link",
+            "capacity (Gbps)",
+            "peak rate (Gbps)",
+            "peak util %",
+            "polls ≥99% util",
+        ],
     );
     for (i, link_id) in world.isp_d_links.iter().enumerate() {
         let cap = world.topo.link(*link_id).capacity_bps;
@@ -163,9 +173,24 @@ mod tests {
                 .expect("link")
         };
         for (ip, class, handover, bytes) in [
-            ("68.232.0.9", CdnClass::Limelight, params::LIMELIGHT_AS, 10_000u32),
-            ("69.28.0.2", CdnClass::LimelightOtherAs, params::TRANSIT_A, 3_000),
-            ("69.28.64.2", CdnClass::LimelightOtherAs, params::TRANSIT_D, 7_000),
+            (
+                "68.232.0.9",
+                CdnClass::Limelight,
+                params::LIMELIGHT_AS,
+                10_000u32,
+            ),
+            (
+                "69.28.0.2",
+                CdnClass::LimelightOtherAs,
+                params::TRANSIT_A,
+                3_000,
+            ),
+            (
+                "69.28.64.2",
+                CdnClass::LimelightOtherAs,
+                params::TRANSIT_D,
+                7_000,
+            ),
             ("23.0.0.9", CdnClass::Akamai, params::AKAMAI_AS, 50_000),
         ] {
             let src: Ipv4Addr = ip.parse().unwrap();
@@ -187,7 +212,17 @@ mod tests {
             ));
         }
         snmp.poll(day);
-        (TrafficResult { flows, snmp, dropped_bytes: 0, sampling: 1, export_losses: 0, polls_missed: 0 }, ip_classes)
+        (
+            TrafficResult {
+                flows,
+                snmp,
+                dropped_bytes: 0,
+                sampling: 1,
+                export_losses: 0,
+                polls_missed: 0,
+            },
+            ip_classes,
+        )
     }
 
     #[test]
@@ -209,7 +244,10 @@ mod tests {
         let (traffic, ip_classes) = synthetic(&world);
         let t = fig8_series(&traffic, &ip_classes, &world);
         let total: f64 = t.rows.iter().map(|r| r[2].parse::<f64>().unwrap()).sum();
-        assert!((total - 100.0).abs() < 1.5, "rounding-tolerant sum, got {total}");
+        assert!(
+            (total - 100.0).abs() < 1.5,
+            "rounding-tolerant sum, got {total}"
+        );
         assert!((d_peak_share(&traffic, &ip_classes, &world) - 0.7).abs() < 1e-9);
     }
 }

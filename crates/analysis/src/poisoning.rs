@@ -47,7 +47,9 @@ fn rate(num: u64, den: u64) -> f64 {
 /// is relative to it, so the baseline row's delta is zero by
 /// construction.
 pub fn summarize_poisoning(results: &[PoisonRunResult]) -> Vec<PoisonSummary> {
-    let base = results.first().map_or(0.0, |r| rate(r.attacker_routed, r.resolutions));
+    let base = results
+        .first()
+        .map_or(0.0, |r| rate(r.attacker_routed, r.resolutions));
     results
         .iter()
         .map(|r| {

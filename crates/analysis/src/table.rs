@@ -40,12 +40,17 @@ impl Table {
 
     /// A cell value, if present.
     pub fn cell(&self, row: usize, col: usize) -> Option<&str> {
-        self.rows.get(row).and_then(|r| r.get(col)).map(String::as_str)
+        self.rows
+            .get(row)
+            .and_then(|r| r.get(col))
+            .map(String::as_str)
     }
 
     /// Finds the first row whose `col`-th cell equals `value`.
     pub fn find_row(&self, col: usize, value: &str) -> Option<&Vec<String>> {
-        self.rows.iter().find(|r| r.get(col).map(String::as_str) == Some(value))
+        self.rows
+            .iter()
+            .find(|r| r.get(col).map(String::as_str) == Some(value))
     }
 
     /// Renders CSV (headers + rows, comma-separated, quotes around cells
@@ -58,7 +63,12 @@ impl Table {
                 s.to_string()
             }
         };
-        let mut out = self.headers.iter().map(|h| esc(h)).collect::<Vec<_>>().join(",");
+        let mut out = self
+            .headers
+            .iter()
+            .map(|h| esc(h))
+            .collect::<Vec<_>>()
+            .join(",");
         out.push('\n');
         for row in &self.rows {
             out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));

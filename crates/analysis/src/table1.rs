@@ -32,7 +32,11 @@ pub fn table1(world: &World) -> Table {
         "UN/LOCODE location (e.g. deber for Berlin)".into(),
         example.locode.to_string(),
     ]);
-    t.push(vec!["b".into(), "Location site id".into(), example.site_id.to_string()]);
+    t.push(vec![
+        "b".into(),
+        "Location site id".into(),
+        example.site_id.to_string(),
+    ]);
     t.push(vec![
         "c".into(),
         "Function: vip, edge, gslb, dns, ntp, tool".into(),
@@ -81,6 +85,9 @@ mod tests {
         assert_eq!(t.cell(0, 0), Some("a"));
         let (parsed, total) = scheme_coverage(&world);
         assert!(total > 1000);
-        assert_eq!(parsed, total, "every infrastructure name follows the scheme");
+        assert_eq!(
+            parsed, total,
+            "every infrastructure name follows the scheme"
+        );
     }
 }

@@ -99,12 +99,30 @@ pub fn hierarchy_table(report: &HierarchyReport) -> Table {
         "§3.3 — cache hierarchy inferred from Via/X-Cache headers",
         &["observable", "value"],
     );
-    t.push(vec!["distinct edge-bx hosts in Via".into(), report.bx_hosts.to_string()]);
-    t.push(vec!["distinct edge-lx parents in Via".into(), report.lx_hosts.to_string()]);
-    t.push(vec!["distinct fronting vips".into(), report.vips.to_string()]);
-    t.push(vec!["max edge-bx per vip".into(), report.bx_per_vip.to_string()]);
-    t.push(vec!["origin shield (CloudFront) seen".into(), report.origin_shield_seen.to_string()]);
-    t.push(vec!["all Via names follow Table 1 scheme".into(), report.all_names_parse.to_string()]);
+    t.push(vec![
+        "distinct edge-bx hosts in Via".into(),
+        report.bx_hosts.to_string(),
+    ]);
+    t.push(vec![
+        "distinct edge-lx parents in Via".into(),
+        report.lx_hosts.to_string(),
+    ]);
+    t.push(vec![
+        "distinct fronting vips".into(),
+        report.vips.to_string(),
+    ]);
+    t.push(vec![
+        "max edge-bx per vip".into(),
+        report.bx_per_vip.to_string(),
+    ]);
+    t.push(vec![
+        "origin shield (CloudFront) seen".into(),
+        report.origin_shield_seen.to_string(),
+    ]);
+    t.push(vec![
+        "all Via names follow Table 1 scheme".into(),
+        report.all_names_parse.to_string(),
+    ]);
     t
 }
 
@@ -123,7 +141,10 @@ mod tests {
         assert!(report.lx_hosts >= 1 && report.lx_hosts <= 2);
         assert!(report.origin_shield_seen);
         assert!(report.all_names_parse);
-        assert!(report.bx_hosts > report.lx_hosts, "bx tier is wider than lx");
+        assert!(
+            report.bx_hosts > report.lx_hosts,
+            "bx tier is wider than lx"
+        );
     }
 
     #[test]

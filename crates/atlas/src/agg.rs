@@ -28,7 +28,10 @@ where
     /// An aggregator with the given bin width.
     pub fn new(bin: Duration) -> Self {
         assert!(bin.as_secs() > 0, "bin must be positive");
-        UniqueIpAggregator { bin, sets: BTreeMap::new() }
+        UniqueIpAggregator {
+            bin,
+            sets: BTreeMap::new(),
+        }
     }
 
     /// Records one observed address.
@@ -52,12 +55,17 @@ where
 
     /// The unique-IP count for one cell.
     pub fn count(&self, bin_start: SimTime, group: G, label: L) -> usize {
-        self.sets.get(&(bin_start, group, label)).map(HashSet::len).unwrap_or(0)
+        self.sets
+            .get(&(bin_start, group, label))
+            .map(HashSet::len)
+            .unwrap_or(0)
     }
 
     /// All cells as `(bin_start, group, label, unique_count)`, in time order.
     pub fn series(&self) -> impl Iterator<Item = (SimTime, G, L, usize)> + '_ {
-        self.sets.iter().map(|((t, g, l), set)| (*t, *g, *l, set.len()))
+        self.sets
+            .iter()
+            .map(|((t, g, l), set)| (*t, *g, *l, set.len()))
     }
 
     /// Total unique addresses for a (group, label) across *all* bins.
@@ -93,7 +101,10 @@ where
     /// aggregates — in any order — equals recording every observation into
     /// one aggregator. Both sides must use the same bin width.
     pub fn merge(&mut self, other: UniqueIpAggregator<G, L>) {
-        assert_eq!(self.bin, other.bin, "cannot merge aggregators with different bins");
+        assert_eq!(
+            self.bin, other.bin,
+            "cannot merge aggregators with different bins"
+        );
         for (key, set) in other.sets {
             self.sets.entry(key).or_default().extend(set);
         }
@@ -190,8 +201,7 @@ mod tests {
         }
         for split in 0..obs.len() {
             let mut left: UniqueIpAggregator<u8, u8> = UniqueIpAggregator::new(Duration::hours(1));
-            let mut right: UniqueIpAggregator<u8, u8> =
-                UniqueIpAggregator::new(Duration::hours(1));
+            let mut right: UniqueIpAggregator<u8, u8> = UniqueIpAggregator::new(Duration::hours(1));
             for (i, (g, l, n)) in obs.iter().enumerate() {
                 let target = if i < split { &mut left } else { &mut right };
                 target.record(t, *g, *l, ip(*n));

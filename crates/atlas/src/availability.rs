@@ -94,7 +94,9 @@ mod tests {
         let a = Availability::with_rate(0.8, 7);
         let t0 = SimTime::from_ymd(2017, 9, 12);
         // Find a probe that is offline at t0…
-        let down = (0..500u32).find(|id| !a.is_online(*id, t0)).expect("someone is down");
+        let down = (0..500u32)
+            .find(|id| !a.is_online(*id, t0))
+            .expect("someone is down");
         // …it stays down within the epoch…
         assert!(!a.is_online(down, t0 + Duration::hours(1)));
         // …and recovers eventually.
@@ -149,7 +151,9 @@ mod tests {
         let a = Availability::with_rate(0.5, 1);
         let b = Availability::with_rate(0.5, 2);
         let t = SimTime::from_ymd(2017, 9, 19);
-        let differs = (0..500u32).filter(|&id| a.is_online(id, t) != b.is_online(id, t)).count();
+        let differs = (0..500u32)
+            .filter(|&id| a.is_online(id, t) != b.is_online(id, t))
+            .count();
         // Independent 50 % coins disagree about half the time.
         assert!((150..350).contains(&differs), "only {differs}/500 differ");
     }

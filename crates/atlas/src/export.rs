@@ -46,7 +46,12 @@ fn escape(s: &str) -> String {
 
 impl AtlasDnsResult {
     /// Builds a result from a probe's resolution trace.
-    pub fn from_trace(msm_id: u64, prb_id: u32, t: SimTime, trace: &ResolutionTrace) -> AtlasDnsResult {
+    pub fn from_trace(
+        msm_id: u64,
+        prb_id: u32,
+        t: SimTime,
+        trace: &ResolutionTrace,
+    ) -> AtlasDnsResult {
         let mut answers = Vec::new();
         for step in &trace.steps {
             for rr in &step.records {
@@ -61,7 +66,12 @@ impl AtlasDnsResult {
                 answers.push((ty.to_string(), rr.name.to_string(), rdata));
             }
         }
-        AtlasDnsResult { msm_id, prb_id, timestamp: t.as_secs(), answers }
+        AtlasDnsResult {
+            msm_id,
+            prb_id,
+            timestamp: t.as_secs(),
+            answers,
+        }
     }
 
     /// Serializes to one Atlas-style JSON line.
@@ -122,7 +132,12 @@ impl AtlasDnsResult {
             let rdata = field_str(chunk, "RDATA")?;
             answers.push((ty.to_string(), name.to_string(), rdata.to_string()));
         }
-        Some(AtlasDnsResult { msm_id, prb_id, timestamp, answers })
+        Some(AtlasDnsResult {
+            msm_id,
+            prb_id,
+            timestamp,
+            answers,
+        })
     }
 }
 
@@ -278,8 +293,16 @@ mod traceroute_export_tests {
             src: mcdn_netsim::AsId(3320),
             dst: "17.253.37.16".parse().unwrap(),
             hops: vec![
-                Hop { asn: mcdn_netsim::AsId(3320), addr: "84.17.0.1".parse().unwrap(), rtt_ms: 0.5 },
-                Hop { asn: mcdn_netsim::AsId(714), addr: "17.253.37.16".parse().unwrap(), rtt_ms: 7.25 },
+                Hop {
+                    asn: mcdn_netsim::AsId(3320),
+                    addr: "84.17.0.1".parse().unwrap(),
+                    rtt_ms: 0.5,
+                },
+                Hop {
+                    asn: mcdn_netsim::AsId(714),
+                    addr: "17.253.37.16".parse().unwrap(),
+                    rtt_ms: 7.25,
+                },
             ],
             reached: true,
         };

@@ -7,8 +7,8 @@ use mcdn_dnssim::{
 };
 use mcdn_dnswire::RecordType;
 use mcdn_faults::RetryPolicy;
-use mcdn_intern::NameId;
 use mcdn_geo::{City, Duration, SimTime};
+use mcdn_intern::NameId;
 use mcdn_netsim::AsId;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -40,7 +40,11 @@ pub struct Probe {
 impl Probe {
     /// Creates a probe.
     pub fn new(id: u32, spec: ProbeSpec) -> Probe {
-        Probe { id, spec, resolver: InternedResolver::new() }
+        Probe {
+            id,
+            spec,
+            resolver: InternedResolver::new(),
+        }
     }
 
     /// The query context this probe presents at `now`.
@@ -161,7 +165,11 @@ impl Probe {
 
 /// Builds probes from specs, ids assigned in order.
 pub fn build_fleet(specs: Vec<ProbeSpec>) -> Vec<Probe> {
-    specs.into_iter().enumerate().map(|(i, s)| Probe::new(i as u32, s)).collect()
+    specs
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| Probe::new(i as u32, s))
+        .collect()
 }
 
 /// Spreads `n` probe specs across weighted cities, deterministically under
@@ -188,7 +196,11 @@ pub fn spread_specs(
                 pick -= w;
             }
             let (as_id, ip) = place(chosen, i);
-            ProbeSpec { city: chosen, as_id, ip }
+            ProbeSpec {
+                city: chosen,
+                as_id,
+                ip,
+            }
         })
         .collect()
 }
@@ -233,7 +245,11 @@ mod tests {
     fn probe() -> Probe {
         Probe::new(
             0,
-            ProbeSpec { city: city("deber"), as_id: AsId(1), ip: Ipv4Addr::new(10, 0, 0, 1) },
+            ProbeSpec {
+                city: city("deber"),
+                as_id: AsId(1),
+                ip: Ipv4Addr::new(10, 0, 0, 1),
+            },
         )
     }
 
@@ -251,10 +267,22 @@ mod tests {
         let id = cns.intern_in(&mut scratch, &Name::parse(qname).unwrap());
         let retry = RetryPolicy::standard();
         let mut memo = IRoundMemo::new();
-        let (result, attempts) =
-            p.measure_interned(&cns, &mut scratch, id, RecordType::A, now, faults, &retry, &mut memo);
+        let (result, attempts) = p.measure_interned(
+            &cns,
+            &mut scratch,
+            id,
+            RecordType::A,
+            now,
+            faults,
+            &retry,
+            &mut memo,
+        );
         let trace = cns.materialize_trace(&scratch, scratch.trace());
-        (trace, result.map_err(|e| cns.materialize_err(&scratch, e)), attempts)
+        (
+            trace,
+            result.map_err(|e| cns.materialize_err(&scratch, e)),
+            attempts,
+        )
     }
 
     #[test]
@@ -277,7 +305,8 @@ mod tests {
         let ns = tiny_ns();
         let mut p = probe();
         let t0 = SimTime::from_ymd(2017, 9, 12);
-        let (trace, res, attempts) = measure(&mut p, &ns, "appldnld.apple.com", t0, &flaky_upstream(2));
+        let (trace, res, attempts) =
+            measure(&mut p, &ns, "appldnld.apple.com", t0, &flaky_upstream(2));
         res.unwrap();
         assert_eq!(attempts, 3);
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 253, 1, 1)]);
@@ -288,8 +317,13 @@ mod tests {
         let ns = tiny_ns();
         let mut p = probe();
         let t0 = SimTime::from_ymd(2017, 9, 12);
-        let (trace, res, attempts) =
-            measure(&mut p, &ns, "appldnld.apple.com", t0, &flaky_upstream(u32::MAX));
+        let (trace, res, attempts) = measure(
+            &mut p,
+            &ns,
+            "appldnld.apple.com",
+            t0,
+            &flaky_upstream(u32::MAX),
+        );
         assert_eq!(attempts, RetryPolicy::standard().max_attempts);
         assert!(matches!(res, Err(ResolutionError::Timeout(_))));
         // The failed attempt's trace still records what the probe saw.
@@ -301,7 +335,8 @@ mod tests {
         let ns = tiny_ns();
         let mut p = probe();
         let t0 = SimTime::from_ymd(2017, 9, 12);
-        let (_, res, attempts) = measure(&mut p, &ns, "no.such.name.example", t0, &NoInternedFaults);
+        let (_, res, attempts) =
+            measure(&mut p, &ns, "no.such.name.example", t0, &NoInternedFaults);
         assert_eq!(attempts, 1);
         assert!(matches!(res, Err(ResolutionError::NxDomain(_))));
     }
@@ -316,7 +351,8 @@ mod tests {
             RecordType::A,
             &p.context(t0),
         );
-        let (trace, res, attempts) = measure(&mut p, &ns, "appldnld.apple.com", t0, &NoInternedFaults);
+        let (trace, res, attempts) =
+            measure(&mut p, &ns, "appldnld.apple.com", t0, &NoInternedFaults);
         assert_eq!(attempts, 1);
         assert_eq!(plain, (trace, res));
     }
@@ -324,9 +360,7 @@ mod tests {
     #[test]
     fn spread_is_deterministic_and_weighted() {
         let cities = [(city("deber"), 3.0), (city("usnyc"), 1.0)];
-        let place = |_: &'static City, i: usize| {
-            (AsId(1), Ipv4Addr::from(0x0A00_0000 + i as u32))
-        };
+        let place = |_: &'static City, i: usize| (AsId(1), Ipv4Addr::from(0x0A00_0000 + i as u32));
         let a = spread_specs(400, &cities, 42, place);
         let b = spread_specs(400, &cities, 42, place);
         assert_eq!(a.len(), 400);

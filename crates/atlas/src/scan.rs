@@ -52,8 +52,10 @@ mod tests {
     #[test]
     fn finds_available_addresses_in_order() {
         let prefix = Ipv4Net::parse("192.0.2.0/28").unwrap();
-        let wanted: Vec<Ipv4Addr> =
-            ["192.0.2.3", "192.0.2.7"].iter().map(|s| s.parse().unwrap()).collect();
+        let wanted: Vec<Ipv4Addr> = ["192.0.2.3", "192.0.2.7"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
         let hits = scan_prefix(
             prefix,
             1,

@@ -66,7 +66,10 @@ impl VantageVm {
             }
             addrs.extend(trace.addresses());
         }
-        CrawlResult { edges: edges.into_iter().collect(), addrs: addrs.into_iter().collect() }
+        CrawlResult {
+            edges: edges.into_iter().collect(),
+            addrs: addrs.into_iter().collect(),
+        }
     }
 }
 

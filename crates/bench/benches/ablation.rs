@@ -27,7 +27,12 @@ fn reroute_fraction(selector_ttl: u64, window: u64) -> f64 {
     schedule.set_from(
         Region::Eu,
         t0,
-        CdnShare { apple: 0.0, akamai: 0.0, limelight: 1.0, level3: 0.0 },
+        CdnShare {
+            apple: 0.0,
+            akamai: 0.0,
+            limelight: 1.0,
+            level3: 0.0,
+        },
     );
     let state = MetaCdnState::new(schedule);
     let mut moved = 0u32;
@@ -54,7 +59,10 @@ fn ablation_selector_ttl(c: &mut Criterion) {
     g.bench_function("ttl_15s_reroute_within_60s", |b| {
         b.iter(|| {
             let f = reroute_fraction(15, 60);
-            assert!(f > 0.95, "15 s TTL reroutes nearly everyone in a minute: {f}");
+            assert!(
+                f > 0.95,
+                "15 s TTL reroutes nearly everyone in a minute: {f}"
+            );
             black_box(f)
         })
     });
@@ -70,7 +78,12 @@ fn ablation_selector_ttl(c: &mut Criterion) {
 
 fn ablation_reactive_overflow(c: &mut Criterion) {
     let mut g = c.benchmark_group("ablation_reactive_overflow");
-    let share = CdnShare { apple: 0.6, akamai: 0.2, limelight: 0.2, level3: 0.0 };
+    let share = CdnShare {
+        apple: 0.6,
+        akamai: 0.2,
+        limelight: 0.2,
+        level3: 0.0,
+    };
     let t = SimTime::from_ymd_hms(2017, 9, 19, 18, 0, 0);
     g.bench_function("overflow_enabled_apple_capped", |b| {
         b.iter(|| {
@@ -138,7 +151,9 @@ fn ablation_answer_width(c: &mut Criterion) {
             let client = Ipv4Addr::from(0x0A00_0000 + (round as u32 % 400) * 97);
             let now = t0 + Duration::secs(round * 60);
             answer.clear();
-            world.akamai.answer(Region::Eu, 0.9, client, now, k, &mut answer);
+            world
+                .akamai
+                .answer(Region::Eu, 0.9, client, now, k, &mut answer);
             seen.extend(answer.iter().copied());
             draws += 1;
             if seen.len() >= target {

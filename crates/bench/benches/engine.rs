@@ -11,7 +11,9 @@ use mcdn_scenario::{run_isp_traffic, CampaignKind};
 
 fn bench_global_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = dns_campaign(&world, &cfg, CampaignKind::Global, 1).run.into_result();
+    let serial = dns_campaign(&world, &cfg, CampaignKind::Global, 1)
+        .run
+        .into_result();
     let mut g = c.benchmark_group("engine/global_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
@@ -29,7 +31,9 @@ fn bench_global_campaign(c: &mut Criterion) {
 
 fn bench_isp_campaign(c: &mut Criterion) {
     let (cfg, world) = micro_world();
-    let serial = dns_campaign(&world, &cfg, CampaignKind::Isp, 1).run.into_result();
+    let serial = dns_campaign(&world, &cfg, CampaignKind::Isp, 1)
+        .run
+        .into_result();
     let mut g = c.benchmark_group("engine/isp_dns");
     g.sample_size(10);
     g.throughput(Throughput::Elements(serial.resolutions));
@@ -55,12 +59,15 @@ fn bench_traffic(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(run_isp_traffic(&world, &cfg, 1)))
     });
     g.bench_function("parallel", |b| {
-        b.iter(|| {
-            std::hint::black_box(run_isp_traffic(&world, &cfg, mcdn_exec::thread_count()))
-        })
+        b.iter(|| std::hint::black_box(run_isp_traffic(&world, &cfg, mcdn_exec::thread_count())))
     });
     g.finish();
 }
 
-criterion_group!(engine, bench_global_campaign, bench_isp_campaign, bench_traffic);
+criterion_group!(
+    engine,
+    bench_global_campaign,
+    bench_isp_campaign,
+    bench_traffic
+);
 criterion_main!(engine);

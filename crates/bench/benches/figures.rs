@@ -53,7 +53,9 @@ fn bench_fig4_unique_ips_global(c: &mut Criterion) {
     g.bench_function("fig4_global_campaign_and_summary", |b| {
         b.iter(|| {
             let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-                .expect("global campaign").run.into_result();
+                .expect("global campaign")
+                .run
+                .into_result();
             black_box(fig4::fig4_summary(&result, params::release()))
         })
     });
@@ -67,7 +69,9 @@ fn bench_fig5_unique_ips_isp(c: &mut Criterion) {
     g.bench_function("fig5_isp_campaign_and_series", |b| {
         b.iter(|| {
             let result = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
-                .expect("in-ISP campaign").run.into_result();
+                .expect("in-ISP campaign")
+                .run
+                .into_result();
             black_box((fig5::fig5_series(&result), fig5::fig5_akamai_rise(&result)))
         })
     });
@@ -76,19 +80,29 @@ fn bench_fig5_unique_ips_isp(c: &mut Criterion) {
 
 fn bench_fig6_classification(c: &mut Criterion) {
     let (_, world) = micro_world();
-    c.bench_function("fig6_classification", |b| b.iter(|| black_box(fig6::fig6(&world))));
+    c.bench_function("fig6_classification", |b| {
+        b.iter(|| black_box(fig6::fig6(&world)))
+    });
 }
 
 fn bench_fig7_offload_traffic(c: &mut Criterion) {
     let cfg = micro_cfg();
     let world = World::build(&cfg);
     let dns = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
-        .expect("in-ISP campaign").run.into_result();
+        .expect("in-ISP campaign")
+        .run
+        .into_result();
     let traffic = run_isp_traffic(&world, &cfg, 0).0;
     let mut g = c.benchmark_group("fig7");
     g.sample_size(10);
     g.bench_function("fig7_scaling_and_summary", |b| {
-        b.iter(|| black_box(fig7::fig7_summary(&traffic, &dns.ip_classes, params::release())))
+        b.iter(|| {
+            black_box(fig7::fig7_summary(
+                &traffic,
+                &dns.ip_classes,
+                params::release(),
+            ))
+        })
     });
     g.bench_function("fig7_telemetry_generation", |b| {
         b.iter(|| black_box(run_isp_traffic(&world, &cfg, 0).0))
@@ -100,7 +114,9 @@ fn bench_fig8_overflow(c: &mut Criterion) {
     let cfg = micro_cfg();
     let world = World::build(&cfg);
     let dns = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
-        .expect("in-ISP campaign").run.into_result();
+        .expect("in-ISP campaign")
+        .run
+        .into_result();
     let traffic = run_isp_traffic(&world, &cfg, 0).0;
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
@@ -108,7 +124,13 @@ fn bench_fig8_overflow(c: &mut Criterion) {
         b.iter(|| black_box(fig8::fig8_series(&traffic, &dns.ip_classes, &world)))
     });
     g.bench_function("fig8_d_link_saturation", |b| {
-        b.iter(|| black_box(fig8::fig8_d_link_saturation(&traffic, &world, cfg.traffic_tick)))
+        b.iter(|| {
+            black_box(fig8::fig8_d_link_saturation(
+                &traffic,
+                &world,
+                cfg.traffic_tick,
+            ))
+        })
     });
     g.finish();
 }

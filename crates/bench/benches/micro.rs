@@ -17,11 +17,31 @@ fn sample_message() -> Message {
     let n = |s: &str| Name::parse(s).unwrap();
     let mut m = Message::query(0x4242, n("appldnld.apple.com"), RecordType::A);
     m.answers = vec![
-        ResourceRecord::new(n("appldnld.apple.com"), 21600, RData::Cname(n("appldnld.apple.com.akadns.net"))),
-        ResourceRecord::new(n("appldnld.apple.com.akadns.net"), 120, RData::Cname(n("appldnld.g.applimg.com"))),
-        ResourceRecord::new(n("appldnld.g.applimg.com"), 15, RData::Cname(n("a.gslb.applimg.com"))),
-        ResourceRecord::new(n("a.gslb.applimg.com"), 20, RData::A(Ipv4Addr::new(17, 253, 37, 16))),
-        ResourceRecord::new(n("a.gslb.applimg.com"), 20, RData::A(Ipv4Addr::new(17, 253, 37, 17))),
+        ResourceRecord::new(
+            n("appldnld.apple.com"),
+            21600,
+            RData::Cname(n("appldnld.apple.com.akadns.net")),
+        ),
+        ResourceRecord::new(
+            n("appldnld.apple.com.akadns.net"),
+            120,
+            RData::Cname(n("appldnld.g.applimg.com")),
+        ),
+        ResourceRecord::new(
+            n("appldnld.g.applimg.com"),
+            15,
+            RData::Cname(n("a.gslb.applimg.com")),
+        ),
+        ResourceRecord::new(
+            n("a.gslb.applimg.com"),
+            20,
+            RData::A(Ipv4Addr::new(17, 253, 37, 16)),
+        ),
+        ResourceRecord::new(
+            n("a.gslb.applimg.com"),
+            20,
+            RData::A(Ipv4Addr::new(17, 253, 37, 17)),
+        ),
     ];
     m
 }
@@ -31,7 +51,9 @@ fn bench_dns_codec(c: &mut Criterion) {
     let bytes = msg.encode().unwrap();
     let mut g = c.benchmark_group("dnswire");
     g.throughput(Throughput::Bytes(bytes.len() as u64));
-    g.bench_function("encode_mapping_answer", |b| b.iter(|| black_box(msg.encode().unwrap())));
+    g.bench_function("encode_mapping_answer", |b| {
+        b.iter(|| black_box(msg.encode().unwrap()))
+    });
     g.bench_function("decode_mapping_answer", |b| {
         b.iter(|| black_box(Message::decode(&bytes).unwrap()))
     });
@@ -73,8 +95,9 @@ fn bench_lpm(c: &mut Criterion) {
         let addr = Ipv4Addr::from(i.wrapping_mul(2_654_435_761));
         trie.insert(Ipv4Net::new(addr, 8 + (i % 17) as u8), i);
     }
-    let probes: Vec<Ipv4Addr> =
-        (0..1000u32).map(|i| Ipv4Addr::from(i.wrapping_mul(40_503))).collect();
+    let probes: Vec<Ipv4Addr> = (0..1000u32)
+        .map(|i| Ipv4Addr::from(i.wrapping_mul(40_503)))
+        .collect();
     let mut g = c.benchmark_group("bgp_rib");
     g.throughput(Throughput::Elements(probes.len() as u64));
     g.bench_function("lpm_1000_lookups_10k_routes", |b| {
@@ -116,7 +139,9 @@ fn bench_netflow(c: &mut Criterion) {
     let bytes = pkt.encode().unwrap();
     let mut g = c.benchmark_group("netflow");
     g.throughput(Throughput::Elements(30));
-    g.bench_function("encode_30_records", |b| b.iter(|| black_box(pkt.encode().unwrap())));
+    g.bench_function("encode_30_records", |b| {
+        b.iter(|| black_box(pkt.encode().unwrap()))
+    });
     g.bench_function("decode_30_records", |b| {
         b.iter(|| black_box(ExportPacket::decode(&bytes).unwrap()))
     });
@@ -125,7 +150,11 @@ fn bench_netflow(c: &mut Criterion) {
         b.iter(|| {
             black_box(sampler.sample(
                 3_000_000,
-                (Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8), SimTime(12345)),
+                (
+                    Ipv4Addr::new(1, 2, 3, 4),
+                    Ipv4Addr::new(5, 6, 7, 8),
+                    SimTime(12345),
+                ),
             ))
         })
     });

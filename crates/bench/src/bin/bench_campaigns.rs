@@ -15,6 +15,7 @@
 
 use alloc_counter::CountingAlloc;
 use mcdn_atlas::{build_fleet, Probe};
+use mcdn_bench::dns_campaign;
 use mcdn_dnssim::{CompiledNamespace, IRoundMemo, NoInternedFaults, ResolveScratch};
 use mcdn_dnswire::RecordType;
 use mcdn_faults::RetryPolicy;
@@ -22,7 +23,6 @@ use mcdn_geo::{Duration, SimTime};
 use mcdn_intern::NameId;
 use mcdn_netsim::{AsId, FlatLpm};
 use mcdn_scenario::classes::{attribute_interned, classify_ip_from_origin, AttributionTable};
-use mcdn_bench::dns_campaign;
 use mcdn_scenario::{
     params, run_dns_campaign, run_isp_traffic, CampaignKind, CampaignSpec, ResumeOptions,
     ScenarioConfig, World, TRAFFIC_BATCH_TICKS,
@@ -130,12 +130,20 @@ fn scoped_dispatch_cost_ms(threads: usize) -> f64 {
     }
     let mut items = vec![0u8; threads];
     for _ in 0..16 {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(&mut items, threads, |_, _| ()));
+        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(
+            &mut items,
+            threads,
+            |_, _| (),
+        ));
     }
     let reps = 128u32;
     let start = Instant::now();
     for _ in 0..reps {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(&mut items, threads, |_, _| ()));
+        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(
+            &mut items,
+            threads,
+            |_, _| (),
+        ));
     }
     start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
 }
@@ -155,14 +163,22 @@ fn bench_cfg(smoke: bool) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::fast();
     cfg.global_probes = if smoke { 40 } else { 150 };
     cfg.isp_probes = if smoke { 30 } else { 80 };
-    cfg.global_dns_interval = if smoke { Duration::hours(2) } else { Duration::mins(30) };
+    cfg.global_dns_interval = if smoke {
+        Duration::hours(2)
+    } else {
+        Duration::mins(30)
+    };
     cfg.global_start = SimTime::from_ymd(2017, 9, 18);
     cfg.global_end = SimTime::from_ymd(2017, 9, if smoke { 20 } else { 21 });
     cfg.isp_start = SimTime::from_ymd(2017, 9, 16);
     cfg.isp_end = SimTime::from_ymd(2017, 9, 22);
     cfg.traffic_start = SimTime::from_ymd(2017, 9, 18);
     cfg.traffic_end = SimTime::from_ymd(2017, 9, if smoke { 19 } else { 21 });
-    cfg.traffic_tick = if smoke { Duration::hours(1) } else { Duration::mins(30) };
+    cfg.traffic_tick = if smoke {
+        Duration::hours(1)
+    } else {
+        Duration::mins(30)
+    };
     cfg
 }
 
@@ -178,11 +194,7 @@ fn thread_counts() -> Vec<usize> {
 /// Times `run` at each worker count against a fresh world (best of
 /// [`REPS`] repetitions per count), returning the per-count runs and
 /// whether every output — of every repetition — matched the serial one.
-fn bench_campaign<R, F>(
-    cfg: &ScenarioConfig,
-    counts: &[usize],
-    run: F,
-) -> (Vec<Run>, bool, Vec<R>)
+fn bench_campaign<R, F>(cfg: &ScenarioConfig, counts: &[usize], run: F) -> (Vec<Run>, bool, Vec<R>)
 where
     R: PartialEq,
     F: Fn(&World, &ScenarioConfig, usize) -> (u64, R, Vec<std::time::Duration>),
@@ -214,7 +226,11 @@ where
         runs.push(Run {
             threads,
             wall_ms,
-            per_sec: if wall_ms > 0.0 { work as f64 / (wall_ms / 1e3) } else { 0.0 },
+            per_sec: if wall_ms > 0.0 {
+                work as f64 / (wall_ms / 1e3)
+            } else {
+                0.0
+            },
             walls: WallSummary::of(&shard_walls),
             dispatch_overhead_ms: per_dispatch_ms * dispatches as f64,
         });
@@ -245,14 +261,26 @@ impl<'a> ProbeWork<'a> {
         let cns = CompiledNamespace::compile(&world.ns);
         let attr = AttributionTable::build(cns.table());
         let entry = cns.intern_in(scratch, &metacdn::names::entry());
-        ProbeWork { cns, attr, rib: world.topo.compiled_rib(), retry: RetryPolicy::standard(), entry }
+        ProbeWork {
+            cns,
+            attr,
+            rib: world.topo.compiled_rib(),
+            retry: RetryPolicy::standard(),
+            entry,
+        }
     }
 
     /// One probe's round at `t`: resolve the entry chain, attribute the
     /// trace to a CDN, classify every answered address by BGP origin.
     /// Returns how many addresses classified as `Other`, so the work
     /// stays observable.
-    fn run(&self, probe: &mut Probe, scratch: &mut ResolveScratch, memo: &mut IRoundMemo, t: SimTime) -> u64 {
+    fn run(
+        &self,
+        probe: &mut Probe,
+        scratch: &mut ResolveScratch,
+        memo: &mut IRoundMemo,
+        t: SimTime,
+    ) -> u64 {
         let (result, _) = probe.measure_interned(
             &self.cns,
             scratch,
@@ -308,7 +336,11 @@ fn audit_steady_state(cfg: &ScenarioConfig) -> AllocAudit {
     }
     let delta = ALLOC.snapshot().since(before);
     std::hint::black_box(classified);
-    AllocAudit { resolutions, allocs: delta.allocs, bytes: delta.bytes }
+    AllocAudit {
+        resolutions,
+        allocs: delta.allocs,
+        bytes: delta.bytes,
+    }
 }
 
 /// The cold audit's window: six hours of the paper cadence around the
@@ -348,7 +380,11 @@ fn audit_cold_path() -> AllocAudit {
         t += cfg.global_dns_interval;
     }
     let signals = world.state.export_signals();
-    let mut audit = AllocAudit { resolutions: 0, allocs: 0, bytes: 0 };
+    let mut audit = AllocAudit {
+        resolutions: 0,
+        allocs: 0,
+        bytes: 0,
+    };
     let mut classified = 0u64;
     for measured in [false, true] {
         if measured {
@@ -441,18 +477,33 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
         for _ in 0..OVERHEAD_REPS_PER_ROUND {
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1).run.into_result();
+            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1)
+                .run
+                .into_result();
             plain_ms = plain_ms.min(start.elapsed().as_secs_f64() * 1e3);
             plain_result = Some(r);
 
-            let path = std::env::temp_dir()
-                .join(format!("mcdn-bench-journal-{}-{rep}.bin", std::process::id()));
+            let path = std::env::temp_dir().join(format!(
+                "mcdn-bench-journal-{}-{rep}.bin",
+                std::process::id()
+            ));
             let _ = std::fs::remove_file(&path);
             let world = World::build(cfg);
-            let opts = ResumeOptions { threads: 1, checkpoint_every: 1, stop_after_rounds: None };
-            let spec = CampaignSpec { journal: Some(&path), opts, ..CampaignSpec::global() };
+            let opts = ResumeOptions {
+                threads: 1,
+                checkpoint_every: 1,
+                stop_after_rounds: None,
+            };
+            let spec = CampaignSpec {
+                journal: Some(&path),
+                opts,
+                ..CampaignSpec::global()
+            };
             let start = Instant::now();
-            let r = run_dns_campaign(&world, cfg, &spec).expect("journaled run").run.into_result();
+            let r = run_dns_campaign(&world, cfg, &spec)
+                .expect("journaled run")
+                .run
+                .into_result();
             journaled_ms = journaled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             let _ = std::fs::remove_file(&path);
             journaled_result = Some(r);
@@ -462,21 +513,27 @@ fn bench_checkpoint_overhead(cfg: &ScenarioConfig) -> CheckpointOverhead {
         if raw < CHECKPOINT_OVERHEAD_BUDGET_PCT || rep >= OVERHEAD_REPS_MAX {
             break;
         }
-        eprintln!(
-            "  checkpointing {raw:.2}% over budget after {rep} reps; extending measurement"
-        );
+        eprintln!("  checkpointing {raw:.2}% over budget after {rep} reps; extending measurement");
     }
     assert_eq!(
         plain_result, journaled_result,
         "journaled campaign must be bit-identical to the plain engine"
     );
-    let raw_overhead_pct =
-        if plain_ms > 0.0 { (journaled_ms - plain_ms) / plain_ms * 100.0 } else { 0.0 };
+    let raw_overhead_pct = if plain_ms > 0.0 {
+        (journaled_ms - plain_ms) / plain_ms * 100.0
+    } else {
+        0.0
+    };
     // Both sides are best-of-N over interleaved repetitions, so a negative
     // delta can only be residual scheduler noise; clamp the reported cost
     // at zero rather than publishing a nonsensical negative overhead.
     let overhead_pct = raw_overhead_pct.max(0.0);
-    CheckpointOverhead { plain_ms, journaled_ms, raw_overhead_pct, overhead_pct }
+    CheckpointOverhead {
+        plain_ms,
+        journaled_ms,
+        raw_overhead_pct,
+        overhead_pct,
+    }
 }
 
 /// Wall-time cost of the always-on observability layer: the serial global
@@ -534,7 +591,9 @@ fn bench_obs_overhead(cfg: &ScenarioConfig) -> (ObsOverhead, mcdn_obs::MetricsSn
             mcdn_obs::set_enabled(false);
             let world = World::build(cfg);
             let start = Instant::now();
-            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1).run.into_result();
+            let r = dns_campaign(&world, cfg, CampaignKind::Global, 1)
+                .run
+                .into_result();
             disabled_ms = disabled_ms.min(start.elapsed().as_secs_f64() * 1e3);
             mcdn_obs::set_enabled(true);
             disabled_result = Some(r);
@@ -544,26 +603,34 @@ fn bench_obs_overhead(cfg: &ScenarioConfig) -> (ObsOverhead, mcdn_obs::MetricsSn
         if raw < OBS_OVERHEAD_BUDGET_PCT || rep >= OVERHEAD_REPS_MAX {
             break;
         }
-        eprintln!(
-            "  observability {raw:.2}% over budget after {rep} reps; extending measurement"
-        );
+        eprintln!("  observability {raw:.2}% over budget after {rep} reps; extending measurement");
     }
     assert_eq!(
         enabled_result, disabled_result,
         "metrics recording must never affect campaign output"
     );
-    let raw_overhead_pct =
-        if disabled_ms > 0.0 { (enabled_ms - disabled_ms) / disabled_ms * 100.0 } else { 0.0 };
+    let raw_overhead_pct = if disabled_ms > 0.0 {
+        (enabled_ms - disabled_ms) / disabled_ms * 100.0
+    } else {
+        0.0
+    };
     let overhead_pct = raw_overhead_pct.max(0.0);
     (
-        ObsOverhead { enabled_ms, disabled_ms, raw_overhead_pct, overhead_pct },
+        ObsOverhead {
+            enabled_ms,
+            disabled_ms,
+            raw_overhead_pct,
+            overhead_pct,
+        },
         snapshot.expect("9 reps ran"),
     )
 }
 
 fn json_escape_free(s: &str) -> &str {
     // Every string we emit is a static identifier; keep the writer honest.
-    assert!(s.chars().all(|c| c.is_ascii_alphanumeric() || "_-./".contains(c)));
+    assert!(s
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || "_-./".contains(c)));
     s
 }
 
@@ -612,14 +679,28 @@ struct SpeedupGate {
 const SMOKE_GATE_SCALE: f64 = 0.85;
 
 const SPEEDUP_GATES: [SpeedupGate; 3] = [
-    SpeedupGate { name: "global_dns", full: 1.2, floor: 0.62 },
-    SpeedupGate { name: "isp_dns", full: 1.0, floor: 0.80 },
-    SpeedupGate { name: "isp_traffic", full: 1.0, floor: 0.80 },
+    SpeedupGate {
+        name: "global_dns",
+        full: 1.2,
+        floor: 0.62,
+    },
+    SpeedupGate {
+        name: "isp_dns",
+        full: 1.0,
+        floor: 0.80,
+    },
+    SpeedupGate {
+        name: "isp_traffic",
+        full: 1.0,
+        floor: 0.80,
+    },
 ];
 
 /// Worker widths this host can truly run concurrently.
 fn available_parallelism() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// Whether the full-strength speedup thresholds apply on this host.
@@ -628,7 +709,11 @@ fn full_gate_armed() -> bool {
 }
 
 fn gate_threshold(gate: &SpeedupGate, smoke: bool) -> f64 {
-    let bar = if full_gate_armed() { gate.full } else { gate.floor };
+    let bar = if full_gate_armed() {
+        gate.full
+    } else {
+        gate.floor
+    };
     if smoke {
         bar * SMOKE_GATE_SCALE
     } else {
@@ -681,13 +766,21 @@ fn write_json(
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let counts_s: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
     let _ = writeln!(out, "  \"thread_counts\": [{}],", counts_s.join(", "));
-    let _ = writeln!(out, "  \"available_parallelism\": {},", available_parallelism());
+    let _ = writeln!(
+        out,
+        "  \"available_parallelism\": {},",
+        available_parallelism()
+    );
     let _ = writeln!(out, "  \"traffic_batch_ticks\": {TRAFFIC_BATCH_TICKS},");
     let _ = writeln!(out, "  \"dispatch_microbench\": {{");
     let _ = writeln!(out, "    \"threads\": {},", dispatch.threads);
     let _ = writeln!(out, "    \"pool_ms\": {:.4},", dispatch.pool_ms);
     let _ = writeln!(out, "    \"scoped_ms\": {:.4},", dispatch.scoped_ms);
-    let _ = writeln!(out, "    \"scoped_over_pool\": {:.2},", dispatch.scoped_over_pool());
+    let _ = writeln!(
+        out,
+        "    \"scoped_over_pool\": {:.2},",
+        dispatch.scoped_over_pool()
+    );
     let _ = writeln!(out, "    \"gate_min_ratio\": {DISPATCH_RATIO_GATE:.2}");
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"speedup_gate\": {{");
@@ -705,15 +798,27 @@ fn write_json(
     let _ = writeln!(out, "  \"checkpointing\": {{");
     let _ = writeln!(out, "    \"plain_ms\": {:.3},", ckpt.plain_ms);
     let _ = writeln!(out, "    \"journaled_ms\": {:.3},", ckpt.journaled_ms);
-    let _ = writeln!(out, "    \"checkpoint_overhead_pct\": {:.3},", ckpt.overhead_pct);
-    let _ = writeln!(out, "    \"raw_overhead_pct\": {:.3},", ckpt.raw_overhead_pct);
+    let _ = writeln!(
+        out,
+        "    \"checkpoint_overhead_pct\": {:.3},",
+        ckpt.overhead_pct
+    );
+    let _ = writeln!(
+        out,
+        "    \"raw_overhead_pct\": {:.3},",
+        ckpt.raw_overhead_pct
+    );
     let _ = writeln!(out, "    \"noise_floor\": {}", ckpt.noise_floor());
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"observability\": {{");
     let _ = writeln!(out, "    \"enabled_ms\": {:.3},", obs.enabled_ms);
     let _ = writeln!(out, "    \"disabled_ms\": {:.3},", obs.disabled_ms);
     let _ = writeln!(out, "    \"obs_overhead_pct\": {:.3},", obs.overhead_pct);
-    let _ = writeln!(out, "    \"raw_overhead_pct\": {:.3},", obs.raw_overhead_pct);
+    let _ = writeln!(
+        out,
+        "    \"raw_overhead_pct\": {:.3},",
+        obs.raw_overhead_pct
+    );
     let _ = writeln!(out, "    \"noise_floor\": {},", obs.noise_floor());
     let _ = writeln!(out, "    \"budget_pct\": {OBS_OVERHEAD_BUDGET_PCT:.1}");
     let _ = writeln!(out, "  }},");
@@ -741,15 +846,27 @@ fn write_json(
         "    \"allocs_per_resolution\": {:.4},",
         audit.allocs as f64 / per
     );
-    let _ = writeln!(out, "    \"bytes_per_resolution\": {:.4}", audit.bytes as f64 / per);
+    let _ = writeln!(
+        out,
+        "    \"bytes_per_resolution\": {:.4}",
+        audit.bytes as f64 / per
+    );
     let _ = writeln!(out, "  }},");
     let per = cold.resolutions.max(1) as f64;
     let _ = writeln!(out, "  \"cold_path\": {{");
     let _ = writeln!(out, "    \"resolutions\": {},", cold.resolutions);
     let _ = writeln!(out, "    \"allocs\": {},", cold.allocs);
     let _ = writeln!(out, "    \"bytes\": {},", cold.bytes);
-    let _ = writeln!(out, "    \"cold_allocs_per_resolution\": {:.4},", cold.allocs as f64 / per);
-    let _ = writeln!(out, "    \"cold_bytes_per_resolution\": {:.4}", cold.bytes as f64 / per);
+    let _ = writeln!(
+        out,
+        "    \"cold_allocs_per_resolution\": {:.4},",
+        cold.allocs as f64 / per
+    );
+    let _ = writeln!(
+        out,
+        "    \"cold_bytes_per_resolution\": {:.4}",
+        cold.bytes as f64 / per
+    );
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"campaigns\": [");
     for (i, b) in benches.iter().enumerate() {
@@ -769,7 +886,11 @@ fn write_json(
         let _ = writeln!(out, "      \"identical_across_threads\": {},", b.identical);
         let _ = writeln!(out, "      \"runs\": [");
         for (j, r) in b.runs.iter().enumerate() {
-            let speedup = if r.wall_ms > 0.0 { serial / r.wall_ms } else { 0.0 };
+            let speedup = if r.wall_ms > 0.0 {
+                serial / r.wall_ms
+            } else {
+                0.0
+            };
             let _ = write!(
                 out,
                 "        {{\"threads\": {}, \"wall_ms\": {:.3}, \"{}_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"dispatch_overhead_ms\": {:.3}, \"shard_walls\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"max_ms\": {:.3}}}}}",
@@ -787,7 +908,11 @@ fn write_json(
             let _ = writeln!(out, "{}", if j + 1 < b.runs.len() { "," } else { "" });
         }
         let _ = writeln!(out, "      ]");
-        let _ = writeln!(out, "    }}{}", if i + 1 < benches.len() { "," } else { "" });
+        let _ = writeln!(
+            out,
+            "    }}{}",
+            if i + 1 < benches.len() { "," } else { "" }
+        );
     }
     let _ = writeln!(out, "  ]");
     let _ = writeln!(out, "}}");
@@ -862,7 +987,10 @@ fn main() {
         ckpt.journaled_ms,
         ckpt.overhead_pct,
         if ckpt.noise_floor() {
-            format!(" (raw {:+.2}% — noise floor, clamped)", ckpt.raw_overhead_pct)
+            format!(
+                " (raw {:+.2}% — noise floor, clamped)",
+                ckpt.raw_overhead_pct
+            )
         } else {
             String::new()
         },
@@ -877,7 +1005,10 @@ fn main() {
         obs.overhead_pct,
         OBS_OVERHEAD_BUDGET_PCT,
         if obs.noise_floor() {
-            format!(" (raw {:+.2}% — noise floor, clamped)", obs.raw_overhead_pct)
+            format!(
+                " (raw {:+.2}% — noise floor, clamped)",
+                obs.raw_overhead_pct
+            )
         } else {
             String::new()
         },
@@ -911,11 +1042,18 @@ fn main() {
         dispatch.scoped_over_pool(),
     );
     let mut json = String::new();
-    write_json(&mut json, smoke, &counts, &benches, &audit, &cold, &ckpt, &dispatch, &obs, &metrics);
+    write_json(
+        &mut json, smoke, &counts, &benches, &audit, &cold, &ckpt, &dispatch, &obs, &metrics,
+    );
     std::fs::write(&out_path, &json).expect("write BENCH json");
     for b in &benches {
         let serial = b.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
-        let best = b.runs.iter().skip(1).map(|r| r.wall_ms).fold(f64::INFINITY, f64::min);
+        let best = b
+            .runs
+            .iter()
+            .skip(1)
+            .map(|r| r.wall_ms)
+            .fold(f64::INFINITY, f64::min);
         eprintln!(
             "  {:<12} work={:<7} serial={:.1}ms best-parallel={:.1}ms memo-hit-rate={:.2} identical={}",
             b.name,
@@ -935,9 +1073,17 @@ fn main() {
     let mut gate_failed = false;
     for b in &benches {
         let serial = b.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
-        let Some(top) = b.runs.last().filter(|r| r.threads > 1) else { continue };
-        let speedup = if top.wall_ms > 0.0 { serial / top.wall_ms } else { 0.0 };
-        let Some(gate) = SPEEDUP_GATES.iter().find(|g| g.name == b.name) else { continue };
+        let Some(top) = b.runs.last().filter(|r| r.threads > 1) else {
+            continue;
+        };
+        let speedup = if top.wall_ms > 0.0 {
+            serial / top.wall_ms
+        } else {
+            0.0
+        };
+        let Some(gate) = SPEEDUP_GATES.iter().find(|g| g.name == b.name) else {
+            continue;
+        };
         let threshold = gate_threshold(gate, smoke);
         if speedup < threshold {
             eprintln!(
@@ -945,7 +1091,11 @@ fn main() {
                  (gate ≥ {threshold:.2}x, {}; see shard_walls/dispatch_overhead_ms)",
                 b.name,
                 top.threads,
-                if full_gate_armed() { "full-strength" } else { "overhead floor" },
+                if full_gate_armed() {
+                    "full-strength"
+                } else {
+                    "overhead floor"
+                },
             );
             gate_failed = true;
         }

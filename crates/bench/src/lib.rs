@@ -45,9 +45,20 @@ pub fn dns_campaign(
     kind: CampaignKind,
     threads: usize,
 ) -> CampaignOutput {
-    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
-    run_dns_campaign(world, cfg, &CampaignSpec { kind, journal: None, opts })
-        .expect("in-memory campaign")
+    let opts = ResumeOptions {
+        threads,
+        ..ResumeOptions::default()
+    };
+    run_dns_campaign(
+        world,
+        cfg,
+        &CampaignSpec {
+            kind,
+            journal: None,
+            opts,
+        },
+    )
+    .expect("in-memory campaign")
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Apple's own CDN: the site inventory, address plan, GSLB answer logic,
 //! and the scan/PTR surface that the paper's discovery methodology probes.
 
-use crate::site::{fnv64, EdgeSite};
 use crate::naming::{Function, ServerName};
+use crate::site::{fnv64, EdgeSite};
 use mcdn_geo::{Continent, Coord, Duration, Locode, Registry, SimTime};
 use mcdn_netsim::Ipv4Net;
 use std::collections::HashMap;
@@ -70,7 +70,11 @@ impl AppleCdn {
                 block += 1;
             }
         }
-        AppleCdn { sites, ptr, per_server_bps }
+        AppleCdn {
+            sites,
+            ptr,
+            per_server_bps,
+        }
     }
 
     /// All sites.
@@ -141,9 +145,7 @@ impl AppleCdn {
     pub fn capacity_bps_on_where<F: Fn(u64) -> f64>(&self, continent: Continent, factor: F) -> f64 {
         self.sites
             .iter()
-            .filter(|s| {
-                Registry::by_locode(s.locode).map(|c| c.continent) == Some(continent)
-            })
+            .filter(|s| Registry::by_locode(s.locode).map(|c| c.continent) == Some(continent))
             .map(|s| {
                 s.bx_count() as f64 * self.per_server_bps * factor(s.site_key()).clamp(0.0, 1.0)
             })
@@ -222,7 +224,10 @@ impl GslbDirectory {
         ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let order: Vec<u16> = ranked.iter().map(|&(_, i)| i as u16).collect();
         self.answer_ranked(&order, client_ip, now, down, out);
-        self.ranks.write().expect("rank cache poisoned").insert(key, order);
+        self.ranks
+            .write()
+            .expect("rank cache poisoned")
+            .insert(key, order);
     }
 
     /// Answers from a precomputed full rank order, skipping down sites.
@@ -263,7 +268,10 @@ impl GslbDirectory {
 
     /// Every vip address in the directory.
     pub fn all_vips(&self) -> Vec<Ipv4Addr> {
-        self.sites.iter().flat_map(|(_, _, v)| v.iter().copied()).collect()
+        self.sites
+            .iter()
+            .flat_map(|(_, _, v)| v.iter().copied())
+            .collect()
     }
 
     /// Keys of every site in the directory, in site order.
@@ -279,9 +287,21 @@ mod tests {
     fn small() -> AppleCdn {
         AppleCdn::build(
             &[
-                SiteSpec { locode: "defra", sites: 2, bx_per_site: 32 },
-                SiteSpec { locode: "usnyc", sites: 1, bx_per_site: 16 },
-                SiteSpec { locode: "gblon", sites: 1, bx_per_site: 8 },
+                SiteSpec {
+                    locode: "defra",
+                    sites: 2,
+                    bx_per_site: 32,
+                },
+                SiteSpec {
+                    locode: "usnyc",
+                    sites: 1,
+                    bx_per_site: 16,
+                },
+                SiteSpec {
+                    locode: "gblon",
+                    sites: 1,
+                    bx_per_site: 8,
+                },
             ],
             10e9,
         )
@@ -335,14 +355,21 @@ mod tests {
         }
         assert_eq!(vips, 8 + 8 + 4 + 2);
         assert_eq!(lx, 4 * 2);
-        assert!(!cdn.serves_ios_images(Ipv4Addr::new(17, 1, 1, 1)), "non-CDN Apple IP");
+        assert!(
+            !cdn.serves_ios_images(Ipv4Addr::new(17, 1, 1, 1)),
+            "non-CDN Apple IP"
+        );
     }
 
     #[test]
     fn gslb_prefers_nearby_site() {
         let cdn = small();
         let fra = Coord::new(50.1, 8.7);
-        let answer = cdn.gslb_answer(Ipv4Addr::new(198, 51, 100, 1), fra, SimTime::from_ymd(2017, 9, 15));
+        let answer = cdn.gslb_answer(
+            Ipv4Addr::new(198, 51, 100, 1),
+            fra,
+            SimTime::from_ymd(2017, 9, 15),
+        );
         assert_eq!(answer.len(), 2);
         for ip in &answer {
             let name = cdn.ptr_lookup(*ip).unwrap();
@@ -367,7 +394,10 @@ mod tests {
                 union.insert(ip);
             }
         }
-        assert!(union.len() > 2, "rotation should expose more than one answer-set");
+        assert!(
+            union.len() > 2,
+            "rotation should expose more than one answer-set"
+        );
     }
 
     #[test]
@@ -396,7 +426,8 @@ mod tests {
             .find(|s| s.locode.as_str() == "defra" && s.site_id == 1)
             .unwrap()
             .site_key();
-        let degraded = cdn.capacity_bps_on_where(Continent::Europe, |k| if k == dead { 0.0 } else { 1.0 });
+        let degraded =
+            cdn.capacity_bps_on_where(Continent::Europe, |k| if k == dead { 0.0 } else { 1.0 });
         assert_eq!(degraded, (32.0 + 8.0) * 10e9);
         // Factors are clamped into [0, 1].
         assert_eq!(

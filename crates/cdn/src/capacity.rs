@@ -18,7 +18,10 @@ impl CapacityTracker {
     /// A tracker with the given serving ceiling in bits per second.
     pub fn new(capacity_bps: f64) -> CapacityTracker {
         assert!(capacity_bps > 0.0, "capacity must be positive");
-        CapacityTracker { capacity_bps, offered_bps: 0.0 }
+        CapacityTracker {
+            capacity_bps,
+            offered_bps: 0.0,
+        }
     }
 
     /// The configured ceiling.

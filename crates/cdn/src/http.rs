@@ -85,7 +85,11 @@ impl ViaEntry {
         let (head, agent) = s.rsplit_once(" (")?;
         let agent = agent.strip_suffix(')')?;
         let (proto, host) = head.split_once(' ')?;
-        Some(ViaEntry { proto: proto.into(), host: host.into(), agent: agent.into() })
+        Some(ViaEntry {
+            proto: proto.into(),
+            host: host.into(),
+            agent: agent.into(),
+        })
     }
 }
 
@@ -120,12 +124,20 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// Renders the `X-Cache` header value.
     pub fn x_cache_header(&self) -> String {
-        self.x_cache.iter().map(Verdict::render).collect::<Vec<_>>().join(", ")
+        self.x_cache
+            .iter()
+            .map(Verdict::render)
+            .collect::<Vec<_>>()
+            .join(", ")
     }
 
     /// Renders the `Via` header value.
     pub fn via_header(&self) -> String {
-        self.via.iter().map(ViaEntry::render).collect::<Vec<_>>().join(",")
+        self.via
+            .iter()
+            .map(ViaEntry::render)
+            .collect::<Vec<_>>()
+            .join(",")
     }
 
     /// Parses an `X-Cache` header value.

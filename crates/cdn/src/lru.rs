@@ -25,7 +25,12 @@ impl LruSet {
     /// configuration bug).
     pub fn new(capacity: usize) -> LruSet {
         assert!(capacity > 0, "cache capacity must be positive");
-        LruSet { capacity, stamps: HashMap::new(), clock: 0, evictions: 0 }
+        LruSet {
+            capacity,
+            stamps: HashMap::new(),
+            clock: 0,
+            evictions: 0,
+        }
     }
 
     /// Whether `object` is cached; refreshes its recency when it is.

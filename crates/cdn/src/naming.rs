@@ -42,8 +42,14 @@ pub enum Function {
 
 impl Function {
     /// All functions, for enumeration in analyses.
-    pub const ALL: [Function; 6] =
-        [Function::Vip, Function::Edge, Function::Gslb, Function::Dns, Function::Ntp, Function::Tool];
+    pub const ALL: [Function; 6] = [
+        Function::Vip,
+        Function::Edge,
+        Function::Gslb,
+        Function::Dns,
+        Function::Ntp,
+        Function::Tool,
+    ];
 
     /// The lowercase token used in names.
     pub fn token(&self) -> &'static str {
@@ -117,7 +123,13 @@ impl ServerName {
         subfunction: SubFunction,
         index: u16,
     ) -> ServerName {
-        ServerName { locode, site_id, function, subfunction, index }
+        ServerName {
+            locode,
+            site_id,
+            function,
+            subfunction,
+            index,
+        }
     }
 
     /// The fully qualified domain name, e.g.
@@ -156,7 +168,13 @@ impl ServerName {
         let (loc, site) = loc_site.split_at(5);
         let locode = Locode::parse(loc)?;
         let site_id: u8 = site.parse().ok()?;
-        Some(ServerName { locode, site_id, function, subfunction, index })
+        Some(ServerName {
+            locode,
+            site_id,
+            function,
+            subfunction,
+            index,
+        })
     }
 }
 
@@ -222,13 +240,13 @@ mod tests {
     #[test]
     fn rejects_malformed() {
         for bad in [
-            "usnyc-vip-bx-008.aaplimg.com",     // missing site id
-            "usnyc3-vipp-bx-008.aaplimg.com",   // unknown function
-            "usnyc3-vip-zz-008.aaplimg.com",    // unknown subfunction
-            "usnyc3-vip-bx.aaplimg.com",        // missing index
-            "usnyc3-vip-bx-00x.aaplimg.com",    // non-numeric index
-            "usnyc3-vip-bx-008-9.aaplimg.com",  // trailing junk
-            "us3-vip-bx-008.aaplimg.com",       // short locode
+            "usnyc-vip-bx-008.aaplimg.com",    // missing site id
+            "usnyc3-vipp-bx-008.aaplimg.com",  // unknown function
+            "usnyc3-vip-zz-008.aaplimg.com",   // unknown subfunction
+            "usnyc3-vip-bx.aaplimg.com",       // missing index
+            "usnyc3-vip-bx-00x.aaplimg.com",   // non-numeric index
+            "usnyc3-vip-bx-008-9.aaplimg.com", // trailing junk
+            "us3-vip-bx-008.aaplimg.com",      // short locode
             "",
         ] {
             assert_eq!(ServerName::parse(bad), None, "should reject {bad:?}");

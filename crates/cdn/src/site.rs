@@ -65,7 +65,13 @@ impl EdgeSite {
     /// Builds a site with `n_bx` edge-bx caches, `n_bx / 4` vips (rounded
     /// up), and two edge-lx parents, allocating addresses sequentially from
     /// the site block starting at `base`.
-    pub fn build(locode: Locode, site_id: u8, coord: Coord, n_bx: usize, base: Ipv4Addr) -> EdgeSite {
+    pub fn build(
+        locode: Locode,
+        site_id: u8,
+        coord: Coord,
+        n_bx: usize,
+        base: Ipv4Addr,
+    ) -> EdgeSite {
         assert!(n_bx >= 1, "a site needs at least one edge-bx");
         let n_vip = n_bx.div_ceil(BX_PER_VIP);
         let n_lx = 2usize;
@@ -125,7 +131,12 @@ impl EdgeSite {
     /// Serves `req` for cache object `object` through the vip → bx → lx
     /// hierarchy, mutating cache state, and returns the response with the
     /// forensic headers plus the structured outcome.
-    pub fn serve(&mut self, req: &HttpRequest, object: &str, size: u64) -> (HttpResponse, ServeOutcome) {
+    pub fn serve(
+        &mut self,
+        req: &HttpRequest,
+        object: &str,
+        size: u64,
+    ) -> (HttpResponse, ServeOutcome) {
         // Vip choice: hash of client only (connection-level balancing).
         let vip_i = (fnv64(&req.client.octets()) % self.vips.len() as u64) as usize;
         let vip = self.vips[vip_i].0;
@@ -159,7 +170,10 @@ impl EdgeSite {
                 x_cache.push(Verdict::Miss);
                 origin_fetch = true;
                 x_cache.push(Verdict::HitOrigin);
-                via.push(ViaEntry::origin_shield(&format!("{:032x}", fnv64(object.as_bytes()) as u128)));
+                via.push(ViaEntry::origin_shield(&format!(
+                    "{:032x}",
+                    fnv64(object.as_bytes()) as u128
+                )));
             }
             via.push(ViaEntry::traffic_server(&format!(
                 "{}.ts.apple.com",
@@ -171,8 +185,19 @@ impl EdgeSite {
             self.edge_bx[bx_i].0.fqdn().trim_end_matches(".aaplimg.com")
         )));
         (
-            HttpResponse { status: 200, content_length: size, via, x_cache },
-            ServeOutcome { vip, bx, bx_hit, lx_hit, origin_fetch },
+            HttpResponse {
+                status: 200,
+                content_length: size,
+                via,
+                x_cache,
+            },
+            ServeOutcome {
+                vip,
+                bx,
+                bx_hit,
+                lx_hit,
+                origin_fetch,
+            },
         )
     }
 }
@@ -292,6 +317,10 @@ mod tests {
             Ipv4Addr::new(17, 253, 6, 0),
         );
         assert_eq!(a.site_key(), site().site_key(), "key is stable");
-        assert_ne!(a.site_key(), b.site_key(), "site id distinguishes co-located sites");
+        assert_ne!(
+            a.site_key(),
+            b.site_key(),
+            "site id distinguishes co-located sites"
+        );
     }
 }

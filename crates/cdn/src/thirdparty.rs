@@ -141,7 +141,13 @@ impl ThirdPartyCdn {
     pub fn pool_size(&self, region: Region) -> usize {
         self.base.get(&region).map_or(0, Vec::len)
             + self.surge.get(&region).map_or(0, Vec::len)
-            + self.offnet.get(&region).into_iter().flatten().map(|p| p.ips.len()).sum::<usize>()
+            + self
+                .offnet
+                .get(&region)
+                .into_iter()
+                .flatten()
+                .map(|p| p.ips.len())
+                .sum::<usize>()
     }
 
     /// The DNS answer for one client, pushed onto `out`: `k` addresses
@@ -167,12 +173,18 @@ impl ThirdPartyCdn {
             .get(&region)
             .map_or(&[][..], |s| &s[..self.surge_exposed(s.len(), load)]);
         let offnet = self.offnet.get(&region).map_or(&[][..], Vec::as_slice);
-        let engaged = || offnet.iter().filter(|p| load >= p.engage_at).map(|p| p.ips.as_slice());
+        let engaged = || {
+            offnet
+                .iter()
+                .filter(|p| load >= p.engage_at)
+                .map(|p| p.ips.as_slice())
+        };
         let len = base.len() + surge.len() + engaged().map(<[_]>::len).sum::<usize>();
         if len == 0 {
             return;
         }
-        let salt = fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
+        let salt =
+            fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
         let k = k.min(len);
         out.extend((0..k).map(|j| {
             let mut i = (salt as usize).wrapping_add(j * 7919) % len;
@@ -246,7 +258,14 @@ mod tests {
         let c = cdn();
         assert!(c.exposed(Region::Apac, 1.0).is_empty());
         let mut ans = Vec::new();
-        c.answer(Region::Apac, 1.0, "10.0.0.1".parse().unwrap(), SimTime(0), 2, &mut ans);
+        c.answer(
+            Region::Apac,
+            1.0,
+            "10.0.0.1".parse().unwrap(),
+            SimTime(0),
+            2,
+            &mut ans,
+        );
         assert!(ans.is_empty());
     }
 
@@ -255,7 +274,14 @@ mod tests {
         let c = cdn();
         let exposed = c.exposed(Region::Eu, 0.5);
         let mut ans = Vec::new();
-        c.answer(Region::Eu, 0.5, "10.1.2.3".parse().unwrap(), SimTime(1000), 3, &mut ans);
+        c.answer(
+            Region::Eu,
+            0.5,
+            "10.1.2.3".parse().unwrap(),
+            SimTime(1000),
+            3,
+            &mut ans,
+        );
         assert_eq!(ans.len(), 3);
         for ip in ans {
             assert!(exposed.contains(&ip));
@@ -277,7 +303,11 @@ mod tests {
                 union.extend(ans);
             }
         }
-        assert!(union.len() > 100, "union {} should approach pool size 150", union.len());
+        assert!(
+            union.len() > 100,
+            "union {} should approach pool size 150",
+            union.len()
+        );
     }
 
     #[test]
@@ -301,9 +331,12 @@ mod tests {
         if pool.is_empty() {
             return Vec::new();
         }
-        let salt = fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
+        let salt =
+            fnv64(&client_ip.octets()) ^ fnv64(&(now.as_secs() / ROTATION_SECS).to_be_bytes());
         let k = k.min(pool.len());
-        (0..k).map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()]).collect()
+        (0..k)
+            .map(|j| pool[((salt as usize).wrapping_add(j * 7919)) % pool.len()])
+            .collect()
     }
 
     /// Base and surge in EU, two off-net pools engaging at different
@@ -368,7 +401,10 @@ mod tests {
     #[test]
     fn load_is_clamped() {
         let c = cdn();
-        assert_eq!(c.exposed(Region::Eu, 7.0).len(), c.exposed(Region::Eu, 1.0).len());
+        assert_eq!(
+            c.exposed(Region::Eu, 7.0).len(),
+            c.exposed(Region::Eu, 1.0).len()
+        );
         assert_eq!(c.exposed(Region::Eu, -1.0).len(), 10);
     }
 }

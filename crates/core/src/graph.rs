@@ -46,12 +46,42 @@ pub fn mapping_graph(include_event_path: bool) -> Vec<GraphEdge> {
         event_only: false,
     };
     let mut edges = vec![
-        e(&names::entry(), &names::geo_split(), names::TTL_ENTRY, Operator::Apple),
-        e(&names::geo_split(), &names::special_lb("china"), names::TTL_GEO, Operator::Akamai),
-        e(&names::geo_split(), &names::special_lb("india"), names::TTL_GEO, Operator::Akamai),
-        e(&names::geo_split(), &names::selector(), names::TTL_GEO, Operator::Akamai),
-        e(&names::selector(), &names::gslb('a'), names::TTL_SELECTOR, Operator::Apple),
-        e(&names::selector(), &names::gslb('b'), names::TTL_SELECTOR, Operator::Apple),
+        e(
+            &names::entry(),
+            &names::geo_split(),
+            names::TTL_ENTRY,
+            Operator::Apple,
+        ),
+        e(
+            &names::geo_split(),
+            &names::special_lb("china"),
+            names::TTL_GEO,
+            Operator::Akamai,
+        ),
+        e(
+            &names::geo_split(),
+            &names::special_lb("india"),
+            names::TTL_GEO,
+            Operator::Akamai,
+        ),
+        e(
+            &names::geo_split(),
+            &names::selector(),
+            names::TTL_GEO,
+            Operator::Akamai,
+        ),
+        e(
+            &names::selector(),
+            &names::gslb('a'),
+            names::TTL_SELECTOR,
+            Operator::Apple,
+        ),
+        e(
+            &names::selector(),
+            &names::gslb('b'),
+            names::TTL_SELECTOR,
+            Operator::Apple,
+        ),
     ];
     for region in Region::ALL {
         edges.push(e(

@@ -67,7 +67,12 @@ pub struct HealthTracker {
 impl HealthTracker {
     /// A tracker starting in the `up` state with clean counters.
     pub fn new() -> HealthTracker {
-        HealthTracker { up: true, consec_fail: 0, consec_ok: 0, transitions: 0 }
+        HealthTracker {
+            up: true,
+            consec_fail: 0,
+            consec_ok: 0,
+            transitions: 0,
+        }
     }
 
     /// Whether the target is currently considered healthy.
@@ -120,7 +125,11 @@ mod tests {
     use super::*;
 
     fn params(eject: u32, restore: u32) -> HealthParams {
-        HealthParams { probe_interval: Duration::mins(1), eject_after: eject, restore_after: restore }
+        HealthParams {
+            probe_interval: Duration::mins(1),
+            eject_after: eject,
+            restore_after: restore,
+        }
     }
 
     #[test]
@@ -240,12 +249,22 @@ mod tests {
     #[test]
     fn counters_saturate_instead_of_wrapping() {
         let p = params(3, 2);
-        let mut t = HealthTracker { up: true, consec_fail: 0, consec_ok: u32::MAX, transitions: 0 };
+        let mut t = HealthTracker {
+            up: true,
+            consec_fail: 0,
+            consec_ok: u32::MAX,
+            transitions: 0,
+        };
         // One more success on a saturated run must not wrap (debug panic)
         // or reset the run below threshold.
         assert_eq!(t.observe(true, &p), None);
         assert_eq!(t.consec_ok, u32::MAX);
-        let mut t = HealthTracker { up: false, consec_fail: u32::MAX, consec_ok: 0, transitions: 1 };
+        let mut t = HealthTracker {
+            up: false,
+            consec_fail: u32::MAX,
+            consec_ok: 0,
+            transitions: 1,
+        };
         assert_eq!(t.observe(false, &p), None);
         assert_eq!(t.consec_fail, u32::MAX);
         assert!(!t.is_up());

@@ -19,8 +19,12 @@ pub enum CdnKind {
 
 impl CdnKind {
     /// All kinds, Apple first.
-    pub const ALL: [CdnKind; 4] =
-        [CdnKind::Apple, CdnKind::Akamai, CdnKind::Limelight, CdnKind::Level3];
+    pub const ALL: [CdnKind; 4] = [
+        CdnKind::Apple,
+        CdnKind::Akamai,
+        CdnKind::Limelight,
+        CdnKind::Level3,
+    ];
 
     /// The third-party kinds only.
     pub const THIRD_PARTY: [CdnKind; 3] = [CdnKind::Akamai, CdnKind::Limelight, CdnKind::Level3];

@@ -6,8 +6,8 @@
 //! of Figure 2. All are centralized here so the zone wiring, the expected
 //! graph, and the analysis agree by construction.
 
-use mcdn_geo::Region;
 use mcdn_dnswire::Name;
+use mcdn_geo::Region;
 
 /// TTL of the entry CNAME `appldnld.apple.com` → akadns (seconds).
 pub const TTL_ENTRY: u32 = 21_600;
@@ -109,13 +109,25 @@ mod tests {
         assert_eq!(selector().to_string(), "appldnld.g.applimg.com");
         assert_eq!(gslb('a').to_string(), "a.gslb.applimg.com");
         assert_eq!(gslb('b').to_string(), "b.gslb.applimg.com");
-        assert_eq!(region_lb(Region::Eu).to_string(), "ios8-eu-lb.apple.com.akadns.net");
-        assert_eq!(akamai_edgesuite().to_string(), "appldnld2.apple.com.edgesuite.net");
+        assert_eq!(
+            region_lb(Region::Eu).to_string(),
+            "ios8-eu-lb.apple.com.akadns.net"
+        );
+        assert_eq!(
+            akamai_edgesuite().to_string(),
+            "appldnld2.apple.com.edgesuite.net"
+        );
         assert_eq!(akamai_map_baseline().to_string(), "a1271.gi3.akamai.net");
         assert_eq!(akamai_map_event().to_string(), "a1015.gi3.akamai.net");
         assert_eq!(limelight_lb(Region::Us).to_string(), "apple.vo.llnwi.net");
-        assert_eq!(limelight_lb(Region::Apac).to_string(), "apple-dnld.vo.llnwd.net");
-        assert_eq!(special_lb("china").to_string(), "china-lb.itunes-apple.com.akadns.net");
+        assert_eq!(
+            limelight_lb(Region::Apac).to_string(),
+            "apple-dnld.vo.llnwd.net"
+        );
+        assert_eq!(
+            special_lb("china").to_string(),
+            "china-lb.itunes-apple.com.akadns.net"
+        );
     }
 
     #[test]

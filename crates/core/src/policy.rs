@@ -29,7 +29,12 @@ pub struct CdnShare {
 impl CdnShare {
     /// A share with only Apple serving.
     pub fn apple_only() -> CdnShare {
-        CdnShare { apple: 1.0, akamai: 0.0, limelight: 0.0, level3: 0.0 }
+        CdnShare {
+            apple: 1.0,
+            akamai: 0.0,
+            limelight: 0.0,
+            level3: 0.0,
+        }
     }
 
     /// The weight of one CDN.
@@ -90,12 +95,18 @@ pub struct ShareList {
 impl ShareList {
     /// An empty list.
     pub fn new() -> ShareList {
-        ShareList { len: 0, items: [(CdnKind::Apple, 0.0); CdnKind::ALL.len()] }
+        ShareList {
+            len: 0,
+            items: [(CdnKind::Apple, 0.0); CdnKind::ALL.len()],
+        }
     }
 
     /// Appends one pair. Panics past one entry per CDN kind.
     pub fn push(&mut self, item: (CdnKind, f64)) {
-        assert!(self.len < self.items.len(), "ShareList holds at most one entry per CDN kind");
+        assert!(
+            self.len < self.items.len(),
+            "ShareList holds at most one entry per CDN kind"
+        );
         self.items[self.len] = item;
         self.len += 1;
     }
@@ -169,7 +180,10 @@ pub struct Schedule {
 impl Schedule {
     /// A schedule returning `default` everywhere until breakpoints are set.
     pub fn constant(default: CdnShare) -> Schedule {
-        Schedule { default, breakpoints: HashMap::new() }
+        Schedule {
+            default,
+            breakpoints: HashMap::new(),
+        }
     }
 
     /// Adds a breakpoint: from `at` onward, `region` uses `share`.
@@ -227,7 +241,12 @@ mod tests {
 
     #[test]
     fn normalization_excludes_unavailable_and_zero() {
-        let share = CdnShare { apple: 2.0, akamai: 1.0, limelight: 1.0, level3: 1.0 };
+        let share = CdnShare {
+            apple: 2.0,
+            akamai: 1.0,
+            limelight: 1.0,
+            level3: 1.0,
+        };
         let eu = share.normalized_in(Region::Eu);
         assert_eq!(eu.len(), 4);
         assert!((eu.iter().map(|(_, p)| p).sum::<f64>() - 1.0).abs() < 1e-12);
@@ -240,15 +259,35 @@ mod tests {
 
     #[test]
     fn all_zero_yields_empty() {
-        let share = CdnShare { apple: 0.0, akamai: 0.0, limelight: 0.0, level3: 0.0 };
+        let share = CdnShare {
+            apple: 0.0,
+            akamai: 0.0,
+            limelight: 0.0,
+            level3: 0.0,
+        };
         assert!(share.normalized_in(Region::Eu).is_empty());
     }
 
     #[test]
     fn schedule_breakpoints_apply_in_order() {
-        let day0 = CdnShare { apple: 0.5, akamai: 0.25, limelight: 0.25, level3: 0.0 };
-        let event = CdnShare { apple: 0.33, akamai: 0.23, limelight: 0.44, level3: 0.0 };
-        let after = CdnShare { apple: 0.6, akamai: 0.0, limelight: 0.4, level3: 0.0 };
+        let day0 = CdnShare {
+            apple: 0.5,
+            akamai: 0.25,
+            limelight: 0.25,
+            level3: 0.0,
+        };
+        let event = CdnShare {
+            apple: 0.33,
+            akamai: 0.23,
+            limelight: 0.44,
+            level3: 0.0,
+        };
+        let after = CdnShare {
+            apple: 0.6,
+            akamai: 0.0,
+            limelight: 0.4,
+            level3: 0.0,
+        };
         let mut s = Schedule::constant(day0);
         // Insert out of order on purpose.
         s.set_from(Region::Eu, t(20, 0), after);
@@ -263,17 +302,31 @@ mod tests {
 
     #[test]
     fn ever_uses_in_sees_default_and_breakpoints() {
-        let quiet = CdnShare { apple: 1.0, akamai: 0.0, limelight: 0.0, level3: 0.0 };
+        let quiet = CdnShare {
+            apple: 1.0,
+            akamai: 0.0,
+            limelight: 0.0,
+            level3: 0.0,
+        };
         let event = quiet.with_weight(CdnKind::Limelight, 0.4);
         let s = Schedule::constant(quiet).with(Region::Eu, t(19, 17), event);
         assert!(s.ever_uses_in(Region::Eu, CdnKind::Apple));
-        assert!(s.ever_uses_in(Region::Eu, CdnKind::Limelight), "breakpoint weight counts");
-        assert!(!s.ever_uses_in(Region::Us, CdnKind::Limelight), "other regions unaffected");
+        assert!(
+            s.ever_uses_in(Region::Eu, CdnKind::Limelight),
+            "breakpoint weight counts"
+        );
+        assert!(
+            !s.ever_uses_in(Region::Us, CdnKind::Limelight),
+            "other regions unaffected"
+        );
         assert!(!s.ever_uses_in(Region::Eu, CdnKind::Akamai));
         // A scheduled-but-unavailable CDN is never used.
         let l3 = Schedule::constant(quiet.with_weight(CdnKind::Level3, 0.2));
         assert!(l3.ever_uses_in(Region::Eu, CdnKind::Level3));
-        assert!(!l3.ever_uses_in(Region::Apac, CdnKind::Level3), "no Level3 in APAC");
+        assert!(
+            !l3.ever_uses_in(Region::Apac, CdnKind::Level3),
+            "no Level3 in APAC"
+        );
     }
 
     #[test]

@@ -107,7 +107,9 @@ thread_local! {
 /// `Send` — an installation never leaks onto another thread.
 pub fn install_snapshot(snapshot: Arc<MappingSnapshot>) -> SnapshotGuard {
     INSTALLED.with(|s| s.borrow_mut().push(snapshot));
-    SnapshotGuard { _not_send: PhantomData }
+    SnapshotGuard {
+        _not_send: PhantomData,
+    }
 }
 
 /// RAII guard for an installed [`MappingSnapshot`]; uninstalls on drop.
@@ -190,15 +192,31 @@ impl MetaCdnState {
         let inner = self.inner.read().expect("state lock");
         let mut s = SignalState {
             apple_util: inner.apple_util.iter().map(|(&r, &v)| (r, v)).collect(),
-            cdn_load: inner.cdn_load.iter().map(|(&(k, r), &v)| (k, r, v)).collect(),
+            cdn_load: inner
+                .cdn_load
+                .iter()
+                .map(|(&(k, r), &v)| (k, r, v))
+                .collect(),
             akamai_overload_since: inner
                 .akamai_overload_since
                 .iter()
                 .map(|(&r, &t)| (r, t))
                 .collect(),
-            cdn_health: inner.cdn_health.iter().map(|(&(k, r), &h)| (k, r, h)).collect(),
-            capacity_factor: inner.capacity_factor.iter().map(|(&(k, r), &v)| (k, r, v)).collect(),
-            last_good: inner.last_good.iter().map(|(&r, shares)| (r, shares.clone())).collect(),
+            cdn_health: inner
+                .cdn_health
+                .iter()
+                .map(|(&(k, r), &h)| (k, r, h))
+                .collect(),
+            capacity_factor: inner
+                .capacity_factor
+                .iter()
+                .map(|(&(k, r), &v)| (k, r, v))
+                .collect(),
+            last_good: inner
+                .last_good
+                .iter()
+                .map(|(&r, shares)| (r, shares.clone()))
+                .collect(),
             down_sites: inner.down_sites.iter().copied().collect(),
         };
         s.apple_util.sort_by_key(|&(r, _)| r);
@@ -225,8 +243,16 @@ impl MetaCdnState {
             cdn_load: s.cdn_load.iter().map(|&(k, r, v)| ((k, r), v)).collect(),
             akamai_overload_since: s.akamai_overload_since.iter().copied().collect(),
             cdn_health: s.cdn_health.iter().map(|&(k, r, h)| ((k, r), h)).collect(),
-            capacity_factor: s.capacity_factor.iter().map(|&(k, r, v)| ((k, r), v)).collect(),
-            last_good: s.last_good.iter().map(|(r, shares)| (*r, shares.clone())).collect(),
+            capacity_factor: s
+                .capacity_factor
+                .iter()
+                .map(|&(k, r, v)| ((k, r), v))
+                .collect(),
+            last_good: s
+                .last_good
+                .iter()
+                .map(|(r, shares)| (*r, shares.clone()))
+                .collect(),
             down_sites: s.down_sites.iter().copied().collect(),
         };
     }
@@ -260,7 +286,11 @@ impl MetaCdnState {
     /// Reports Apple's candidate utilization for `region` this tick:
     /// `demand directed at Apple ÷ Apple capacity`, uncapped.
     pub fn set_apple_utilization(&self, region: Region, util: f64) {
-        self.inner.write().expect("state lock").apple_util.insert(region, util.max(0.0));
+        self.inner
+            .write()
+            .expect("state lock")
+            .apple_util
+            .insert(region, util.max(0.0));
     }
 
     /// Reports a third-party CDN's pool load (0..1) for `region` at `now`;
@@ -302,7 +332,11 @@ impl MetaCdnState {
     /// chaos layer's probe loop (through [`crate::health::HealthTracker`]
     /// hysteresis). Unhealthy CDNs are ejected from the effective share.
     pub fn set_cdn_health(&self, kind: CdnKind, region: Region, healthy: bool) {
-        self.inner.write().expect("state lock").cdn_health.insert((kind, region), healthy);
+        self.inner
+            .write()
+            .expect("state lock")
+            .cdn_health
+            .insert((kind, region), healthy);
     }
 
     /// The last health verdict for `(kind, region)`; defaults to healthy.
@@ -375,8 +409,11 @@ impl MetaCdnState {
             .unwrap_or(0.0);
         let kept = apple_p / util;
         let spill = apple_p - kept;
-        let third_total: f64 =
-            probs.iter().filter(|(k, _)| *k != CdnKind::Apple).map(|(_, p)| p).sum();
+        let third_total: f64 = probs
+            .iter()
+            .filter(|(k, _)| *k != CdnKind::Apple)
+            .map(|(_, p)| p)
+            .sum();
         for (k, p) in probs.iter_mut() {
             if *k == CdnKind::Apple {
                 *p = kept;
@@ -467,16 +504,26 @@ impl MetaCdnState {
         let inner = self.inner.read().expect("state lock");
         let mut apple_util: Vec<_> = inner.apple_util.iter().map(|(r, u)| (*r, *u)).collect();
         apple_util.sort_by_key(|(r, _)| *r);
-        let mut cdn_load: Vec<_> =
-            inner.cdn_load.iter().map(|((k, r), l)| (*k, *r, *l)).collect();
+        let mut cdn_load: Vec<_> = inner
+            .cdn_load
+            .iter()
+            .map(|((k, r), l)| (*k, *r, *l))
+            .collect();
         cdn_load.sort_by_key(|a| (a.0, a.1));
         let a1015_active = Region::ALL
             .into_iter()
             .filter(|r| {
-                inner.akamai_overload_since.get(r).is_some_and(|s| now >= *s + A1015_LAG)
+                inner
+                    .akamai_overload_since
+                    .get(r)
+                    .is_some_and(|s| now >= *s + A1015_LAG)
             })
             .collect();
-        StateSnapshot { apple_util, cdn_load, a1015_active }
+        StateSnapshot {
+            apple_util,
+            cdn_load,
+            a1015_active,
+        }
     }
 }
 
@@ -517,7 +564,10 @@ fn degrade_in(inner: &Inner, region: Region, probs: &[(CdnKind, f64)]) -> Degrad
         // Every health signal lost: graceful degradation to the
         // last-known-good mapping.
         return DegradeOutcome::Frozen(
-            inner.last_good.get(&region).map(|good| good.iter().copied().collect()),
+            inner
+                .last_good
+                .get(&region)
+                .map(|good| good.iter().copied().collect()),
         );
     }
     DegradeOutcome::Shed(
@@ -605,7 +655,13 @@ mod tests {
         let s = state_with(1.0, 0.0, 0.0);
         s.set_apple_utilization(Region::Eu, 4.0);
         let share = s.effective_share(Region::Eu, t0());
-        let get = |k| share.iter().find(|(x, _)| *x == k).map(|(_, p)| *p).unwrap_or(0.0);
+        let get = |k| {
+            share
+                .iter()
+                .find(|(x, _)| *x == k)
+                .map(|(_, p)| *p)
+                .unwrap_or(0.0)
+        };
         assert!((get(CdnKind::Apple) - 0.25).abs() < 1e-12);
         assert!(get(CdnKind::Akamai) > 0.0 && get(CdnKind::Limelight) > 0.0);
         assert_eq!(get(CdnKind::Level3), 0.0, "Level3 stays removed");
@@ -629,7 +685,10 @@ mod tests {
         let s = state_with(0.5, 0.25, 0.25);
         let ip = Ipv4Addr::new(10, 1, 2, 3);
         let picks: std::collections::HashSet<_> = (0..40)
-            .map(|i| s.select_cdn(Region::Eu, ip, t0() + Duration::secs(15 * i)).unwrap())
+            .map(|i| {
+                s.select_cdn(Region::Eu, ip, t0() + Duration::secs(15 * i))
+                    .unwrap()
+            })
             .collect();
         assert!(picks.len() > 1, "same client re-rolls across TTL buckets");
     }
@@ -645,7 +704,12 @@ mod tests {
         // …the map is active six hours later…
         assert!(s.a1015_active(Region::Eu, release + Duration::hours(6)));
         // …stays active while hot, retires when load recedes.
-        s.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.1, release + Duration::days(2));
+        s.set_cdn_load(
+            CdnKind::Akamai,
+            Region::Eu,
+            0.1,
+            release + Duration::days(2),
+        );
         assert!(!s.a1015_active(Region::Eu, release + Duration::days(2)));
     }
 
@@ -677,7 +741,13 @@ mod tests {
         let s = state_with(0.5, 0.25, 0.25);
         s.set_cdn_health(CdnKind::Limelight, Region::Eu, false);
         let share = s.effective_share(Region::Eu, t0());
-        let get = |k| share.iter().find(|(x, _)| *x == k).map(|(_, p)| *p).unwrap_or(0.0);
+        let get = |k| {
+            share
+                .iter()
+                .find(|(x, _)| *x == k)
+                .map(|(_, p)| *p)
+                .unwrap_or(0.0)
+        };
         assert_eq!(get(CdnKind::Limelight), 0.0);
         // 0.25 of weight respreads proportionally onto Apple and Akamai.
         assert!((get(CdnKind::Apple) - 2.0 / 3.0).abs() < 1e-12);
@@ -716,7 +786,10 @@ mod tests {
             s.set_cdn_health(k, Region::Eu, false);
         }
         let frozen = s.effective_share(Region::Eu, t0());
-        assert_eq!(frozen, good, "controller freezes onto the last good mapping");
+        assert_eq!(
+            frozen, good,
+            "controller freezes onto the last good mapping"
+        );
         // Without any recorded good mapping, the undegraded share is used.
         let fresh = state_with(0.5, 0.25, 0.25);
         for k in CdnKind::ALL {
@@ -724,7 +797,10 @@ mod tests {
         }
         let fallback = fresh.effective_share(Region::Eu, t0());
         let total: f64 = fallback.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12, "fallback is still a distribution");
+        assert!(
+            (total - 1.0).abs() < 1e-12,
+            "fallback is still a distribution"
+        );
     }
 
     #[test]

@@ -102,8 +102,16 @@ pub fn build_namespace(cfg: &MetaCdnConfig) -> Namespace {
 /// `apple.com`: the static entry CNAME and the manifest host.
 fn apple_com_zone(cfg: &MetaCdnConfig) -> Zone {
     let mut z = Zone::new(Name::parse("apple.com").expect("static"));
-    z.add(ResourceRecord::new(names::entry(), names::TTL_ENTRY, RData::Cname(names::geo_split())));
-    z.add(ResourceRecord::new(names::mesu(), 300, RData::A(cfg.mesu_ip)));
+    z.add(ResourceRecord::new(
+        names::entry(),
+        names::TTL_ENTRY,
+        RData::Cname(names::geo_split()),
+    ));
+    z.add(ResourceRecord::new(
+        names::mesu(),
+        300,
+        RData::A(cfg.mesu_ip),
+    ));
     z
 }
 
@@ -122,24 +130,30 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
             names::special_lb(mcdn_geo::continent::SpecialMarket::China.label()),
             names::special_lb(mcdn_geo::continent::SpecialMarket::India.label()),
         ],
-        Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-            if qtype != RecordType::A {
-                return;
-            }
-            let target = match ctx.locode.special_market() {
-                None => 0,
-                Some(mcdn_geo::continent::SpecialMarket::China) => 1,
-                Some(mcdn_geo::continent::SpecialMarket::India) => 2,
-            };
-            out.cname(target, names::TTL_GEO);
-        }),
+        Arc::new(
+            |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let target = match ctx.locode.special_market() {
+                    None => 0,
+                    Some(mcdn_geo::continent::SpecialMarket::China) => 1,
+                    Some(mcdn_geo::continent::SpecialMarket::India) => 2,
+                };
+                out.cname(target, names::TTL_GEO);
+            },
+        ),
         PolicyScope::City,
     );
 
     // Dedicated market pools (terminal A records).
     for (market, ips) in [("china", &cfg.china_ips), ("india", &cfg.india_ips)] {
         for ip in ips {
-            z.add(ResourceRecord::new(names::special_lb(market), names::TTL_SPECIAL_A, RData::A(*ip)));
+            z.add(ResourceRecord::new(
+                names::special_lb(market),
+                names::TTL_SPECIAL_A,
+                RData::A(*ip),
+            ));
         }
     }
 
@@ -156,21 +170,23 @@ fn akadns_zone(cfg: &MetaCdnConfig) -> Zone {
         z.set_policy(
             names::region_lb(region),
             targets,
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-                if qtype != RecordType::A {
-                    return;
-                }
-                let pick = state
-                    .select_third_party(region, ctx.client_ip, ctx.now)
-                    .unwrap_or(CdnKind::Akamai);
-                let target = match pick {
-                    CdnKind::Akamai | CdnKind::Apple => 0,
-                    CdnKind::Limelight => 1,
-                    CdnKind::Level3 if has_level3 => 2,
-                    CdnKind::Level3 => 0,
-                };
-                out.cname(target, names::TTL_REGION_LB);
-            }),
+            Arc::new(
+                move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                    if qtype != RecordType::A {
+                        return;
+                    }
+                    let pick = state
+                        .select_third_party(region, ctx.client_ip, ctx.now)
+                        .unwrap_or(CdnKind::Akamai);
+                    let target = match pick {
+                        CdnKind::Akamai | CdnKind::Apple => 0,
+                        CdnKind::Limelight => 1,
+                        CdnKind::Level3 if has_level3 => 2,
+                        CdnKind::Level3 => 0,
+                    };
+                    out.cname(target, names::TTL_REGION_LB);
+                },
+            ),
         );
     }
     z
@@ -196,45 +212,54 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
             names::region_lb(Region::Eu),
             names::region_lb(Region::Apac),
         ],
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-            if qtype != RecordType::A {
-                return;
-            }
-            let region = ctx.region();
-            let mut probs = state.effective_share(region, ctx.now);
-            // Coverage rule: clients far from every Apple site are
-            // mostly mapped to third parties.
-            let ckey = (ctx.coord.lat.to_bits(), ctx.coord.lon.to_bits());
-            let cached = coverage.read().expect("coverage cache poisoned").get(&ckey).copied();
-            let remote = cached.unwrap_or_else(|| {
-                let nearest_km = site_coords
-                    .iter()
-                    .map(|c| ctx.coord.distance_km(c))
-                    .fold(f64::INFINITY, f64::min);
-                let remote = nearest_km > COVERAGE_KM;
-                coverage.write().expect("coverage cache poisoned").insert(ckey, remote);
-                remote
-            });
-            if remote {
-                for (k, p) in probs.iter_mut() {
-                    if *k == CdnKind::Apple {
-                        *p *= COVERAGE_PENALTY;
+        Arc::new(
+            move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let region = ctx.region();
+                let mut probs = state.effective_share(region, ctx.now);
+                // Coverage rule: clients far from every Apple site are
+                // mostly mapped to third parties.
+                let ckey = (ctx.coord.lat.to_bits(), ctx.coord.lon.to_bits());
+                let cached = coverage
+                    .read()
+                    .expect("coverage cache poisoned")
+                    .get(&ckey)
+                    .copied();
+                let remote = cached.unwrap_or_else(|| {
+                    let nearest_km = site_coords
+                        .iter()
+                        .map(|c| ctx.coord.distance_km(c))
+                        .fold(f64::INFINITY, f64::min);
+                    let remote = nearest_km > COVERAGE_KM;
+                    coverage
+                        .write()
+                        .expect("coverage cache poisoned")
+                        .insert(ckey, remote);
+                    remote
+                });
+                if remote {
+                    for (k, p) in probs.iter_mut() {
+                        if *k == CdnKind::Apple {
+                            *p *= COVERAGE_PENALTY;
+                        }
                     }
                 }
-            }
-            let pick = crate::state::pick_weighted(&probs, ctx.client_ip, ctx.now, 0)
-                .unwrap_or(CdnKind::Apple);
-            let target = match pick {
-                // Two interchangeable GSLB heads, split per client.
-                CdnKind::Apple => (fnv64(&ctx.client_ip.octets()) & 1) as usize,
-                _ => match region {
-                    Region::Us => 2,
-                    Region::Eu => 3,
-                    Region::Apac => 4,
-                },
-            };
-            out.cname(target, names::TTL_SELECTOR);
-        }),
+                let pick = crate::state::pick_weighted(&probs, ctx.client_ip, ctx.now, 0)
+                    .unwrap_or(CdnKind::Apple);
+                let target = match pick {
+                    // Two interchangeable GSLB heads, split per client.
+                    CdnKind::Apple => (fnv64(&ctx.client_ip.octets()) & 1) as usize,
+                    _ => match region {
+                        Region::Us => 2,
+                        Region::Eu => 3,
+                        Region::Apac => 4,
+                    },
+                };
+                out.cname(target, names::TTL_SELECTOR);
+            },
+        ),
     );
 
     for which in ['a', 'b'] {
@@ -243,22 +268,24 @@ fn applimg_zone(cfg: &MetaCdnConfig) -> Zone {
         z.set_policy(
             names::gslb(which),
             Vec::new(),
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-                if qtype != RecordType::A {
-                    return;
-                }
-                // Health-checked mapping: sites the controller marked
-                // down are skipped, so clients fail over to the next
-                // nearest site instead of receiving dead vips. With no
-                // down sites this is bit-identical to plain `answer`.
-                gslb.answer_filtered(
-                    ctx.client_ip,
-                    ctx.coord,
-                    ctx.now,
-                    &|key| state.site_is_down(key),
-                    out.a(names::TTL_APPLE_A),
-                );
-            }),
+            Arc::new(
+                move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                    if qtype != RecordType::A {
+                        return;
+                    }
+                    // Health-checked mapping: sites the controller marked
+                    // down are skipped, so clients fail over to the next
+                    // nearest site instead of receiving dead vips. With no
+                    // down sites this is bit-identical to plain `answer`.
+                    gslb.answer_filtered(
+                        ctx.client_ip,
+                        ctx.coord,
+                        ctx.now,
+                        &|key| state.site_is_down(key),
+                        out.a(names::TTL_APPLE_A),
+                    );
+                },
+            ),
         );
     }
     z
@@ -272,19 +299,21 @@ fn edgesuite_zone(cfg: &MetaCdnConfig) -> Zone {
     z.set_policy(
         names::akamai_edgesuite(),
         vec![names::akamai_map_baseline(), names::akamai_map_event()],
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-            if qtype != RecordType::A {
-                return;
-            }
-            // When the event map is live, it takes the bulk (~70 %) of
-            // clients; assignment re-randomizes every five minutes, as
-            // Akamai's mapping continuously re-decides.
-            let mut key = [0u8; 12];
-            key[..4].copy_from_slice(&ctx.client_ip.octets());
-            key[4..].copy_from_slice(&(ctx.now.as_secs() / 300).to_be_bytes());
-            let event = state.a1015_active(ctx.region(), ctx.now) && fnv64(&key) % 10 < 7;
-            out.cname(usize::from(event), names::TTL_EDGESUITE);
-        }),
+        Arc::new(
+            move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                // When the event map is live, it takes the bulk (~70 %) of
+                // clients; assignment re-randomizes every five minutes, as
+                // Akamai's mapping continuously re-decides.
+                let mut key = [0u8; 12];
+                key[..4].copy_from_slice(&ctx.client_ip.octets());
+                key[4..].copy_from_slice(&(ctx.now.as_secs() / 300).to_be_bytes());
+                let event = state.a1015_active(ctx.region(), ctx.now) && fnv64(&key) % 10 < 7;
+                out.cname(usize::from(event), names::TTL_EDGESUITE);
+            },
+        ),
     );
     z
 }
@@ -294,29 +323,43 @@ fn edgesuite_zone(cfg: &MetaCdnConfig) -> Zone {
 /// answers from the fully widened pool, including off-net caches.
 fn akamai_net_zone(cfg: &MetaCdnConfig) -> Zone {
     let mut z = Zone::new(Name::parse("akamai.net").expect("static"));
-    for (owner, full_pool) in
-        [(names::akamai_map_baseline(), false), (names::akamai_map_event(), true)]
-    {
+    for (owner, full_pool) in [
+        (names::akamai_map_baseline(), false),
+        (names::akamai_map_event(), true),
+    ] {
         let akamai = Arc::clone(&cfg.akamai);
         let state = Arc::clone(&cfg.state);
         let k = cfg.akamai_answer_k;
         z.set_policy(
             owner,
             Vec::new(),
-            Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-                if qtype != RecordType::A {
-                    return;
-                }
-                let region = ctx.region();
-                let load = state.cdn_load(CdnKind::Akamai, region);
-                // The baseline map never exposes more than half the
-                // ramp; the a1015 event map is pre-provisioned for the
-                // event and answers from the full widened pool
-                // (including off-net caches) for as long as it exists.
-                let load = if full_pool { load.max(0.8) } else { load.min(0.5) };
-                let load = client_load(region, ctx.continent, load);
-                akamai.answer(region, load, ctx.client_ip, ctx.now, k, out.a(names::TTL_AKAMAI_A));
-            }),
+            Arc::new(
+                move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                    if qtype != RecordType::A {
+                        return;
+                    }
+                    let region = ctx.region();
+                    let load = state.cdn_load(CdnKind::Akamai, region);
+                    // The baseline map never exposes more than half the
+                    // ramp; the a1015 event map is pre-provisioned for the
+                    // event and answers from the full widened pool
+                    // (including off-net caches) for as long as it exists.
+                    let load = if full_pool {
+                        load.max(0.8)
+                    } else {
+                        load.min(0.5)
+                    };
+                    let load = client_load(region, ctx.continent, load);
+                    akamai.answer(
+                        region,
+                        load,
+                        ctx.client_ip,
+                        ctx.now,
+                        k,
+                        out.a(names::TTL_AKAMAI_A),
+                    );
+                },
+            ),
         );
     }
     z
@@ -330,15 +373,24 @@ fn limelight_policy_zone(cfg: &MetaCdnConfig, origin: &str, owner: Name) -> Zone
     z.set_policy(
         owner,
         Vec::new(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-            if qtype != RecordType::A {
-                return;
-            }
-            let region = ctx.region();
-            let load = state.cdn_load(CdnKind::Limelight, region);
-            let load = client_load(region, ctx.continent, load);
-            limelight.answer(region, load, ctx.client_ip, ctx.now, k, out.a(names::TTL_LIMELIGHT_A));
-        }),
+        Arc::new(
+            move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let region = ctx.region();
+                let load = state.cdn_load(CdnKind::Limelight, region);
+                let load = client_load(region, ctx.continent, load);
+                limelight.answer(
+                    region,
+                    load,
+                    ctx.client_ip,
+                    ctx.now,
+                    k,
+                    out.a(names::TTL_LIMELIGHT_A),
+                );
+            },
+        ),
     );
     z
 }
@@ -362,14 +414,16 @@ fn level3_zone(cfg: &MetaCdnConfig) -> Zone {
     z.set_policy(
         names::level3_lb(),
         Vec::new(),
-        Arc::new(move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-            if qtype != RecordType::A {
-                return;
-            }
-            let region = ctx.region();
-            let load = state.cdn_load(CdnKind::Level3, region);
-            level3.answer(region, load, ctx.client_ip, ctx.now, k, out.a(60));
-        }),
+        Arc::new(
+            move |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                if qtype != RecordType::A {
+                    return;
+                }
+                let region = ctx.region();
+                let load = state.cdn_load(CdnKind::Level3, region);
+                level3.answer(region, load, ctx.client_ip, ctx.now, k, out.a(60));
+            },
+        ),
     );
     z
 }
@@ -386,8 +440,16 @@ mod tests {
     fn config(apple_w: f64) -> MetaCdnConfig {
         let apple = AppleCdn::build(
             &[
-                SiteSpec { locode: "defra", sites: 1, bx_per_site: 32 },
-                SiteSpec { locode: "usnyc", sites: 1, bx_per_site: 32 },
+                SiteSpec {
+                    locode: "defra",
+                    sites: 1,
+                    bx_per_site: 32,
+                },
+                SiteSpec {
+                    locode: "usnyc",
+                    sites: 1,
+                    bx_per_site: 32,
+                },
             ],
             10e9,
         );
@@ -399,7 +461,12 @@ mod tests {
         let limelight = ThirdPartyCdn::new("Limelight", AsId(22822))
             .with_base(Region::Eu, ThirdPartyCdn::ips_from_prefix(ll_net, 0, 20))
             .with_surge(Region::Eu, ThirdPartyCdn::ips_from_prefix(ll_net, 20, 200));
-        let share = CdnShare { apple: apple_w, akamai: 0.5, limelight: 0.5, level3: 0.0 };
+        let share = CdnShare {
+            apple: apple_w,
+            akamai: 0.5,
+            limelight: 0.5,
+            level3: 0.0,
+        };
         let apple_site_coords = apple.sites().iter().map(|s| s.coord).collect();
         MetaCdnConfig {
             state: Arc::new(MetaCdnState::new(Schedule::constant(share))),
@@ -459,9 +526,15 @@ mod tests {
         let c = ctx("defra", Continent::Europe, 0x0A00_0002);
         let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
-        let chain: Vec<String> =
-            trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
-        assert!(chain.contains(&"ios8-eu-lb.apple.com.akadns.net".to_string()), "{chain:?}");
+        let chain: Vec<String> = trace
+            .cname_edges()
+            .iter()
+            .map(|(_, t, _)| t.to_string())
+            .collect();
+        assert!(
+            chain.contains(&"ios8-eu-lb.apple.com.akadns.net".to_string()),
+            "{chain:?}"
+        );
         assert!(!trace.addresses().is_empty());
     }
 
@@ -473,8 +546,11 @@ mod tests {
         let c = ctx("cnsha", Continent::Asia, 0x0A00_0003);
         let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
-        let chain: Vec<String> =
-            trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
+        let chain: Vec<String> = trace
+            .cname_edges()
+            .iter()
+            .map(|(_, t, _)| t.to_string())
+            .collect();
         assert!(chain.contains(&"china-lb.itunes-apple.com.akadns.net".to_string()));
         assert_eq!(trace.addresses(), vec![Ipv4Addr::new(17, 200, 1, 1)]);
     }
@@ -497,7 +573,10 @@ mod tests {
         let c = ctx("defra", Continent::Europe, 0x0A00_0005);
         let (trace, res) = r.resolve(&names::entry(), RecordType::Aaaa, &c);
         res.unwrap();
-        assert!(trace.addresses().is_empty(), "no AAAA should ever be served");
+        assert!(
+            trace.addresses().is_empty(),
+            "no AAAA should ever be served"
+        );
         assert!(!trace
             .steps
             .iter()
@@ -509,7 +588,8 @@ mod tests {
         let cfg = config(0.0);
         let ns = build_namespace(&cfg);
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
-        cfg.state.set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, release);
+        cfg.state
+            .set_cdn_load(CdnKind::Akamai, Region::Eu, 0.9, release);
 
         // Find a client that the edgesuite policy maps to the event map and
         // whose third-party pick is Akamai.
@@ -608,9 +688,15 @@ mod tests {
         let c = ctx("defra", Continent::Europe, 0x0A00_0007);
         let (trace, res) = r.resolve(&names::entry(), RecordType::A, &c);
         res.unwrap();
-        let chain: Vec<String> =
-            trace.cname_edges().iter().map(|(_, t, _)| t.to_string()).collect();
-        assert!(chain.contains(&"apple.download.lvl3.net".to_string()), "{chain:?}");
+        let chain: Vec<String> = trace
+            .cname_edges()
+            .iter()
+            .map(|(_, t, _)| t.to_string())
+            .collect();
+        assert!(
+            chain.contains(&"apple.download.lvl3.net".to_string()),
+            "{chain:?}"
+        );
         for ip in trace.addresses() {
             assert!(l3_net.contains(ip));
         }

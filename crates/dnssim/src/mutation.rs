@@ -149,10 +149,18 @@ pub fn attacker_ns() -> Name {
 pub fn apply_itamper(records: &mut Vec<IRecord>, tamper: &ITamper) {
     match tamper {
         ITamper::SpoofA { owner, addr, ttl } => {
-            records.push(IRecord { name: *owner, ttl: *ttl, rdata: IRData::A(*addr) });
+            records.push(IRecord {
+                name: *owner,
+                ttl: *ttl,
+                rdata: IRData::A(*addr),
+            });
         }
         ITamper::InjectNs { owner, target, ttl } => {
-            records.push(IRecord { name: *owner, ttl: *ttl, rdata: IRData::Ns(*target) });
+            records.push(IRecord {
+                name: *owner,
+                ttl: *ttl,
+                rdata: IRData::Ns(*target),
+            });
         }
         ITamper::Truncate => {}
         ITamper::InflateTtl { factor } => {
@@ -170,7 +178,13 @@ mod tests {
 
     #[test]
     fn attacker_names_are_outside_every_simulated_bailiwick() {
-        for origin in ["apple.com", "akadns.net", "applimg.com", "edgesuite.net", "lvl3.net"] {
+        for origin in [
+            "apple.com",
+            "akadns.net",
+            "applimg.com",
+            "edgesuite.net",
+            "lvl3.net",
+        ] {
             let z = Name::parse(origin).unwrap();
             assert!(!attacker_owner().is_within(&z), "{origin}");
             assert!(!attacker_ns().is_within(&z), "{origin}");
@@ -180,11 +194,19 @@ mod tests {
     #[test]
     fn tamper_application_edits_records_in_place() {
         let owner = NameId(7);
-        let legit = IRecord { name: NameId(1), ttl: 20, rdata: IRData::A(Ipv4Addr::new(17, 253, 1, 1)) };
+        let legit = IRecord {
+            name: NameId(1),
+            ttl: 20,
+            rdata: IRData::A(Ipv4Addr::new(17, 253, 1, 1)),
+        };
         let mut rrs = vec![legit];
         apply_itamper(
             &mut rrs,
-            &ITamper::SpoofA { owner, addr: Ipv4Addr::new(198, 18, 0, 9), ttl: 600 },
+            &ITamper::SpoofA {
+                owner,
+                addr: Ipv4Addr::new(198, 18, 0, 9),
+                ttl: 600,
+            },
         );
         assert_eq!(rrs.len(), 2);
         assert_eq!(rrs[1].name, owner);

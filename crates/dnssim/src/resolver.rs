@@ -168,8 +168,13 @@ impl<'a> RecursiveResolver<'a> {
             0,
             None,
         );
-        let trace = self.ns.materialize_trace(&self.scratch, self.scratch.trace());
-        (trace, result.map_err(|e| self.ns.materialize_err(&self.scratch, e)))
+        let trace = self
+            .ns
+            .materialize_trace(&self.scratch, self.scratch.trace());
+        (
+            trace,
+            result.map_err(|e| self.ns.materialize_err(&self.scratch, e)),
+        )
     }
 
     /// Cache statistics `(hits, misses)`.
@@ -186,11 +191,11 @@ impl<'a> RecursiveResolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
     use crate::faults::UpstreamFault;
     use crate::interned::{IRoundMemo, InternedFaultModel, NoInternedFaults};
     use crate::mutation::{BailiwickPolicy, ITamper, InternedMutationModel, NoInternedMutations};
     use crate::zone::Zone;
-    use crate::cache::{MAX_CACHE_TTL, NEGATIVE_TTL};
     use mcdn_geo::{Continent, Coord, Duration, Locode, SimTime};
     use mcdn_intern::NameId;
 
@@ -215,7 +220,11 @@ mod tests {
         apple.add_cname("appldnld.apple.com", "appldnld.apple.com.akadns.net", 21600);
         ns.add_zone(apple);
         let mut akadns = Zone::new(n("akadns.net"));
-        akadns.add_cname("appldnld.apple.com.akadns.net", "appldnld.g.applimg.com", 120);
+        akadns.add_cname(
+            "appldnld.apple.com.akadns.net",
+            "appldnld.g.applimg.com",
+            120,
+        );
         ns.add_zone(akadns);
         let mut applimg = Zone::new(n("applimg.com"));
         applimg.add_cname("appldnld.g.applimg.com", "a.gslb.applimg.com", 15);
@@ -243,7 +252,10 @@ mod tests {
         }
 
         fn id(&self, name: &str) -> NameId {
-            self.ns.table().get(&n(name)).expect("name is in the namespace")
+            self.ns
+                .table()
+                .get(&n(name))
+                .expect("name is in the namespace")
         }
 
         fn resolve(
@@ -267,8 +279,13 @@ mod tests {
                 0,
                 memo,
             );
-            let trace = self.ns.materialize_trace(&self.scratch, self.scratch.trace());
-            (trace, result.map_err(|e| self.ns.materialize_err(&self.scratch, e)))
+            let trace = self
+                .ns
+                .materialize_trace(&self.scratch, self.scratch.trace());
+            (
+                trace,
+                result.map_err(|e| self.ns.materialize_err(&self.scratch, e)),
+            )
         }
 
         fn resolve_faulted(
@@ -276,7 +293,13 @@ mod tests {
             ctx: &QueryContext,
             faults: &dyn InternedFaultModel,
         ) -> (ResolutionTrace, Result<(), ResolutionError>) {
-            self.resolve(ctx, faults, &NoInternedMutations, BailiwickPolicy::Enforce, None)
+            self.resolve(
+                ctx,
+                faults,
+                &NoInternedMutations,
+                BailiwickPolicy::Enforce,
+                None,
+            )
         }
     }
 
@@ -321,8 +344,11 @@ mod tests {
         let _ = r.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
         // 30 s later: entry (21600) and akadns (120) CNAMEs still cached;
         // the 15 s selector and the 20 s A record have expired.
-        let (trace, res) =
-            r.resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(30)));
+        let (trace, res) = r.resolve(
+            &n("appldnld.apple.com"),
+            RecordType::A,
+            &ctx_at(t0 + Duration::secs(30)),
+        );
         res.unwrap();
         let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
         assert_eq!(cached, vec![true, true, false, false]);
@@ -381,7 +407,9 @@ mod tests {
         let (trace, res) = r.resolve_faulted(&ctx_at(t0), &down);
         assert_eq!(
             res,
-            Err(ResolutionError::ServFail(n("appldnld.apple.com.akadns.net")))
+            Err(ResolutionError::ServFail(n(
+                "appldnld.apple.com.akadns.net"
+            )))
         );
         assert!(res.unwrap_err().is_transient());
         // The apple.com hop succeeded before the faulted akadns hop.
@@ -442,10 +470,12 @@ mod tests {
             akadns.set_policy_scoped(
                 n("appldnld.apple.com.akadns.net"),
                 vec![n("a.gslb.applimg.com")],
-                Arc::new(move |_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    out.cname(0, 120);
-                }),
+                Arc::new(
+                    move |_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        out.cname(0, 120);
+                    },
+                ),
                 PolicyScope::City,
             );
             ns.add_zone(akadns);
@@ -465,7 +495,11 @@ mod tests {
         // Plain resolution for reference (fresh resolver per client).
         let plain: Vec<_> = (0..4u8)
             .map(|i| {
-                RecursiveResolver::new(&ns).resolve(&n("appldnld.apple.com"), RecordType::A, &client(i))
+                RecursiveResolver::new(&ns).resolve(
+                    &n("appldnld.apple.com"),
+                    RecordType::A,
+                    &client(i),
+                )
             })
             .collect();
         let before = authoritative_queries.load(Ordering::Relaxed);
@@ -484,7 +518,10 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(plain, memoized, "memo on/off must not change any resolution");
+        assert_eq!(
+            plain, memoized,
+            "memo on/off must not change any resolution"
+        );
         let after = authoritative_queries.load(Ordering::Relaxed);
         assert_eq!(before, 4, "plain: every client walks the policy");
         assert_eq!(after - before, 1, "memoized: one walk, three replays");
@@ -504,22 +541,46 @@ mod tests {
         let mut r = Hooked::new(&ns);
         let spoof = tamper_at(
             r.id("akadns.net"),
-            ITamper::SpoofA { owner: r.id("phish.attacker.invalid"), addr: attacker_addr, ttl: 600 },
+            ITamper::SpoofA {
+                owner: r.id("phish.attacker.invalid"),
+                addr: attacker_addr,
+                ttl: 600,
+            },
         );
         // Enforce drops the out-of-bailiwick record before anything sees
         // it: the whole resolution is bit-identical to the clean one.
-        let clean =
-            RecursiveResolver::new(&ns).resolve(&n("appldnld.apple.com"), RecordType::A, &ctx_at(t0));
-        let enforced = r.resolve(&ctx_at(t0), &NoInternedFaults, &spoof, BailiwickPolicy::Enforce, None);
-        assert_eq!(clean, enforced, "enforcement must neutralize the spoof exactly");
+        let clean = RecursiveResolver::new(&ns).resolve(
+            &n("appldnld.apple.com"),
+            RecordType::A,
+            &ctx_at(t0),
+        );
+        let enforced = r.resolve(
+            &ctx_at(t0),
+            &NoInternedFaults,
+            &spoof,
+            BailiwickPolicy::Enforce,
+            None,
+        );
+        assert_eq!(
+            clean, enforced,
+            "enforcement must neutralize the spoof exactly"
+        );
         // Accept: the attacker A record satisfies the terminal check at
         // the tampered hop, so the chase halts there mis-mapped.
         let mut r = Hooked::new(&ns);
-        let (trace, res) =
-            r.resolve(&ctx_at(t0), &NoInternedFaults, &spoof, BailiwickPolicy::Accept, None);
+        let (trace, res) = r.resolve(
+            &ctx_at(t0),
+            &NoInternedFaults,
+            &spoof,
+            BailiwickPolicy::Accept,
+            None,
+        );
         res.unwrap();
         assert!(trace.addresses().contains(&attacker_addr));
-        assert!(trace.steps.iter().any(|s| s.records.iter().any(|rr| rr.name == attacker)));
+        assert!(trace
+            .steps
+            .iter()
+            .any(|s| s.records.iter().any(|rr| rr.name == attacker)));
     }
 
     #[test]
@@ -528,8 +589,13 @@ mod tests {
         let t0 = SimTime::from_ymd(2017, 9, 15);
         let mut r = Hooked::new(&ns);
         let trunc = tamper_at(r.id("applimg.com"), ITamper::Truncate);
-        let (trace, res) =
-            r.resolve(&ctx_at(t0), &NoInternedFaults, &trunc, BailiwickPolicy::Enforce, None);
+        let (trace, res) = r.resolve(
+            &ctx_at(t0),
+            &NoInternedFaults,
+            &trunc,
+            BailiwickPolicy::Enforce,
+            None,
+        );
         let err = res.unwrap_err();
         assert_eq!(err, ResolutionError::Truncated(n("appldnld.g.applimg.com")));
         assert!(err.is_transient());
@@ -554,7 +620,13 @@ mod tests {
         let mut r = Hooked::new(&ns);
         let inflate = tamper_at(r.id("akadns.net"), ITamper::InflateTtl { factor: 1000 });
         let mut memo = IRoundMemo::new();
-        let _ = r.resolve(&ctx_at(t0), &NoInternedFaults, &inflate, BailiwickPolicy::Enforce, Some(&mut memo));
+        let _ = r.resolve(
+            &ctx_at(t0),
+            &NoInternedFaults,
+            &inflate,
+            BailiwickPolicy::Enforce,
+            Some(&mut memo),
+        );
         assert_eq!(memo.len(), 3, "the tampered hop must not enter the memo");
     }
 
@@ -570,11 +642,16 @@ mod tests {
         ns
     }
 
-    fn from_cache(r: &mut RecursiveResolver<'_>, qtype: RecordType, now: SimTime) -> Option<Vec<u32>> {
+    fn from_cache(
+        r: &mut RecursiveResolver<'_>,
+        qtype: RecordType,
+        now: SimTime,
+    ) -> Option<Vec<u32>> {
         let (trace, res) = r.resolve(&n("x.apple.com"), qtype, &ctx_at(now));
         res.unwrap();
         let step = &trace.steps[0];
-        step.from_cache.then(|| step.records.iter().map(|rr| rr.ttl).collect())
+        step.from_cache
+            .then(|| step.records.iter().map(|rr| rr.ttl).collect())
     }
 
     #[test]
@@ -584,9 +661,18 @@ mod tests {
         let t0 = SimTime::from_ymd(2017, 9, 15);
         assert_eq!(from_cache(&mut r, RecordType::A, t0), None);
         // A hit surfaces the remaining TTL, as a real cache does.
-        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(40)), Some(vec![60]));
-        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(99)), Some(vec![1]));
-        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(100)), None);
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0 + Duration::secs(40)),
+            Some(vec![60])
+        );
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0 + Duration::secs(99)),
+            Some(vec![1])
+        );
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0 + Duration::secs(100)),
+            None
+        );
         assert_eq!(r.cache_stats(), (2, 2));
     }
 
@@ -596,8 +682,14 @@ mod tests {
         let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         from_cache(&mut r, RecordType::A, t0);
-        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(19)), Some(vec![1, 1]));
-        assert_eq!(from_cache(&mut r, RecordType::A, t0 + Duration::secs(21)), None);
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0 + Duration::secs(19)),
+            Some(vec![1, 1])
+        );
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0 + Duration::secs(21)),
+            None
+        );
     }
 
     #[test]
@@ -623,8 +715,11 @@ mod tests {
         let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         for secs in [0, 1] {
-            let (trace, res) =
-                r.resolve(&n("missing.apple.com"), RecordType::A, &ctx_at(t0 + Duration::secs(secs)));
+            let (trace, res) = r.resolve(
+                &n("missing.apple.com"),
+                RecordType::A,
+                &ctx_at(t0 + Duration::secs(secs)),
+            );
             assert!(matches!(res, Err(ResolutionError::NxDomain(_))));
             assert!(!trace.steps[0].from_cache);
         }
@@ -637,7 +732,10 @@ mod tests {
         let mut r = RecursiveResolver::new(&ns);
         let t0 = SimTime::from_ymd(2017, 9, 15);
         from_cache(&mut r, RecordType::A, t0);
-        assert_eq!(from_cache(&mut r, RecordType::A, t0), Some(vec![MAX_CACHE_TTL]));
+        assert_eq!(
+            from_cache(&mut r, RecordType::A, t0),
+            Some(vec![MAX_CACHE_TTL])
+        );
         // And the entry itself expires at the cap, not at u32::MAX.
         let cap = Duration::secs(MAX_CACHE_TTL as u64);
         assert_eq!(from_cache(&mut r, RecordType::A, t0 + cap), None);

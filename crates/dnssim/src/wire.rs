@@ -33,7 +33,10 @@ pub fn serve(ns: &Namespace, query_bytes: &[u8], ctx: &QueryContext) -> Result<V
             let resp = Message {
                 header: Header {
                     id,
-                    flags: Flags { qr: true, ..Flags::default() },
+                    flags: Flags {
+                        qr: true,
+                        ..Flags::default()
+                    },
                     opcode: Opcode::Query,
                     rcode: Rcode::FormErr,
                 },
@@ -62,7 +65,9 @@ pub fn serve(ns: &Namespace, query_bytes: &[u8], ctx: &QueryContext) -> Result<V
         match ns.query(&qname, question.qtype, ctx) {
             (ZoneAnswer::Records(rrs), _) => {
                 let next = rrs.iter().find_map(|rr| match &rr.rdata {
-                    mcdn_dnswire::RData::Cname(t) if question.qtype != mcdn_dnswire::RecordType::Cname => {
+                    mcdn_dnswire::RData::Cname(t)
+                        if question.qtype != mcdn_dnswire::RecordType::Cname =>
+                    {
                         Some(t.clone())
                     }
                     _ => None,

@@ -138,7 +138,10 @@ impl std::fmt::Debug for Zone {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Zone")
             .field("origin", &self.origin)
-            .field("static_records", &self.records.values().map(Vec::len).sum::<usize>())
+            .field(
+                "static_records",
+                &self.records.values().map(Vec::len).sum::<usize>(),
+            )
             .field("policies", &self.policies.len())
             .finish()
     }
@@ -162,9 +165,17 @@ impl Zone {
 
     /// Adds a static record. The owner must lie within the zone.
     pub fn add(&mut self, rr: ResourceRecord) {
-        assert!(rr.name.is_within(&self.origin), "{} outside zone {}", rr.name, self.origin);
+        assert!(
+            rr.name.is_within(&self.origin),
+            "{} outside zone {}",
+            rr.name,
+            self.origin
+        );
         self.names.insert(rr.name.clone(), ());
-        self.records.entry((rr.name.clone(), rr.rtype().to_u16())).or_default().push(rr);
+        self.records
+            .entry((rr.name.clone(), rr.rtype().to_u16()))
+            .or_default()
+            .push(rr);
     }
 
     /// Convenience: adds a static CNAME.
@@ -199,16 +210,30 @@ impl Zone {
         policy: Arc<dyn MappingPolicy>,
         scope: PolicyScope,
     ) {
-        assert!(owner.is_within(&self.origin), "{} outside zone {}", owner, self.origin);
+        assert!(
+            owner.is_within(&self.origin),
+            "{} outside zone {}",
+            owner,
+            self.origin
+        );
         self.names.insert(owner.clone(), ());
-        self.policies.insert(owner, PolicyEntry { policy, targets, scope });
+        self.policies.insert(
+            owner,
+            PolicyEntry {
+                policy,
+                targets,
+                scope,
+            },
+        );
     }
 
     /// The declared scope of answers at `qname`: the policy's declared
     /// scope if a policy is attached, otherwise [`PolicyScope::Global`]
     /// (static records and existence facts depend on no context).
     pub fn scope_of(&self, qname: &Name) -> PolicyScope {
-        self.policies.get(qname).map_or(PolicyScope::Global, |p| p.scope)
+        self.policies
+            .get(qname)
+            .map_or(PolicyScope::Global, |p| p.scope)
     }
 
     /// Whether any record or policy exists at `name` (for NXDOMAIN vs NODATA).
@@ -226,13 +251,17 @@ impl Zone {
     /// Iteration order is unspecified (callers that need determinism sort
     /// by the key, as [`Zone::static_records`] does).
     pub fn record_sets(&self) -> impl Iterator<Item = (&Name, u16, &[ResourceRecord])> {
-        self.records.iter().map(|((name, qtype), rrs)| (name, *qtype, rrs.as_slice()))
+        self.records
+            .iter()
+            .map(|((name, qtype), rrs)| (name, *qtype, rrs.as_slice()))
     }
 
     /// Iterates `(owner, policy, declared CNAME targets)` for every
     /// dynamic mapping policy. Iteration order is unspecified.
     pub fn policy_entries(&self) -> impl Iterator<Item = (&Name, &dyn MappingPolicy, &[Name])> {
-        self.policies.iter().map(|(owner, p)| (owner, &*p.policy, p.targets.as_slice()))
+        self.policies
+            .iter()
+            .map(|(owner, p)| (owner, &*p.policy, p.targets.as_slice()))
     }
 
     /// All static records, in deterministic (name, type) order.
@@ -254,7 +283,8 @@ impl Zone {
     /// static representation — which is rather the point of a Meta-CDN).
     pub fn to_zonefile(&self) -> String {
         let mut out = String::new();
-        self.write_zonefile(&mut out).expect("fmt::Write to String cannot fail");
+        self.write_zonefile(&mut out)
+            .expect("fmt::Write to String cannot fail");
         out
     }
 
@@ -283,7 +313,11 @@ impl Zone {
             let rrs = cname
                 .map(|t| ResourceRecord::new(qname.clone(), ttl, RData::Cname(t.clone())))
                 .into_iter()
-                .chain(ans.addrs().iter().map(|a| ResourceRecord::new(qname.clone(), ttl, RData::A(*a))))
+                .chain(
+                    ans.addrs()
+                        .iter()
+                        .map(|a| ResourceRecord::new(qname.clone(), ttl, RData::A(*a))),
+                )
                 .collect();
             return ZoneAnswer::Records(rrs);
         }
@@ -292,7 +326,10 @@ impl Zone {
         }
         // CNAME applies to every type except itself.
         if qtype != RecordType::Cname {
-            if let Some(cnames) = self.records.get(&(qname.clone(), RecordType::Cname.to_u16())) {
+            if let Some(cnames) = self
+                .records
+                .get(&(qname.clone(), RecordType::Cname.to_u16()))
+            {
                 return ZoneAnswer::Records(cnames.clone());
             }
         }
@@ -364,7 +401,8 @@ impl Namespace {
     /// authoritative (NXDOMAIN is the same for everyone — though the memo
     /// never stores error answers anyway).
     pub fn scope_of(&self, name: &Name) -> PolicyScope {
-        self.authority_for(name).map_or(PolicyScope::Global, |z| z.scope_of(name))
+        self.authority_for(name)
+            .map_or(PolicyScope::Global, |z| z.scope_of(name))
     }
 
     /// Number of installed zones.
@@ -413,14 +451,20 @@ mod tests {
         }
         // The name exists, so an unsupported type at it that has a CNAME
         // still follows the CNAME; a name without records is NXDOMAIN.
-        assert_eq!(z.answer(&n("nothere.apple.com"), RecordType::A, &ctx()), ZoneAnswer::NxDomain);
+        assert_eq!(
+            z.answer(&n("nothere.apple.com"), RecordType::A, &ctx()),
+            ZoneAnswer::NxDomain
+        );
     }
 
     #[test]
     fn nodata_for_typed_miss_without_cname() {
         let mut z = Zone::new(n("apple.com"));
         z.add_a("mesu.apple.com", Ipv4Addr::new(17, 1, 1, 1), 300);
-        assert_eq!(z.answer(&n("mesu.apple.com"), RecordType::Txt, &ctx()), ZoneAnswer::NoData);
+        assert_eq!(
+            z.answer(&n("mesu.apple.com"), RecordType::Txt, &ctx()),
+            ZoneAnswer::NoData
+        );
     }
 
     #[test]
@@ -447,16 +491,18 @@ mod tests {
         z.set_policy(
             n("appldnld.g.applimg.com"),
             vec![n("a.gslb.applimg.com"), n("b.gslb.applimg.com")],
-            Arc::new(|qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
-                if qtype != RecordType::A {
-                    return; // IPv4-only mapping, like the paper observed
-                }
-                let target = match ctx.continent {
-                    Continent::Europe => 0,
-                    _ => 1,
-                };
-                out.cname(target, 15);
-            }),
+            Arc::new(
+                |qtype: RecordType, ctx: &QueryContext, out: &mut PolicyAnswer| {
+                    if qtype != RecordType::A {
+                        return; // IPv4-only mapping, like the paper observed
+                    }
+                    let target = match ctx.continent {
+                        Continent::Europe => 0,
+                        _ => 1,
+                    };
+                    out.cname(target, 15);
+                },
+            ),
         );
         match z.answer(&n("appldnld.g.applimg.com"), RecordType::A, &ctx()) {
             ZoneAnswer::Records(rrs) => {
@@ -487,7 +533,8 @@ mod tests {
             vec![n("b.gslb.applimg.com")],
             Arc::new(|_: RecordType, _: &QueryContext, out: &mut PolicyAnswer| {
                 out.cname(0, 20);
-                out.a(20).extend([Ipv4Addr::new(17, 253, 1, 1), Ipv4Addr::new(17, 253, 1, 2)]);
+                out.a(20)
+                    .extend([Ipv4Addr::new(17, 253, 1, 1), Ipv4Addr::new(17, 253, 1, 2)]);
             }),
         );
         let owner = n("a.gslb.applimg.com");
@@ -496,7 +543,10 @@ mod tests {
             ResourceRecord::new(owner.clone(), 20, RData::A(Ipv4Addr::new(17, 253, 1, 1))),
             ResourceRecord::new(owner.clone(), 20, RData::A(Ipv4Addr::new(17, 253, 1, 2))),
         ];
-        assert_eq!(z.answer(&owner, RecordType::A, &ctx()), ZoneAnswer::Records(expected));
+        assert_eq!(
+            z.answer(&owner, RecordType::A, &ctx()),
+            ZoneAnswer::Records(expected)
+        );
     }
 
     #[test]
@@ -516,7 +566,11 @@ mod tests {
         let mut ns = Namespace::new();
         ns.add_zone(Zone::new(n("apple.com")));
         let mut akadns = Zone::new(n("apple.com.akadns.net"));
-        akadns.add_cname("appldnld.apple.com.akadns.net", "appldnld.g.applimg.com", 120);
+        akadns.add_cname(
+            "appldnld.apple.com.akadns.net",
+            "appldnld.g.applimg.com",
+            120,
+        );
         ns.add_zone(akadns);
         let (ans, origin) = ns.query(&n("appldnld.apple.com.akadns.net"), RecordType::A, &ctx());
         assert_eq!(origin, Some(&n("apple.com.akadns.net")));

@@ -71,7 +71,11 @@ mod tests {
 
     #[test]
     fn renders_the_familiar_layout() {
-        let q = Message::query(0x1a2b, Name::parse("appldnld.apple.com").unwrap(), RecordType::A);
+        let q = Message::query(
+            0x1a2b,
+            Name::parse("appldnld.apple.com").unwrap(),
+            RecordType::A,
+        );
         let mut resp = Message::response_to(&q, Rcode::NoError);
         resp.answers.push(ResourceRecord::new(
             Name::parse("appldnld.apple.com").unwrap(),
@@ -90,7 +94,10 @@ mod tests {
         assert!(text.contains(";; ANSWER SECTION:"));
         assert!(text.contains("appldnld.apple.com 21600 IN CNAME"));
         assert!(text.contains("a.gslb.applimg.com 20 IN A 17.253.37.16"));
-        assert!(!text.contains("AUTHORITY SECTION"), "empty sections are omitted");
+        assert!(
+            !text.contains("AUTHORITY SECTION"),
+            "empty sections are omitted"
+        );
     }
 
     #[test]

@@ -104,7 +104,12 @@ pub struct Header {
 
 impl Default for Header {
     fn default() -> Self {
-        Header { id: 0, flags: Flags::default(), opcode: Opcode::Query, rcode: Rcode::NoError }
+        Header {
+            id: 0,
+            flags: Flags::default(),
+            opcode: Opcode::Query,
+            rcode: Rcode::NoError,
+        }
     }
 }
 
@@ -122,7 +127,11 @@ pub struct Question {
 impl Question {
     /// An `IN`-class question.
     pub fn new(name: Name, qtype: RecordType) -> Question {
-        Question { name, qtype, qclass: Class::In }
+        Question {
+            name,
+            qtype,
+            qclass: Class::In,
+        }
     }
 }
 
@@ -148,7 +157,9 @@ struct Compressor {
 
 impl Compressor {
     fn new() -> Compressor {
-        Compressor { offsets: HashMap::new() }
+        Compressor {
+            offsets: HashMap::new(),
+        }
     }
 
     /// Emits `name` at the current end of `out`, reusing earlier occurrences
@@ -186,7 +197,10 @@ impl Message {
         Message {
             header: Header {
                 id,
-                flags: Flags { rd: true, ..Flags::default() },
+                flags: Flags {
+                    rd: true,
+                    ..Flags::default()
+                },
                 opcode: Opcode::Query,
                 rcode: Rcode::NoError,
             },
@@ -200,7 +214,12 @@ impl Message {
         Message {
             header: Header {
                 id: query.header.id,
-                flags: Flags { qr: true, rd: query.header.flags.rd, ra: true, ..Flags::default() },
+                flags: Flags {
+                    qr: true,
+                    rd: query.header.flags.rd,
+                    ra: true,
+                    ..Flags::default()
+                },
                 opcode: query.header.opcode,
                 rcode,
             },
@@ -237,7 +256,12 @@ impl Message {
             out.extend_from_slice(&q.qtype.to_u16().to_be_bytes());
             out.extend_from_slice(&q.qclass.to_u16().to_be_bytes());
         }
-        for rr in self.answers.iter().chain(&self.authorities).chain(&self.additionals) {
+        for rr in self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+        {
             comp.emit(&rr.name, &mut out);
             out.extend_from_slice(&rr.rtype().to_u16().to_be_bytes());
             out.extend_from_slice(&rr.class.to_u16().to_be_bytes());
@@ -307,7 +331,12 @@ impl Message {
                 let ttl = u32::from_be_bytes([fixed[4], fixed[5], fixed[6], fixed[7]]);
                 let rdlen = u16::from_be_bytes([fixed[8], fixed[9]]) as usize;
                 let rdata = RData::decode(rtype, buf, p + 10, rdlen)?;
-                rrs.push(ResourceRecord { name, class, ttl, rdata });
+                rrs.push(ResourceRecord {
+                    name,
+                    class,
+                    ttl,
+                    rdata,
+                });
                 *pos = p + 10 + rdlen;
             }
             Ok(rrs)
@@ -315,7 +344,13 @@ impl Message {
         let answers = decode_rrs(an, &mut pos)?;
         let authorities = decode_rrs(ns, &mut pos)?;
         let additionals = decode_rrs(ar, &mut pos)?;
-        Ok(Message { header, questions, answers, authorities, additionals })
+        Ok(Message {
+            header,
+            questions,
+            answers,
+            authorities,
+            additionals,
+        })
     }
 }
 
@@ -409,7 +444,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_missing_records() {
-        let mut q = Message::query(1, n("a.com"), RecordType::A).encode().unwrap();
+        let mut q = Message::query(1, n("a.com"), RecordType::A)
+            .encode()
+            .unwrap();
         // Claim one answer that isn't present.
         q[7] = 1;
         assert_eq!(Message::decode(&q).unwrap_err(), WireError::Truncated);
@@ -441,7 +478,10 @@ mod tests {
         let resp = Message::response_to(&q, Rcode::NoError);
         assert_eq!(resp.header.id, 0xBEEF);
         assert_eq!(resp.questions, q.questions);
-        assert!(resp.answers.is_empty(), "AAAA gets an empty answer from Apple's mapping");
+        assert!(
+            resp.answers.is_empty(),
+            "AAAA gets an empty answer from Apple's mapping"
+        );
     }
 
     #[test]

@@ -116,7 +116,9 @@ impl Name {
         if self.labels.is_empty() {
             None
         } else {
-            Some(Name { labels: self.labels[1..].to_vec() })
+            Some(Name {
+                labels: self.labels[1..].to_vec(),
+            })
         }
     }
 
@@ -319,9 +321,15 @@ mod tests {
 
     #[test]
     fn decode_rejects_truncation_and_reserved_types() {
-        assert_eq!(Name::decode(&[5, b'a'], 0).unwrap_err(), WireError::Truncated);
+        assert_eq!(
+            Name::decode(&[5, b'a'], 0).unwrap_err(),
+            WireError::Truncated
+        );
         assert_eq!(Name::decode(&[], 0).unwrap_err(), WireError::Truncated);
-        assert_eq!(Name::decode(&[0x80, 0x01, 0], 0).unwrap_err(), WireError::BadLabelType);
+        assert_eq!(
+            Name::decode(&[0x80, 0x01, 0], 0).unwrap_err(),
+            WireError::BadLabelType
+        );
     }
 
     #[test]

@@ -218,7 +218,8 @@ impl RData {
                 if p + 20 != end {
                     return Err(WireError::BadRdata);
                 }
-                let word = |i: usize| u32::from_be_bytes(tail[i * 4..i * 4 + 4].try_into().unwrap());
+                let word =
+                    |i: usize| u32::from_be_bytes(tail[i * 4..i * 4 + 4].try_into().unwrap());
                 Ok(RData::Soa(Box::new(Soa {
                     mname,
                     rname,
@@ -261,7 +262,12 @@ pub struct ResourceRecord {
 impl ResourceRecord {
     /// Convenience constructor for an `IN` record.
     pub fn new(name: Name, ttl: u32, rdata: RData) -> ResourceRecord {
-        ResourceRecord { name, class: Class::In, ttl, rdata }
+        ResourceRecord {
+            name,
+            class: Class::In,
+            ttl,
+            rdata,
+        }
     }
 
     /// The record type, derived from the RDATA variant.
@@ -367,7 +373,10 @@ mod tests {
 
         let too_long = RData::Txt(vec![vec![b'x'; 256]]);
         let mut buf = Vec::new();
-        assert_eq!(too_long.encode(&mut buf).unwrap_err(), WireError::TxtTooLong);
+        assert_eq!(
+            too_long.encode(&mut buf).unwrap_err(),
+            WireError::TxtTooLong
+        );
     }
 
     #[test]

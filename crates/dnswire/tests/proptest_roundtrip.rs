@@ -1,7 +1,9 @@
 //! Property tests: arbitrary well-formed DNS messages survive an
 //! encode→decode round trip, and the decoder never panics on garbage.
 
-use mcdn_dnswire::{Flags, Header, Message, Name, Opcode, Question, RData, Rcode, RecordType, ResourceRecord};
+use mcdn_dnswire::{
+    Flags, Header, Message, Name, Opcode, Question, RData, Rcode, RecordType, ResourceRecord,
+};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -41,21 +43,27 @@ fn arb_message() -> impl Strategy<Value = Message> {
         proptest::collection::vec(arb_rr(), 0..3),
         proptest::collection::vec(arb_rr(), 0..3),
     )
-        .prop_map(|(id, qr, rd, qnames, answers, authorities, additionals)| Message {
-            header: Header {
-                id,
-                flags: Flags { qr, rd, ..Flags::default() },
-                opcode: Opcode::Query,
-                rcode: Rcode::NoError,
+        .prop_map(
+            |(id, qr, rd, qnames, answers, authorities, additionals)| Message {
+                header: Header {
+                    id,
+                    flags: Flags {
+                        qr,
+                        rd,
+                        ..Flags::default()
+                    },
+                    opcode: Opcode::Query,
+                    rcode: Rcode::NoError,
+                },
+                questions: qnames
+                    .into_iter()
+                    .map(|n| Question::new(n, RecordType::A))
+                    .collect(),
+                answers,
+                authorities,
+                additionals,
             },
-            questions: qnames
-                .into_iter()
-                .map(|n| Question::new(n, RecordType::A))
-                .collect(),
-            answers,
-            authorities,
-            additionals,
-        })
+        )
 }
 
 proptest! {

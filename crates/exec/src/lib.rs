@@ -81,7 +81,9 @@ pub fn thread_count() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
 }
 
 /// The contiguous index ranges that split `n` items into at most `shards`
@@ -168,7 +170,11 @@ pub struct ShardFailure {
 
 impl core::fmt::Display for ShardFailure {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "shard {} panicked {} time(s): {}", self.shard, self.attempts, self.message)
+        write!(
+            f,
+            "shard {} panicked {} time(s): {}",
+            self.shard, self.attempts, self.message
+        )
     }
 }
 
@@ -252,7 +258,11 @@ where
             *slot.borrow_mut() = Some(pristine as Box<dyn Any + Send>);
             match result {
                 Some(r) => Ok(r),
-                None => Err(ShardFailure { shard: index, attempts, message: last_message }),
+                None => Err(ShardFailure {
+                    shard: index,
+                    attempts,
+                    message: last_message,
+                }),
             }
         })
     } else {
@@ -266,7 +276,11 @@ where
                 }
             }
         }
-        Err(ShardFailure { shard: index, attempts, message: last_message })
+        Err(ShardFailure {
+            shard: index,
+            attempts,
+            message: last_message,
+        })
     }
 }
 
@@ -364,7 +378,11 @@ mod pool {
     /// pathological caller spawn unboundedly. Beyond the cap, queued
     /// shards are drained by the helping dispatcher — slower, never wrong.
     fn worker_cap() -> usize {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).saturating_mul(4).max(64)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .saturating_mul(4)
+            .max(64)
     }
 
     fn spawn_worker(id: usize) {
@@ -509,7 +527,9 @@ mod pool {
         let slot = &job.shards[shard];
         let items = unsafe { std::slice::from_raw_parts_mut(slot.ptr, slot.len) };
         let f = unsafe { &*job.f };
-        let recovery = job.recovery.expect("supervised job carries a recovery policy");
+        let recovery = job
+            .recovery
+            .expect("supervised job carries a recovery policy");
         let started = Instant::now();
         let outcome = match supervise_shard(shard, items, recovery, f) {
             Ok(r) => Outcome::Done(r, started.elapsed()),
@@ -545,7 +565,10 @@ mod pool {
         for b in &bounds {
             let (shard, tail) = rest.split_at_mut(b.len());
             rest = tail;
-            shards.push(ShardSlot { ptr: shard.as_mut_ptr(), len: shard.len() });
+            shards.push(ShardSlot {
+                ptr: shard.as_mut_ptr(),
+                len: shard.len(),
+            });
         }
         let job = Job::<T, R, F> {
             f,
@@ -572,7 +595,11 @@ mod pool {
             {
                 let mut queue = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
                 for shard in 1..n {
-                    queue.push_back(Task { job: job_ptr, run, shard });
+                    queue.push_back(Task {
+                        job: job_ptr,
+                        run,
+                        shard,
+                    });
                 }
             }
             pool.work_ready.notify_all();
@@ -749,7 +776,10 @@ pub mod reference {
                 .enumerate()
                 .map(|(i, shard)| scope.spawn(move || f(i, shard)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard worker panicked"))
+                .collect()
         })
     }
 
@@ -787,7 +817,11 @@ pub mod reference {
                     }
                 }
             }
-            Err(ShardFailure { shard: index, attempts, message: last_message })
+            Err(ShardFailure {
+                shard: index,
+                attempts,
+                message: last_message,
+            })
         }
         let bounds = super::shard_bounds(items.len(), threads);
         if bounds.len() <= 1 || threads <= 1 {
@@ -814,7 +848,10 @@ pub mod reference {
                 .enumerate()
                 .map(|(i, shard)| scope.spawn(move || supervise(i, shard, retries, f)))
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("shard supervisor panicked")).collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("shard supervisor panicked"))
+                .collect()
         });
         let mut out = Vec::with_capacity(results.len());
         for r in results {
@@ -835,11 +872,13 @@ mod tests {
                 let b = shard_bounds(n, shards);
                 let covered: Vec<usize> = b.iter().cloned().flatten().collect();
                 assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} shards={shards}");
-                assert!(b.iter().all(|r| !r.is_empty()), "no empty shards: n={n} shards={shards}");
+                assert!(
+                    b.iter().all(|r| !r.is_empty()),
+                    "no empty shards: n={n} shards={shards}"
+                );
                 if n > 0 {
                     let lens: Vec<usize> = b.iter().map(|r| r.len()).collect();
-                    let (min, max) =
-                        (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
                     assert!(max - min <= 1, "near-even: n={n} shards={shards} {lens:?}");
                 }
             }
@@ -892,7 +931,9 @@ mod tests {
 
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    const PRISTINE: Recovery = Recovery::Pristine { retries: DEFAULT_SHARD_RETRIES };
+    const PRISTINE: Recovery = Recovery::Pristine {
+        retries: DEFAULT_SHARD_RETRIES,
+    };
 
     #[test]
     fn supervised_matches_unsupervised_when_nothing_panics() {
@@ -900,10 +941,9 @@ mod tests {
             let mut a: Vec<u32> = (0..57).collect();
             let mut b = a.clone();
             let plain = shard_map(&mut a, threads, |i, s| (i, s.iter().sum::<u32>()));
-            let (supervised, _) = shard_map_recover(&mut b, threads, PRISTINE, |i, s| {
-                (i, s.iter().sum::<u32>())
-            })
-            .unwrap();
+            let (supervised, _) =
+                shard_map_recover(&mut b, threads, PRISTINE, |i, s| (i, s.iter().sum::<u32>()))
+                    .unwrap();
             assert_eq!(plain, supervised, "threads={threads}");
             assert_eq!(a, b);
         }
@@ -928,7 +968,10 @@ mod tests {
                 shard.iter().sum::<u64>()
             })
             .unwrap();
-            assert_eq!(items, expected, "threads={threads}: mutation applied exactly once");
+            assert_eq!(
+                items, expected,
+                "threads={threads}: mutation applied exactly once"
+            );
             assert_eq!(
                 parts.iter().sum::<u64>(),
                 expected.iter().sum::<u64>(),
@@ -960,10 +1003,9 @@ mod tests {
             let mut a: Vec<u32> = (0..57).collect();
             let mut b = a.clone();
             let plain = shard_map(&mut a, threads, |i, s| (i, s.iter().sum::<u32>()));
-            let (timed, walls) = shard_map_recover(&mut b, threads, PRISTINE, |i, s| {
-                (i, s.iter().sum::<u32>())
-            })
-            .unwrap();
+            let (timed, walls) =
+                shard_map_recover(&mut b, threads, PRISTINE, |i, s| (i, s.iter().sum::<u32>()))
+                    .unwrap();
             assert_eq!(plain, timed, "threads={threads}");
             assert_eq!(walls.len(), timed.len(), "threads={threads}");
         }
@@ -1106,7 +1148,10 @@ mod tests {
         // that repeated rounds neither spawn nor leak.
         warm(8);
         let before = pool_stats();
-        assert!(before.spawned >= 7, "warm(8) must leave >=7 workers: {before:?}");
+        assert!(
+            before.spawned >= 7,
+            "warm(8) must leave >=7 workers: {before:?}"
+        );
         for round in 0..32 {
             let mut items: Vec<u64> = (0..64).collect();
             let sums = shard_map(&mut items, 8, |i, s| (i, s.iter().sum::<u64>()));

@@ -71,7 +71,11 @@ pub fn interpolate_gaps(
         match exact {
             Some(v) => {
                 cov.observed += 1;
-                out.push(FilledBin { t, value: v, interpolated: false });
+                out.push(FilledBin {
+                    t,
+                    value: v,
+                    interpolated: false,
+                });
             }
             None => {
                 cov.missing += 1;
@@ -87,7 +91,11 @@ pub fn interpolate_gaps(
                     (None, Some(&(_, v1))) => v1,
                     (None, None) => 0.0,
                 };
-                out.push(FilledBin { t, value, interpolated: true });
+                out.push(FilledBin {
+                    t,
+                    value,
+                    interpolated: true,
+                });
             }
         }
         t += step;
@@ -101,8 +109,9 @@ mod tests {
 
     #[test]
     fn complete_series_passes_through_unchanged() {
-        let obs: Vec<(SimTime, f64)> =
-            (0..6).map(|i| (SimTime(i * 300), i as f64 * 10.0)).collect();
+        let obs: Vec<(SimTime, f64)> = (0..6)
+            .map(|i| (SimTime(i * 300), i as f64 * 10.0))
+            .collect();
         let (bins, cov) = interpolate_gaps(&obs, SimTime(0), SimTime(1800), Duration::secs(300));
         assert!(cov.complete());
         assert_eq!(cov.fraction(), 1.0);

@@ -371,7 +371,12 @@ impl FaultProfile {
     /// Builder: scripts a targeted control-plane kill of the entity hashed
     /// to `key` during `[from, until)` — e.g. "kill the Limelight load
     /// balancer mid-event".
-    pub const fn with_target_kill(mut self, key: u64, from: SimTime, until: SimTime) -> FaultProfile {
+    pub const fn with_target_kill(
+        mut self,
+        key: u64,
+        from: SimTime,
+        until: SimTime,
+    ) -> FaultProfile {
         self.kill_key = key;
         self.kill_from = from;
         self.kill_until = until;
@@ -478,7 +483,9 @@ impl FaultProfile {
     /// blackout) can ever fire.
     pub fn has_infrastructure_faults(&self) -> bool {
         (self.site_outage_every_hours > 0 && self.site_outage_hours > 0)
-            || (self.brownout_every_hours > 0 && self.brownout_hours > 0 && self.brownout_depth > 0.0)
+            || (self.brownout_every_hours > 0
+                && self.brownout_hours > 0
+                && self.brownout_depth > 0.0)
             || (self.ns_outage_every_hours > 0 && self.ns_outage_hours > 0)
             || self.apple_degrade_per_load > 0.0
             || (self.kill_key != 0 && self.kill_until > self.kill_from)
@@ -489,7 +496,14 @@ impl FaultProfile {
     /// of its pseudo-random fault windows at `now`. Windows are
     /// `span_hours` long and recur on average every `every_hours`, placed
     /// per entity so different entities fail at different times.
-    fn in_window(&self, key: u64, now: SimTime, every_hours: u32, span_hours: u32, salt: u64) -> bool {
+    fn in_window(
+        &self,
+        key: u64,
+        now: SimTime,
+        every_hours: u32,
+        span_hours: u32,
+        salt: u64,
+    ) -> bool {
         if every_hours == 0 || span_hours == 0 {
             return false;
         }
@@ -504,7 +518,13 @@ impl FaultProfile {
     /// `lame_every_hours`, and are placed pseudo-randomly per zone so
     /// different zones go lame at different times.
     pub fn zone_is_lame(&self, zone_key: u64, now: SimTime) -> bool {
-        self.in_window(zone_key, now, self.lame_every_hours, self.lame_hours, 0x1a3e)
+        self.in_window(
+            zone_key,
+            now,
+            self.lame_every_hours,
+            self.lame_hours,
+            0x1a3e,
+        )
     }
 
     /// Whether the entity hashed to `key` is inside its scripted
@@ -522,7 +542,13 @@ impl FaultProfile {
     /// (pseudo-random outage window or scripted targeted kill).
     pub fn site_is_down(&self, site_key: u64, now: SimTime) -> bool {
         self.target_killed(site_key, now)
-            || self.in_window(site_key, now, self.site_outage_every_hours, self.site_outage_hours, 0x51fe)
+            || self.in_window(
+                site_key,
+                now,
+                self.site_outage_every_hours,
+                self.site_outage_hours,
+                0x51fe,
+            )
     }
 
     /// The fraction of its modeled capacity the site hashed to `site_key`
@@ -532,7 +558,13 @@ impl FaultProfile {
         if self.site_is_down(site_key, now) {
             return 0.0;
         }
-        if self.in_window(site_key, now, self.brownout_every_hours, self.brownout_hours, 0xb0bf) {
+        if self.in_window(
+            site_key,
+            now,
+            self.brownout_every_hours,
+            self.brownout_hours,
+            0xb0bf,
+        ) {
             (1.0 - self.brownout_depth).clamp(0.0, 1.0)
         } else {
             1.0
@@ -543,7 +575,13 @@ impl FaultProfile {
     /// dark (unreachable — queries time out) at `now`.
     pub fn ns_is_dark(&self, zone_key: u64, now: SimTime) -> bool {
         self.target_killed(zone_key, now)
-            || self.in_window(zone_key, now, self.ns_outage_every_hours, self.ns_outage_hours, 0xd4a7)
+            || self.in_window(
+                zone_key,
+                now,
+                self.ns_outage_every_hours,
+                self.ns_outage_hours,
+                0xd4a7,
+            )
     }
 
     /// Load-coupled degradation of Apple's own CDN: the capacity factor at
@@ -666,7 +704,14 @@ impl FaultProfile {
         if self.latency_median_ms <= 0.0 {
             return 0.0;
         }
-        let h = hash_words(&[self.seed, zone_key, query_key, now.0, attempt as u64, 0x1a7e]);
+        let h = hash_words(&[
+            self.seed,
+            zone_key,
+            query_key,
+            now.0,
+            attempt as u64,
+            0x1a7e,
+        ]);
         let u = unit(h);
         let tail = self.latency_tail.max(1.0);
         // latency = median * (2(1-u))^(-alpha): u=0.5 gives the median,
@@ -765,13 +810,23 @@ mod tests {
     #[test]
     fn profile_digest_separates_models_and_is_stable() {
         let a = FaultProfile::none();
-        assert_eq!(a.digest(), FaultProfile::none().digest(), "digest is a pure function");
+        assert_eq!(
+            a.digest(),
+            FaultProfile::none().digest(),
+            "digest is a pure function"
+        );
         assert_ne!(a.digest(), FaultProfile::realistic(1).digest());
-        assert_ne!(FaultProfile::realistic(1).digest(), FaultProfile::realistic(2).digest());
+        assert_ne!(
+            FaultProfile::realistic(1).digest(),
+            FaultProfile::realistic(2).digest()
+        );
         // Every knob participates — a scripted window alone must change it.
         let scripted = a.with_blackout(SimTime(10), SimTime(20));
         assert_ne!(a.digest(), scripted.digest());
-        assert_ne!(RetryPolicy::none().digest(), RetryPolicy::standard().digest());
+        assert_ne!(
+            RetryPolicy::none().digest(),
+            RetryPolicy::standard().digest()
+        );
     }
 
     #[test]
@@ -814,7 +869,9 @@ mod tests {
         assert!(!p.has_infrastructure_faults());
         for i in 0..2_000u64 {
             let t = SimTime(i * 311);
-            assert!(p.upstream_fault(i, i ^ 0xabc, (i % 5) as u32, t, 3.0).is_none());
+            assert!(p
+                .upstream_fault(i, i ^ 0xabc, (i % 5) as u32, t, 3.0)
+                .is_none());
             assert!(!p.netflow_export_lost(i, i ^ 1, t));
             assert!(!p.snmp_poll_missed(i, t));
             assert!(!p.zone_is_lame(i, t));
@@ -834,8 +891,11 @@ mod tests {
         assert!(p.has_answer_mutations());
         assert!(!p.is_quiet());
         assert!(p.enforce_bailiwick, "hardened resolver is the default");
-        assert!(p.upstream_fault(1, 2, 0, SimTime(1_505_000_000), 1.0).is_none(),
-            "poisoning alone leaves the absent-answer plane clean");
+        assert!(
+            p.upstream_fault(1, 2, 0, SimTime(1_505_000_000), 1.0)
+                .is_none(),
+            "poisoning alone leaves the absent-answer plane clean"
+        );
         let trials = 20_000u64;
         let mut counts = std::collections::HashMap::new();
         for i in 0..trials {
@@ -845,7 +905,10 @@ mod tests {
         }
         let hit: u64 = counts.values().sum();
         let rate = hit as f64 / trials as f64;
-        assert!((0.13..0.17).contains(&rate), "observed mutation rate {rate}");
+        assert!(
+            (0.13..0.17).contains(&rate),
+            "observed mutation rate {rate}"
+        );
         // All four kinds occur, roughly evenly.
         for kind in [
             AnswerMutation::SpoofA,
@@ -854,7 +917,10 @@ mod tests {
             AnswerMutation::InflateTtl,
         ] {
             let n = counts.get(&kind).copied().unwrap_or(0);
-            assert!(n as f64 > hit as f64 * 0.15, "kind {kind:?} underdrawn: {n}/{hit}");
+            assert!(
+                n as f64 > hit as f64 * 0.15,
+                "kind {kind:?} underdrawn: {n}/{hit}"
+            );
         }
     }
 
@@ -864,7 +930,10 @@ mod tests {
         let b = FaultProfile::poisoning(5);
         for i in 0..2_000u64 {
             let t = SimTime(1_500_000_000 + i * 60);
-            assert_eq!(a.answer_mutation(i, i * 7, 1, t), b.answer_mutation(i, i * 7, 1, t));
+            assert_eq!(
+                a.answer_mutation(i, i * 7, 1, t),
+                b.answer_mutation(i, i * 7, 1, t)
+            );
         }
         // Disabling three kinds leaves only the fourth.
         let only_spoof = FaultProfile {
@@ -882,7 +951,10 @@ mod tests {
         }
         assert!(saw > 0, "sole enabled kind must still fire");
         // Rate with no kinds enabled is inert even at rate 1.0.
-        let hollow = FaultProfile { mutation_rate: 1.0, ..FaultProfile::none() };
+        let hollow = FaultProfile {
+            mutation_rate: 1.0,
+            ..FaultProfile::none()
+        };
         assert!(!hollow.has_answer_mutations());
         assert!(hollow.answer_mutation(1, 2, 0, SimTime(0)).is_none());
     }
@@ -897,7 +969,10 @@ mod tests {
             assert_eq!(addr.octets()[1], 18);
             distinct.insert(addr);
         }
-        assert!(distinct.len() > 100, "spoofed hosts must spread over the /16");
+        assert!(
+            distinct.len() > 100,
+            "spoofed hosts must spread over the /16"
+        );
         assert_eq!(
             p.spoof_address(7, SimTime(42)),
             p.spoof_address(7, SimTime(42)),
@@ -911,12 +986,18 @@ mod tests {
         assert_ne!(base.digest(), FaultProfile::poisoning(0).digest());
         assert_ne!(
             FaultProfile::poisoning(1).digest(),
-            FaultProfile::poisoning(1).with_bailiwick_enforcement(false).digest(),
+            FaultProfile::poisoning(1)
+                .with_bailiwick_enforcement(false)
+                .digest(),
             "enforcement flag is part of the fault-model cursor"
         );
         assert_ne!(
             FaultProfile::poisoning(1).digest(),
-            FaultProfile { ttl_inflation_factor: 9_999, ..FaultProfile::poisoning(1) }.digest()
+            FaultProfile {
+                ttl_inflation_factor: 9_999,
+                ..FaultProfile::poisoning(1)
+            }
+            .digest()
         );
     }
 
@@ -931,7 +1012,9 @@ mod tests {
         assert!(p.has_infrastructure_faults());
         assert!(!p.is_quiet());
         let hours = 24 * 365;
-        let down = (0..hours).filter(|&h| p.site_is_down(9, SimTime(h * 3600))).count();
+        let down = (0..hours)
+            .filter(|&h| p.site_is_down(9, SimTime(h * 3600)))
+            .count();
         let frac = down as f64 / hours as f64;
         // Expect roughly site_outage_hours / site_outage_every_hours ≈ 6 %.
         assert!((0.01..0.15).contains(&frac), "outage fraction {frac}");
@@ -957,7 +1040,10 @@ mod tests {
         let mut browned = 0;
         for h in 0..hours {
             let t = SimTime(h * 3600);
-            assert!(!p.site_is_down(33, t), "brownout alone never takes a site down");
+            assert!(
+                !p.site_is_down(33, t),
+                "brownout alone never takes a site down"
+            );
             let f = p.site_capacity_factor(33, t);
             assert!(f == 1.0 || (f - 0.4).abs() < 1e-12, "factor {f}");
             if f < 1.0 {
@@ -986,7 +1072,10 @@ mod tests {
                 break;
             }
         }
-        assert!(differs, "NS and site windows must be decorrelated for the same key");
+        assert!(
+            differs,
+            "NS and site windows must be decorrelated for the same key"
+        );
     }
 
     #[test]
@@ -998,9 +1087,15 @@ mod tests {
         assert!(p.target_killed(42, SimTime(1_000)));
         assert!(p.site_is_down(42, SimTime(1_500)));
         assert!(p.ns_is_dark(42, SimTime(1_500)));
-        assert!(!p.target_killed(42, SimTime(2_000)), "window end is exclusive");
+        assert!(
+            !p.target_killed(42, SimTime(2_000)),
+            "window end is exclusive"
+        );
         assert!(!p.target_killed(42, SimTime(999)));
-        assert!(!p.target_killed(41, SimTime(1_500)), "other keys unaffected");
+        assert!(
+            !p.target_killed(41, SimTime(1_500)),
+            "other keys unaffected"
+        );
         // Key 0 means "disabled", even with a window set.
         let off = FaultProfile::none().with_target_kill(0, from, until);
         assert!(!off.target_killed(0, SimTime(1_500)));
@@ -1013,10 +1108,20 @@ mod tests {
         assert!(p.health_blackout(SimTime(150)));
         assert!(!p.health_blackout(SimTime(200)));
         assert!(!p.health_blackout(SimTime(99)));
-        let d = FaultProfile { apple_degrade_per_load: 0.5, ..FaultProfile::none() };
-        assert_eq!(d.apple_load_factor(0.5), 1.0, "no degradation below capacity");
+        let d = FaultProfile {
+            apple_degrade_per_load: 0.5,
+            ..FaultProfile::none()
+        };
+        assert_eq!(
+            d.apple_load_factor(0.5),
+            1.0,
+            "no degradation below capacity"
+        );
         assert_eq!(d.apple_load_factor(1.0), 1.0);
-        assert!((d.apple_load_factor(3.0) - 0.5).abs() < 1e-12, "1/(1+0.5*2)");
+        assert!(
+            (d.apple_load_factor(3.0) - 0.5).abs() < 1e-12,
+            "1/(1+0.5*2)"
+        );
     }
 
     #[test]
@@ -1026,7 +1131,9 @@ mod tests {
         assert_eq!(p.query_loss, 0.0);
         assert_eq!(p.netflow_export_loss, 0.0);
         assert_eq!(p.snmp_gap, 0.0);
-        assert!(p.upstream_fault(1, 2, 0, SimTime(1_505_000_000), 0.9).is_none());
+        assert!(p
+            .upstream_fault(1, 2, 0, SimTime(1_505_000_000), 0.9)
+            .is_none());
     }
 
     #[test]
@@ -1055,12 +1162,19 @@ mod tests {
                 break;
             }
         }
-        assert!(differs, "different seeds must give different fault patterns");
+        assert!(
+            differs,
+            "different seeds must give different fault patterns"
+        );
     }
 
     #[test]
     fn query_loss_rate_is_respected() {
-        let p = FaultProfile { query_loss: 0.2, ..FaultProfile::none() }.with_seed(5);
+        let p = FaultProfile {
+            query_loss: 0.2,
+            ..FaultProfile::none()
+        }
+        .with_seed(5);
         let trials = 20_000u64;
         let timeouts = (0..trials)
             .filter(|&i| {
@@ -1084,12 +1198,18 @@ mod tests {
         .with_seed(9);
         let count = |load: f64| {
             (0..10_000u64)
-                .filter(|&i| p.upstream_fault(11, i, 0, SimTime(1_505_000_000), load).is_some())
+                .filter(|&i| {
+                    p.upstream_fault(11, i, 0, SimTime(1_505_000_000), load)
+                        .is_some()
+                })
                 .count()
         };
         let idle = count(0.0);
         let busy = count(2.0);
-        assert!(busy > idle * 5, "overload must raise SERVFAILs ({idle} -> {busy})");
+        assert!(
+            busy > idle * 5,
+            "overload must raise SERVFAILs ({idle} -> {busy})"
+        );
     }
 
     #[test]
@@ -1101,7 +1221,9 @@ mod tests {
         }
         .with_seed(3);
         let hours = 24 * 365;
-        let lame = (0..hours).filter(|&h| p.zone_is_lame(42, SimTime(h * 3600))).count();
+        let lame = (0..hours)
+            .filter(|&h| p.zone_is_lame(42, SimTime(h * 3600)))
+            .count();
         let frac = lame as f64 / hours as f64;
         // Expect roughly lame_hours / lame_every_hours = ~4.2 % of hours.
         assert!((0.01..0.10).contains(&frac), "lame fraction {frac}");

@@ -120,8 +120,16 @@ pub fn seed_messages() -> Vec<Message> {
         ResourceRecord::new(n("apple.com"), 3600, RData::Ns(n("adns2.apple.com"))),
     ];
     nx.additionals = vec![
-        ResourceRecord::new(n("adns1.apple.com"), 3600, RData::A(Ipv4Addr::new(17, 254, 0, 50))),
-        ResourceRecord::new(n("adns2.apple.com"), 3600, RData::A(Ipv4Addr::new(17, 254, 0, 59))),
+        ResourceRecord::new(
+            n("adns1.apple.com"),
+            3600,
+            RData::A(Ipv4Addr::new(17, 254, 0, 50)),
+        ),
+        ResourceRecord::new(
+            n("adns2.apple.com"),
+            3600,
+            RData::A(Ipv4Addr::new(17, 254, 0, 59)),
+        ),
     ];
     seeds.push(nx);
 
@@ -177,7 +185,9 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
 /// description of the first violation, if any.
 pub fn check_seed_roundtrips() -> Result<(), String> {
     for (i, msg) in seed_messages().iter().enumerate() {
-        let bytes = msg.encode().map_err(|e| format!("seed {i} failed to encode: {e:?}"))?;
+        let bytes = msg
+            .encode()
+            .map_err(|e| format!("seed {i} failed to encode: {e:?}"))?;
         match Message::decode(&bytes) {
             Ok(back) if back == *msg => {}
             Ok(_) => return Err(format!("seed {i} decoded to a different message")),
@@ -292,7 +302,9 @@ fn exercise(bytes: &[u8], report: &mut FuzzReport) {
             // Anything that decodes must re-encode into bytes that decode
             // back to the same message: the decoded form is canonical.
             let stable = catch_unwind(AssertUnwindSafe(|| {
-                let reenc = msg.encode().map_err(|e| format!("re-encode failed: {e:?}"))?;
+                let reenc = msg
+                    .encode()
+                    .map_err(|e| format!("re-encode failed: {e:?}"))?;
                 match Message::decode(&reenc) {
                     Ok(back) if back == msg => Ok::<(), String>(()),
                     Ok(_) => Err("re-decode changed the message".to_string()),
@@ -331,7 +343,9 @@ pub fn parse_hex(text: &str) -> Result<Vec<u8>, String> {
             if ch.is_whitespace() {
                 continue;
             }
-            let v = ch.to_digit(16).ok_or_else(|| format!("non-hex character {ch:?}"))?;
+            let v = ch
+                .to_digit(16)
+                .ok_or_else(|| format!("non-hex character {ch:?}"))?;
             nibbles.push(v as u8);
         }
     }
@@ -398,8 +412,14 @@ mod tests {
         let report = run_fuzz(0x5EED_D15E, 4000);
         assert_eq!(report.iterations, 4000);
         assert!(report.clean(), "fuzz run not clean: {report:?}");
-        assert!(report.decoded_ok > 0, "no mutated input decoded: {report:?}");
-        assert!(report.decode_errors > 0, "no mutated input errored: {report:?}");
+        assert!(
+            report.decoded_ok > 0,
+            "no mutated input decoded: {report:?}"
+        );
+        assert!(
+            report.decode_errors > 0,
+            "no mutated input errored: {report:?}"
+        );
     }
 
     #[test]
@@ -410,7 +430,10 @@ mod tests {
 
     #[test]
     fn parse_hex_handles_comments_whitespace_and_errors() {
-        assert_eq!(parse_hex("12 34 # trailing\n  AB\ncd").unwrap(), vec![0x12, 0x34, 0xAB, 0xCD]);
+        assert_eq!(
+            parse_hex("12 34 # trailing\n  AB\ncd").unwrap(),
+            vec![0x12, 0x34, 0xAB, 0xCD]
+        );
         assert_eq!(parse_hex("# only a comment\n").unwrap(), Vec::<u8>::new());
         assert!(parse_hex("123").unwrap_err().contains("odd"));
         assert!(parse_hex("zz").unwrap_err().contains("non-hex"));
@@ -420,8 +443,14 @@ mod tests {
     fn committed_corpus_replays_clean() {
         let report = replay_corpus(&corpus_dir()).unwrap();
         assert!(report.clean(), "corpus replay not clean: {report:?}");
-        assert!(report.decoded_ok >= 1, "corpus should hold valid samples: {report:?}");
-        assert!(report.decode_errors >= 1, "corpus should hold malformed samples: {report:?}");
+        assert!(
+            report.decoded_ok >= 1,
+            "corpus should hold valid samples: {report:?}"
+        );
+        assert!(
+            report.decode_errors >= 1,
+            "corpus should hold malformed samples: {report:?}"
+        );
     }
 
     #[test]
@@ -433,7 +462,10 @@ mod tests {
             .expect("valid_query.hex present");
         let msg = Message::decode(&query.1).unwrap();
         assert_eq!(msg.questions.len(), 1);
-        assert_eq!(msg.questions[0].name, Name::parse("mesu.apple.com").unwrap());
+        assert_eq!(
+            msg.questions[0].name,
+            Name::parse("mesu.apple.com").unwrap()
+        );
         let chain = corpus
             .iter()
             .find(|(name, _)| name == "valid_response_chain.hex")

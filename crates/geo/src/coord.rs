@@ -24,7 +24,10 @@ impl Coord {
         if lon < 0.0 {
             lon += 360.0;
         }
-        Coord { lat, lon: lon - 180.0 }
+        Coord {
+            lat,
+            lon: lon - 180.0,
+        }
     }
 
     /// Great-circle distance to `other` in kilometres (haversine formula).

@@ -90,7 +90,10 @@ macro_rules! city {
         City {
             name: $name,
             locode: Locode::from_bytes(*$code),
-            coord: Coord { lat: $lat, lon: $lon },
+            coord: Coord {
+                lat: $lat,
+                lon: $lon,
+            },
             continent: Continent::$cont,
         }
     };
@@ -240,7 +243,10 @@ mod tests {
         let c = Locode::parse("cnsha").unwrap();
         assert_eq!(c.country(), "cn");
         assert_eq!(c.special_market(), Some(SpecialMarket::China));
-        assert_eq!(Locode::parse("inbom").unwrap().special_market(), Some(SpecialMarket::India));
+        assert_eq!(
+            Locode::parse("inbom").unwrap().special_market(),
+            Some(SpecialMarket::India)
+        );
         assert_eq!(Locode::parse("deber").unwrap().special_market(), None);
     }
 
@@ -277,7 +283,10 @@ mod tests {
     #[test]
     fn every_continent_has_cities() {
         for cont in Continent::ALL {
-            assert!(Registry::on_continent(cont).count() >= 4, "{cont} too sparse");
+            assert!(
+                Registry::on_continent(cont).count() >= 4,
+                "{cont} too sparse"
+            );
         }
     }
 }

@@ -81,7 +81,14 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if the date precedes the Unix epoch (the simulation never does).
-    pub fn from_ymd_hms(year: i64, month: u32, day: u32, hour: u32, minute: u32, second: u32) -> SimTime {
+    pub fn from_ymd_hms(
+        year: i64,
+        month: u32,
+        day: u32,
+        hour: u32,
+        minute: u32,
+        second: u32,
+    ) -> SimTime {
         let days = days_from_civil(year, month, day);
         assert!(days >= 0, "SimTime does not support pre-1970 instants");
         SimTime(days as u64 * 86_400 + hour as u64 * 3600 + minute as u64 * 60 + second as u64)
@@ -97,7 +104,14 @@ impl SimTime {
         let days = (self.0 / 86_400) as i64;
         let rem = self.0 % 86_400;
         let (y, m, d) = civil_from_days(days);
-        (y, m, d, (rem / 3600) as u32, ((rem % 3600) / 60) as u32, (rem % 60) as u32)
+        (
+            y,
+            m,
+            d,
+            (rem / 3600) as u32,
+            ((rem % 3600) / 60) as u32,
+            (rem % 60) as u32,
+        )
     }
 
     /// Seconds since the Unix epoch.
@@ -166,7 +180,16 @@ impl fmt::Display for SimTime {
     /// Formats like `Sep 19 2017 17:00:00`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (y, _, d, h, mi, s) = self.to_ymd_hms();
-        write!(f, "{} {:02} {} {:02}:{:02}:{:02}", self.month_name(), d, y, h, mi, s)
+        write!(
+            f,
+            "{} {:02} {} {:02}:{:02}:{:02}",
+            self.month_name(),
+            d,
+            y,
+            h,
+            mi,
+            s
+        )
     }
 }
 
@@ -210,7 +233,10 @@ mod tests {
     fn floor_day_and_bins() {
         let t = SimTime::from_ymd_hms(2017, 9, 19, 17, 42, 31);
         assert_eq!(t.floor_day(), SimTime::from_ymd(2017, 9, 19));
-        assert_eq!(t.floor_to(Duration::hours(2)), SimTime::from_ymd_hms(2017, 9, 19, 16, 0, 0));
+        assert_eq!(
+            t.floor_to(Duration::hours(2)),
+            SimTime::from_ymd_hms(2017, 9, 19, 16, 0, 0)
+        );
     }
 
     #[test]

@@ -92,7 +92,10 @@ impl NameTable {
 
     /// Iterates `(id, name)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (NameId, &Name)> {
-        self.names.iter().enumerate().map(|(i, n)| (NameId(i as u32), n))
+        self.names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (NameId(i as u32), n))
     }
 
     /// Releases excess capacity after the build phase.
@@ -185,7 +188,11 @@ mod tests {
     #[test]
     fn precomputed_fnv_matches_streaming_display_hash() {
         let mut t = NameTable::new();
-        for s in ["apple.com", "appldnld.apple.com.akadns.net", "a1015.gi3.akamai.net"] {
+        for s in [
+            "apple.com",
+            "appldnld.apple.com.akadns.net",
+            "a1015.gi3.akamai.net",
+        ] {
             let name = n(s);
             let id = t.intern(&name);
             assert_eq!(t.fnv(id), fnv64(name.to_string().as_bytes()), "{s}");

@@ -71,7 +71,10 @@ mod tests {
         samples.extend(vec![50_000_000u64; spike]);
         let billed = percentile_95_5(&samples);
         let quiet_bill = percentile_95_5(&vec![1_000_000u64; month]);
-        assert!(billed > quiet_bill * 10.0, "spike must dominate: {billed} vs {quiet_bill}");
+        assert!(
+            billed > quiet_bill * 10.0,
+            "spike must dominate: {billed} vs {quiet_bill}"
+        );
     }
 
     #[test]

@@ -21,7 +21,11 @@ pub struct Exporter {
 impl Exporter {
     /// An exporter announcing the given sampling interval.
     pub fn new(sampling_interval: u16) -> Exporter {
-        Exporter { pending: Vec::new(), sequence: 0, sampling_interval }
+        Exporter {
+            pending: Vec::new(),
+            sequence: 0,
+            sampling_interval,
+        }
     }
 
     /// Queues a record; returns a full packet when 30 have accumulated.

@@ -174,8 +174,10 @@ mod tests {
         snmp.account(link, 1_000_000); // exact truth
         snmp.poll(bin);
         // Sampled records only saw 1000 bytes total.
-        let flows =
-            vec![(bin, link, rec(1, 600, 20940)), (bin, link, rec(2, 400, 22822))];
+        let flows = vec![
+            (bin, link, rec(1, 600, 20940)),
+            (bin, link, rec(2, 400, 22822)),
+        ];
         let scaled = scale_by_snmp(&flows, &snmp);
         let total: f64 = scaled.iter().map(|v| v.bytes).sum();
         assert!((total - 1_000_000.0).abs() < 1e-6);

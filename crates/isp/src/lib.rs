@@ -23,15 +23,15 @@
 #![forbid(unsafe_code)]
 
 pub mod billing;
-pub mod collector;
 pub mod classify;
+pub mod collector;
 pub mod estimate;
 pub mod netflow;
 pub mod snmp;
 
 pub use billing::percentile_95_5;
-pub use collector::{Collector, Exporter};
 pub use classify::{classify_flow, FlowClass, TrafficKind};
+pub use collector::{Collector, Exporter};
 pub use estimate::{scale_by_snmp, scale_by_snmp_with_coverage, ScaledVolume, ScalingCoverage};
 pub use netflow::{ExportPacket, FlowRecord, Sampler};
 pub use snmp::SnmpCounters;

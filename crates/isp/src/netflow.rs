@@ -90,7 +90,7 @@ impl ExportPacket {
         out.extend_from_slice(&self.flow_sequence.to_be_bytes());
         out.push(0); // engine_type
         out.push(0); // engine_id
-        // sampling mode (2 bits) = 01 (packet interval) + interval (14 bits).
+                     // sampling mode (2 bits) = 01 (packet interval) + interval (14 bits).
         let sampling = 0x4000u16 | (self.sampling_interval & 0x3FFF);
         out.extend_from_slice(&sampling.to_be_bytes());
         for r in &self.records {
@@ -147,7 +147,12 @@ impl ExportPacket {
                 dst_as: u16::from_be_bytes([r[42], r[43]]),
             });
         }
-        Ok(ExportPacket { unix_secs, flow_sequence, sampling_interval, records })
+        Ok(ExportPacket {
+            unix_secs,
+            flow_sequence,
+            sampling_interval,
+            records,
+        })
     }
 }
 
@@ -195,7 +200,10 @@ impl Sampler {
             return None;
         }
         let sampled_bytes = sampled_packets * PKT;
-        Some((sampled_bytes.min(u32::MAX as u64) as u32, sampled_packets.min(u32::MAX as u64) as u32))
+        Some((
+            sampled_bytes.min(u32::MAX as u64) as u32,
+            sampled_packets.min(u32::MAX as u64) as u32,
+        ))
     }
 }
 
@@ -252,7 +260,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_bad_input() {
-        assert_eq!(ExportPacket::decode(&[0; 10]).unwrap_err(), NetflowError::Truncated);
+        assert_eq!(
+            ExportPacket::decode(&[0; 10]).unwrap_err(),
+            NetflowError::Truncated
+        );
         let mut bytes = ExportPacket {
             unix_secs: 0,
             flow_sequence: 0,
@@ -262,7 +273,10 @@ mod tests {
         .encode()
         .unwrap();
         bytes[1] = 9; // version 9
-        assert_eq!(ExportPacket::decode(&bytes).unwrap_err(), NetflowError::BadVersion);
+        assert_eq!(
+            ExportPacket::decode(&bytes).unwrap_err(),
+            NetflowError::BadVersion
+        );
         let short = ExportPacket {
             unix_secs: 0,
             flow_sequence: 0,
@@ -315,8 +329,11 @@ mod tests {
         let s = Sampler::new(1000);
         let mut kept = 0;
         for i in 0..1000u32 {
-            let key =
-                (Ipv4Addr::from(0x0A00_0000 + i), Ipv4Addr::new(84, 17, 0, 1), SimTime(60));
+            let key = (
+                Ipv4Addr::from(0x0A00_0000 + i),
+                Ipv4Addr::new(84, 17, 0, 1),
+                SimTime(60),
+            );
             // A 3-packet flow has a ~0.3% chance of being sampled.
             if s.sample(4000, key).is_some() {
                 kept += 1;
@@ -328,14 +345,22 @@ mod tests {
     #[test]
     fn sampler_is_deterministic() {
         let s = Sampler::new(1000);
-        let key = (Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8), SimTime(1234));
+        let key = (
+            Ipv4Addr::new(1, 2, 3, 4),
+            Ipv4Addr::new(5, 6, 7, 8),
+            SimTime(1234),
+        );
         assert_eq!(s.sample(5_000_000, key), s.sample(5_000_000, key));
     }
 
     #[test]
     fn rate_one_keeps_everything() {
         let s = Sampler::new(1);
-        let key = (Ipv4Addr::new(1, 2, 3, 4), Ipv4Addr::new(5, 6, 7, 8), SimTime(0));
+        let key = (
+            Ipv4Addr::new(1, 2, 3, 4),
+            Ipv4Addr::new(5, 6, 7, 8),
+            SimTime(0),
+        );
         let (b, p) = s.sample(1_400_000, key).unwrap();
         assert_eq!(p, 1000);
         assert_eq!(b, 1_400_000);

@@ -207,7 +207,10 @@ mod tests {
         }
         a.poll(t0);
         b.poll_filtered(t0, |_| true);
-        assert_eq!(a.samples().collect::<Vec<_>>(), b.samples().collect::<Vec<_>>());
+        assert_eq!(
+            a.samples().collect::<Vec<_>>(),
+            b.samples().collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -245,6 +248,9 @@ mod wrap_tests {
     fn saturated_10g_link_wraps_within_a_poll() {
         // Sanity for the doc claim: 10 Gbps for 300 s = 375 GB ≫ 4 GiB.
         let bytes_per_poll = 10e9 / 8.0 * POLL_INTERVAL.as_secs() as f64;
-        assert!(bytes_per_poll > u32::MAX as f64, "32-bit counters are useless here");
+        assert!(
+            bytes_per_poll > u32::MAX as f64,
+            "32-bit counters are useless here"
+        );
     }
 }

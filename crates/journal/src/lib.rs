@@ -101,11 +101,18 @@ impl Journal {
     /// Creates a fresh, empty journal at `path`, truncating any existing
     /// file.
     pub fn create(path: &Path) -> Result<Journal, JournalError> {
-        let mut file =
-            OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(path)?;
         file.write_all(&MAGIC)?;
         file.flush()?;
-        Ok(Journal { file, path: path.to_path_buf() })
+        Ok(Journal {
+            file,
+            path: path.to_path_buf(),
+        })
     }
 
     /// Opens (or creates) the journal at `path`, replays every intact
@@ -116,7 +123,11 @@ impl Journal {
         // are the whole point of opening it. Corrupt tails are truncated
         // surgically below, after the valid prefix is known.
         #[allow(clippy::suspicious_open_options)]
-        let mut file = OpenOptions::new().read(true).write(true).create(true).open(path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .open(path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
 
@@ -124,8 +135,14 @@ impl Journal {
             file.write_all(&MAGIC)?;
             file.flush()?;
             return Ok((
-                Journal { file, path: path.to_path_buf() },
-                Recovery { records: Vec::new(), truncated_bytes: 0 },
+                Journal {
+                    file,
+                    path: path.to_path_buf(),
+                },
+                Recovery {
+                    records: Vec::new(),
+                    truncated_bytes: 0,
+                },
             ));
         }
         if bytes.len() < MAGIC.len() || bytes[..MAGIC.len()] != MAGIC {
@@ -167,7 +184,16 @@ impl Journal {
             file.set_len(good_end)?;
         }
         file.seek(SeekFrom::Start(good_end))?;
-        Ok((Journal { file, path: path.to_path_buf() }, Recovery { records, truncated_bytes }))
+        Ok((
+            Journal {
+                file,
+                path: path.to_path_buf(),
+            },
+            Recovery {
+                records,
+                truncated_bytes,
+            },
+        ))
     }
 
     /// Appends one record (frame header + payload) and flushes it to the
@@ -178,7 +204,9 @@ impl Journal {
             JournalError::Io(std::io::Error::other("record payload exceeds u32 length"))
         })?;
         if len > MAX_RECORD_LEN {
-            return Err(JournalError::Io(std::io::Error::other("record payload exceeds 1 GiB")));
+            return Err(JournalError::Io(std::io::Error::other(
+                "record payload exceeds 1 GiB",
+            )));
         }
         let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
         frame.extend_from_slice(&len.to_le_bytes());
@@ -316,17 +344,23 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+        Ok(u16::from_le_bytes(
+            self.take(2)?.try_into().expect("2 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads an `f64` stored as its IEEE-754 bit pattern.
@@ -371,7 +405,10 @@ mod tests {
 
     fn tmp_path(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
-        p.push(format!("mcdn-journal-test-{}-{tag}.jrnl", std::process::id()));
+        p.push(format!(
+            "mcdn-journal-test-{}-{tag}.jrnl",
+            std::process::id()
+        ));
         p
     }
 
@@ -434,7 +471,10 @@ mod tests {
         j.append(b"after repair").unwrap();
         drop(j);
         let (_j, rec) = Journal::open(&path).unwrap();
-        assert_eq!(rec.records, vec![b"keep me".to_vec(), b"after repair".to_vec()]);
+        assert_eq!(
+            rec.records,
+            vec![b"keep me".to_vec(), b"after repair".to_vec()]
+        );
         assert_eq!(rec.truncated_bytes, 0);
         std::fs::remove_file(&path).ok();
     }

@@ -17,7 +17,10 @@ impl Ipv4Net {
     pub fn new(addr: Ipv4Addr, prefix_len: u8) -> Ipv4Net {
         let prefix_len = prefix_len.min(32);
         let bits = u32::from(addr) & Self::mask(prefix_len);
-        Ipv4Net { addr: Ipv4Addr::from(bits), prefix_len }
+        Ipv4Net {
+            addr: Ipv4Addr::from(bits),
+            prefix_len,
+        }
     }
 
     /// Parses CIDR notation like `17.253.0.0/16`.
@@ -101,7 +104,12 @@ struct TrieNode<T> {
 
 impl<T> Default for PrefixTrie<T> {
     fn default() -> Self {
-        PrefixTrie { nodes: vec![TrieNode { children: [None, None], value: None }] }
+        PrefixTrie {
+            nodes: vec![TrieNode {
+                children: [None, None],
+                value: None,
+            }],
+        }
     }
 }
 
@@ -156,7 +164,10 @@ impl<T> PrefixTrie<T> {
                 Some(next) => next as usize,
                 None => {
                     let next = self.nodes.len();
-                    self.nodes.push(TrieNode { children: [None, None], value: None });
+                    self.nodes.push(TrieNode {
+                        children: [None, None],
+                        value: None,
+                    });
                     self.nodes[node].children[b] = Some(next as u32);
                     next
                 }
@@ -456,7 +467,10 @@ mod tests {
         trie.insert(net("10.0.0.0/8"), "ten");
         trie.remove(&net("17.253.0.0/16"));
         let entries: Vec<_> = trie.entries().into_iter().map(|(n, v)| (n, *v)).collect();
-        assert_eq!(entries, vec![(net("10.0.0.0/8"), "ten"), (net("17.0.0.0/8"), "agg")]);
+        assert_eq!(
+            entries,
+            vec![(net("10.0.0.0/8"), "ten"), (net("17.0.0.0/8"), "agg")]
+        );
     }
 
     #[test]
@@ -468,7 +482,13 @@ mod tests {
         trie.insert(net("192.0.2.7/32"), 3);
         let flat = trie.compile();
         assert_eq!(flat.len(), trie.len());
-        for probe in ["17.253.1.1", "17.1.1.1", "8.8.8.8", "192.0.2.7", "192.0.2.8"] {
+        for probe in [
+            "17.253.1.1",
+            "17.1.1.1",
+            "8.8.8.8",
+            "192.0.2.7",
+            "192.0.2.8",
+        ] {
             let addr = ip(probe);
             assert_eq!(
                 flat.lookup(addr),

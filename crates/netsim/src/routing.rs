@@ -189,7 +189,10 @@ mod tests {
         t.add_link(AsId(10), AsId(11), Relationship::PeerToPeer, 1e9);
         t.add_link(AsId(11), AsId(12), Relationship::PeerToPeer, 1e9);
         let mut r = Router::new();
-        assert_eq!(r.path(&t, AsId(10), AsId(11)), Some(vec![AsId(10), AsId(11)]));
+        assert_eq!(
+            r.path(&t, AsId(10), AsId(11)),
+            Some(vec![AsId(10), AsId(11)])
+        );
         assert_eq!(r.path(&t, AsId(10), AsId(12)), None);
     }
 

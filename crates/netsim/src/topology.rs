@@ -116,10 +116,19 @@ impl Topology {
 
     /// Adds a link and returns its id.
     pub fn add_link(&mut self, a: AsId, b: AsId, rel: Relationship, capacity_bps: f64) -> LinkId {
-        assert!(self.ases.contains_key(&a) && self.ases.contains_key(&b), "unknown AS");
+        assert!(
+            self.ases.contains_key(&a) && self.ases.contains_key(&b),
+            "unknown AS"
+        );
         let id = LinkId(self.links.len() as u32);
         let idx = self.links.len() as u32;
-        self.links.push(Link { id, a, b, rel, capacity_bps });
+        self.links.push(Link {
+            id,
+            a,
+            b,
+            rel,
+            capacity_bps,
+        });
         self.adjacency.entry(a).or_default().push(idx);
         self.adjacency.entry(b).or_default().push(idx);
         id
@@ -196,7 +205,11 @@ impl Topology {
 
     /// Links incident to `asn`.
     pub fn links_of(&self, asn: AsId) -> impl Iterator<Item = &Link> {
-        self.adjacency.get(&asn).into_iter().flatten().map(move |&i| &self.links[i as usize])
+        self.adjacency
+            .get(&asn)
+            .into_iter()
+            .flatten()
+            .map(move |&i| &self.links[i as usize])
     }
 
     /// Links between a specific AS pair (there may be several — AS D has
@@ -209,7 +222,9 @@ impl Topology {
     /// `asn` onto each link ([`DirectedRel::Up`] means the neighbor is
     /// `asn`'s provider).
     pub fn neighbors(&self, asn: AsId) -> Vec<(AsId, DirectedRel)> {
-        self.links_of(asn).map(|l| (l.other(asn), self.directed_rel(l, asn))).collect()
+        self.links_of(asn)
+            .map(|l| (l.other(asn), self.directed_rel(l, asn)))
+            .collect()
     }
 
     /// Prefixes originated by `asn`.
@@ -265,7 +280,12 @@ mod tests {
             (2, "TransitA", AsKind::Transit),
             (3, "CdnX", AsKind::Cdn),
         ] {
-            t.add_as(AsInfo { id: AsId(id), name: name.into(), kind, location: coord() });
+            t.add_as(AsInfo {
+                id: AsId(id),
+                name: name.into(),
+                kind,
+                location: coord(),
+            });
         }
         t
     }
@@ -318,7 +338,12 @@ mod tests {
     #[should_panic(expected = "duplicate AS")]
     fn duplicate_as_panics() {
         let mut t = base();
-        t.add_as(AsInfo { id: AsId(1), name: "dup".into(), kind: AsKind::Transit, location: coord() });
+        t.add_as(AsInfo {
+            id: AsId(1),
+            name: "dup".into(),
+            kind: AsKind::Transit,
+            location: coord(),
+        });
     }
 
     #[test]

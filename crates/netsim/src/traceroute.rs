@@ -73,10 +73,20 @@ pub fn trace_between(
     dst_coord: Option<mcdn_geo::Coord>,
 ) -> Traceroute {
     let Some(dst_as) = topo.origin_of(dst_ip) else {
-        return Traceroute { src, dst: dst_ip, hops: Vec::new(), reached: false };
+        return Traceroute {
+            src,
+            dst: dst_ip,
+            hops: Vec::new(),
+            reached: false,
+        };
     };
     let Some(path) = router.path(topo, src, dst_as) else {
-        return Traceroute { src, dst: dst_ip, hops: Vec::new(), reached: false };
+        return Traceroute {
+            src,
+            dst: dst_ip,
+            hops: Vec::new(),
+            reached: false,
+        };
     };
     // Each hop's RTT is what the probe would measure: round-trip
     // propagation from the probe's location to that hop's location, plus a
@@ -98,11 +108,23 @@ pub fn trace_between(
         let addr = if last {
             dst_ip
         } else {
-            topo.prefixes_of(asn).first().and_then(|p| p.nth(1)).unwrap_or(Ipv4Addr::UNSPECIFIED)
+            topo.prefixes_of(asn)
+                .first()
+                .and_then(|p| p.nth(1))
+                .unwrap_or(Ipv4Addr::UNSPECIFIED)
         };
-        hops.push(Hop { asn, addr, rtt_ms: rtt });
+        hops.push(Hop {
+            asn,
+            addr,
+            rtt_ms: rtt,
+        });
     }
-    Traceroute { src, dst: dst_ip, hops, reached: true }
+    Traceroute {
+        src,
+        dst: dst_ip,
+        hops,
+        reached: true,
+    }
 }
 
 #[cfg(test)]

@@ -198,12 +198,19 @@ pub const COUNTER_NAMES: [&str; N_COUNTERS] = [
 pub const EVENT_NAMES: [&str; 2] = ["round.completed", "retry.exhausted"];
 
 /// Export names for process-global counters.
-pub const GLOBAL_NAMES: [&str; N_GLOBALS] =
-    ["exec.dispatches", "exec.shard_panics", "exec.shard_restores", "journal.checkpoint_writes"];
+pub const GLOBAL_NAMES: [&str; N_GLOBALS] = [
+    "exec.dispatches",
+    "exec.shard_panics",
+    "exec.shard_restores",
+    "journal.checkpoint_writes",
+];
 
 /// Export names for process-global histograms.
-pub const GHIST_NAMES: [&str; N_GHISTS] =
-    ["exec.dispatch_wall_us", "campaign.round_wall_us", "campaign.checkpoint_wall_us"];
+pub const GHIST_NAMES: [&str; N_GHISTS] = [
+    "exec.dispatch_wall_us",
+    "campaign.round_wall_us",
+    "campaign.checkpoint_wall_us",
+];
 
 /// Export names for process-global gauges.
 pub const GAUGE_NAMES: [&str; N_GAUGES] = ["exec.pool_workers"];
@@ -254,7 +261,11 @@ pub struct Hist {
 impl Hist {
     /// An empty histogram.
     pub fn new() -> Hist {
-        Hist { buckets: [0; HIST_BUCKETS], count: 0, sum: 0 }
+        Hist {
+            buckets: [0; HIST_BUCKETS],
+            count: 0,
+            sum: 0,
+        }
     }
 
     /// Records one observation.
@@ -278,7 +289,12 @@ impl Hist {
     /// (element-wise subtraction; both must share a monotonic origin).
     fn since(&self, earlier: &Hist) -> Hist {
         let mut out = Hist::new();
-        for ((o, a), b) in out.buckets.iter_mut().zip(self.buckets.iter()).zip(earlier.buckets.iter()) {
+        for ((o, a), b) in out
+            .buckets
+            .iter_mut()
+            .zip(self.buckets.iter())
+            .zip(earlier.buckets.iter())
+        {
             *o = *a - *b;
         }
         out.count = self.count - earlier.count;
@@ -328,7 +344,9 @@ pub fn enabled() -> bool {
 
 #[cold]
 fn init_enabled() -> bool {
-    let on = std::env::var_os("MCDN_OBS").map(|v| v != "0").unwrap_or(true);
+    let on = std::env::var_os("MCDN_OBS")
+        .map(|v| v != "0")
+        .unwrap_or(true);
     ENABLED.store(on as u8, Ordering::Relaxed);
     on
 }
@@ -365,8 +383,12 @@ impl Sink {
         #[allow(clippy::declare_interior_mutable_const)]
         const ZERO: Cell<u64> = Cell::new(0);
         #[allow(clippy::declare_interior_mutable_const)]
-        const NO_EVENT: Cell<TraceEvent> =
-            Cell::new(TraceEvent { kind: 0, t: 0, key: 0, value: 0 });
+        const NO_EVENT: Cell<TraceEvent> = Cell::new(TraceEvent {
+            kind: 0,
+            t: 0,
+            key: 0,
+            value: 0,
+        });
         Sink {
             counters: [ZERO; N_COUNTERS],
             ttl_buckets: [ZERO; HIST_BUCKETS],
@@ -419,7 +441,12 @@ pub fn trace(kind: u16, t: u64, key: u32, value: u64) {
         SINK.with(|s| {
             let len = s.events_len.get();
             if len < EVENTS_SHARD_CAP {
-                s.events[len].set(TraceEvent { kind, t, key, value });
+                s.events[len].set(TraceEvent {
+                    kind,
+                    t,
+                    key,
+                    value,
+                });
                 s.events_len.set(len + 1);
             } else {
                 s.bump(id::SHARD_EVENTS_DROPPED, 1);
@@ -491,9 +518,16 @@ pub fn shard_take() -> ShardObs {
         }
         ttl.count = s.ttl_count.get();
         ttl.sum = s.ttl_sum.get();
-        let events = s.events[..s.events_len.get()].iter().map(Cell::get).collect();
+        let events = s.events[..s.events_len.get()]
+            .iter()
+            .map(Cell::get)
+            .collect();
         s.events_len.set(0);
-        ShardObs { counters, events, ttl }
+        ShardObs {
+            counters,
+            events,
+            ttl,
+        }
     });
     #[cfg(not(feature = "obs"))]
     ShardObs::default()
@@ -525,8 +559,11 @@ struct AtomicHist {
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
-const ATOMIC_HIST_ZERO: AtomicHist =
-    AtomicHist { buckets: [ATOMIC_ZERO; HIST_BUCKETS], count: ATOMIC_ZERO, sum: ATOMIC_ZERO };
+const ATOMIC_HIST_ZERO: AtomicHist = AtomicHist {
+    buckets: [ATOMIC_ZERO; HIST_BUCKETS],
+    count: ATOMIC_ZERO,
+    sum: ATOMIC_ZERO,
+};
 
 static GHISTS: [AtomicHist; N_GHISTS] = [ATOMIC_HIST_ZERO; N_GHISTS];
 
@@ -641,7 +678,12 @@ impl CampaignObs {
 
     /// Appends a deterministic trace event at the campaign level.
     pub fn event(&mut self, kind: u16, t: u64, key: u32, value: u64) {
-        self.push_event(TraceEvent { kind, t, key, value });
+        self.push_event(TraceEvent {
+            kind,
+            t,
+            key,
+            value,
+        });
     }
 
     fn push_event(&mut self, e: TraceEvent) {
@@ -687,7 +729,14 @@ impl CampaignObs {
         for (o, g) in gauges.iter_mut().zip(GAUGES.iter()) {
             *o = g.load(Ordering::Relaxed);
         }
-        MetricsSnapshot { counters: self.counters, events: self.events, ttl: self.ttl, globals, ghists, gauges }
+        MetricsSnapshot {
+            counters: self.counters,
+            events: self.events,
+            ttl: self.ttl,
+            globals,
+            ghists,
+            gauges,
+        }
     }
 }
 
@@ -745,7 +794,9 @@ impl MetricsSnapshot {
             N_DET, N_COUNTERS
         ));
         for (name, v) in COUNTER_NAMES.iter().zip(self.counters.iter()).take(N_DET) {
-            out.push_str(&format!("{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}\n"));
+            out.push_str(&format!(
+                "{{\"kind\":\"counter\",\"name\":\"{name}\",\"value\":{v}}}\n"
+            ));
         }
         for e in &self.events {
             out.push_str(&format!(
@@ -914,10 +965,20 @@ mod tests {
         let mut obs = CampaignObs::begin();
         let mut a = ShardObs::default();
         a.counters[id::RESOLUTIONS as usize] = 2;
-        a.events.push(TraceEvent { kind: event::RETRY_EXHAUSTED, t: 10, key: 1, value: 0 });
+        a.events.push(TraceEvent {
+            kind: event::RETRY_EXHAUSTED,
+            t: 10,
+            key: 1,
+            value: 0,
+        });
         let mut b = ShardObs::default();
         b.counters[id::RESOLUTIONS as usize] = 3;
-        b.events.push(TraceEvent { kind: event::RETRY_EXHAUSTED, t: 10, key: 9, value: 0 });
+        b.events.push(TraceEvent {
+            kind: event::RETRY_EXHAUSTED,
+            t: 10,
+            key: 9,
+            value: 0,
+        });
         obs.absorb(a);
         obs.absorb(b);
         obs.add(id::MEMO_LOOKUPS, 5);
@@ -938,11 +999,23 @@ mod tests {
         let mut det = [0u64; N_DET];
         det[id::ROUNDS as usize] = 4;
         det[id::CACHE_HITS as usize] = 99;
-        obs.restore(&det, vec![TraceEvent { kind: event::ROUND_COMPLETED, t: 7, key: 3, value: 12 }]);
+        obs.restore(
+            &det,
+            vec![TraceEvent {
+                kind: event::ROUND_COMPLETED,
+                t: 7,
+                key: 3,
+                value: 12,
+            }],
+        );
         let snap = obs.finish();
         assert_eq!(snap.counter(id::ROUNDS), 4);
         assert_eq!(snap.counter(id::CACHE_HITS), 99);
-        assert_eq!(snap.counter(id::CACHE_EXPIRED), 0, "process class restarts at zero");
+        assert_eq!(
+            snap.counter(id::CACHE_EXPIRED),
+            0,
+            "process class restarts at zero"
+        );
         assert_eq!(snap.events().len(), 1);
     }
 
@@ -960,9 +1033,15 @@ mod tests {
         assert!(full.starts_with(&det));
         assert!(det.contains("\"name\":\"campaign.rounds\",\"value\":2"));
         assert!(!det.contains("\"det\":false"));
-        let stripped: String =
-            full.lines().filter(|l| !l.contains("\"det\":false")).map(|l| format!("{l}\n")).collect();
-        assert_eq!(stripped, det, "grep -v det:false must recover the det export");
+        let stripped: String = full
+            .lines()
+            .filter(|l| !l.contains("\"det\":false"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(
+            stripped, det,
+            "grep -v det:false must recover the det export"
+        );
         assert!(full.contains("\"name\":\"dnssim.cache_expired\",\"value\":1,\"det\":false"));
         assert!(full.contains("\"name\":\"dnssim.put_ttl_secs\""));
     }

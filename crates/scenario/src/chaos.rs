@@ -104,7 +104,11 @@ pub fn allocate_demand(
     demand_bps: f64,
 ) -> DemandAllocation {
     let cap_of = |kind: CdnKind| {
-        capacity.iter().find(|(k, _)| *k == kind).map(|(_, c)| c.max(0.0)).unwrap_or(0.0)
+        capacity
+            .iter()
+            .find(|(k, _)| *k == kind)
+            .map(|(_, c)| c.max(0.0))
+            .unwrap_or(0.0)
     };
     let served: Vec<(CdnKind, f64)> = share
         .iter()
@@ -221,7 +225,13 @@ fn region_kinds(level3: bool, region: Region) -> Vec<CdnKind> {
 
 /// The fraction of its configured capacity a CDN retains in `region` at
 /// `now` under `faults` — before any health verdict or load coupling.
-fn infra_capacity_factor(world: &World, kind: CdnKind, region: Region, faults: &FaultProfile, now: SimTime) -> f64 {
+fn infra_capacity_factor(
+    world: &World,
+    kind: CdnKind,
+    region: Region,
+    faults: &FaultProfile,
+    now: SimTime,
+) -> f64 {
     match kind {
         CdnKind::Apple => {
             let full = world.apple_capacity_bps(region);
@@ -251,7 +261,13 @@ fn infra_capacity_factor(world: &World, kind: CdnKind, region: Region, faults: &
 /// Whether one health probe of `(kind, region)` succeeds at `now`: fails
 /// during a telemetry blackout, while the CDN's control plane is killed,
 /// or while the CDN retains no capacity in the region.
-fn health_probe_ok(world: &World, kind: CdnKind, region: Region, faults: &FaultProfile, now: SimTime) -> bool {
+fn health_probe_ok(
+    world: &World,
+    kind: CdnKind,
+    region: Region,
+    faults: &FaultProfile,
+    now: SimTime,
+) -> bool {
     if faults.health_blackout(now) {
         return false;
     }
@@ -316,7 +332,9 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
         // --- Publish capacity signals into the mapping state ------------
         if faults.has_infrastructure_faults() {
             for key in &apple_site_keys {
-                world.state.set_site_down(*key, faults.site_is_down(*key, t));
+                world
+                    .state
+                    .set_site_down(*key, faults.site_is_down(*key, t));
             }
             for region in Region::ALL {
                 for kind in region_kinds(cfg.enable_level3, region) {
@@ -368,9 +386,21 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
                         attempts,
                     }
                 }
-                None => DnsProbe { ok: true, transient: false, attempts: 1 },
+                None => DnsProbe {
+                    ok: true,
+                    transient: false,
+                    attempts: 1,
+                },
             };
-            ticks.push(TickAudit { t, region, demand_bps: demand, share: share.to_vec(), capacity, alloc, dns });
+            ticks.push(TickAudit {
+                t,
+                region,
+                demand_bps: demand,
+                share: share.to_vec(),
+                capacity,
+                alloc,
+                dns,
+            });
         }
         t += cfg.traffic_tick;
     }
@@ -381,7 +411,13 @@ pub fn run_chaos(cfg: &ScenarioConfig, scenario: &ChaosScenario) -> ChaosRunResu
         .map(|((k, r), tr)| (*k, *r, tr.transitions()))
         .collect();
     transitions.sort_by_key(|(k, r, _)| (*k as u8, *r as u8));
-    ChaosRunResult { scenario: scenario.name, health, ticks, probes_per_tracker, transitions }
+    ChaosRunResult {
+        scenario: scenario.name,
+        health,
+        ticks,
+        probes_per_tracker,
+        transitions,
+    }
 }
 
 /// One violated invariant of a chaos run, with enough context to debug it.
@@ -496,7 +532,15 @@ const REL_EPS: f64 = 1e-9;
 pub fn check_invariants(result: &ChaosRunResult) -> Result<(), InvariantViolation> {
     let retry = RetryPolicy::standard();
     for audit in &result.ticks {
-        let TickAudit { t, region, demand_bps, share, capacity, alloc, dns } = audit;
+        let TickAudit {
+            t,
+            region,
+            demand_bps,
+            share,
+            capacity,
+            alloc,
+            dns,
+        } = audit;
         let served_total: f64 = alloc.served.iter().map(|(_, s)| s).sum();
         let accounted = served_total + alloc.shed_bps;
         let scale = demand_bps.abs().max(1.0);
@@ -509,10 +553,18 @@ pub fn check_invariants(result: &ChaosRunResult) -> Result<(), InvariantViolatio
             });
         }
         if alloc.shed_bps < -REL_EPS * scale {
-            return Err(InvariantViolation::NegativeShed { t: *t, region: *region, shed_bps: alloc.shed_bps });
+            return Err(InvariantViolation::NegativeShed {
+                t: *t,
+                region: *region,
+                shed_bps: alloc.shed_bps,
+            });
         }
         for (kind, served) in &alloc.served {
-            let cap = capacity.iter().find(|(k, _)| k == kind).map(|(_, c)| *c).unwrap_or(0.0);
+            let cap = capacity
+                .iter()
+                .find(|(k, _)| k == kind)
+                .map(|(_, c)| *c)
+                .unwrap_or(0.0);
             if *served > cap * (1.0 + REL_EPS) + REL_EPS {
                 return Err(InvariantViolation::CapacityExceeded {
                     t: *t,
@@ -527,18 +579,27 @@ pub fn check_invariants(result: &ChaosRunResult) -> Result<(), InvariantViolatio
             let sum: f64 = share.iter().map(|(_, p)| p).sum();
             let negative = share.iter().any(|(_, p)| *p < -REL_EPS);
             if negative || (sum - 1.0).abs() > 1e-6 {
-                return Err(InvariantViolation::MalformedShare { t: *t, region: *region, sum });
+                return Err(InvariantViolation::MalformedShare {
+                    t: *t,
+                    region: *region,
+                    sum,
+                });
             }
         }
         let permanent_failure = !dns.ok && !dns.transient;
         if permanent_failure || dns.attempts == 0 || dns.attempts > retry.max_attempts {
-            return Err(InvariantViolation::DnsLivenessBroken { t: *t, region: *region, probe: *dns });
+            return Err(InvariantViolation::DnsLivenessBroken {
+                t: *t,
+                region: *region,
+                probe: *dns,
+            });
         }
     }
     // Hysteresis bound: one eject+restore cycle (2 transitions) consumes
     // at least `eject_after + restore_after` probes, so transitions are
     // capped at two per cycle (plus one for a trailing half-cycle).
-    let cycle = (result.health.eject_after.max(1) + result.health.restore_after.max(1)).max(1) as u64;
+    let cycle =
+        (result.health.eject_after.max(1) + result.health.restore_after.max(1)).max(1) as u64;
     let allowed = 2 * (result.probes_per_tracker / cycle) + 1;
     for (kind, region, transitions) in &result.transitions {
         if *transitions > allowed {
@@ -560,7 +621,11 @@ pub fn standard_grid(seed: u64) -> Vec<ChaosScenario> {
     let release = params::release();
     let base = FaultProfile::none().with_seed(seed);
     vec![
-        ChaosScenario { name: "baseline", faults: base, health },
+        ChaosScenario {
+            name: "baseline",
+            faults: base,
+            health,
+        },
         ChaosScenario {
             name: "site-outages",
             faults: FaultProfile {
@@ -582,12 +647,19 @@ pub fn standard_grid(seed: u64) -> Vec<ChaosScenario> {
         },
         ChaosScenario {
             name: "ns-outages",
-            faults: FaultProfile { ns_outage_every_hours: 72, ns_outage_hours: 2, ..base },
+            faults: FaultProfile {
+                ns_outage_every_hours: 72,
+                ns_outage_hours: 2,
+                ..base
+            },
             health,
         },
         ChaosScenario {
             name: "apple-degraded",
-            faults: FaultProfile { apple_degrade_per_load: 0.3, ..base },
+            faults: FaultProfile {
+                apple_degrade_per_load: 0.3,
+                ..base
+            },
             health,
         },
         ChaosScenario {
@@ -601,10 +673,8 @@ pub fn standard_grid(seed: u64) -> Vec<ChaosScenario> {
         },
         ChaosScenario {
             name: "total-dark",
-            faults: FaultProfile::infrastructure(seed).with_blackout(
-                release + Duration::hours(2),
-                release + Duration::hours(5),
-            ),
+            faults: FaultProfile::infrastructure(seed)
+                .with_blackout(release + Duration::hours(2), release + Duration::hours(5)),
             health,
         },
     ]
@@ -651,13 +721,28 @@ mod tests {
 
     #[test]
     fn allocation_conserves_demand_and_respects_caps() {
-        let share = vec![(CdnKind::Apple, 0.5), (CdnKind::Akamai, 0.3), (CdnKind::Limelight, 0.2)];
-        let caps = vec![(CdnKind::Apple, 40.0), (CdnKind::Akamai, 100.0), (CdnKind::Limelight, 5.0)];
+        let share = vec![
+            (CdnKind::Apple, 0.5),
+            (CdnKind::Akamai, 0.3),
+            (CdnKind::Limelight, 0.2),
+        ];
+        let caps = vec![
+            (CdnKind::Apple, 40.0),
+            (CdnKind::Akamai, 100.0),
+            (CdnKind::Limelight, 5.0),
+        ];
         let alloc = allocate_demand(&share, &caps, 100.0);
         let served: f64 = alloc.served.iter().map(|(_, s)| s).sum();
         assert!((served + alloc.shed_bps - 100.0).abs() < 1e-9);
         // Apple capped at 40, Limelight at 5, Akamai takes its full slice.
-        assert_eq!(alloc.served, vec![(CdnKind::Apple, 40.0), (CdnKind::Akamai, 30.0), (CdnKind::Limelight, 5.0)]);
+        assert_eq!(
+            alloc.served,
+            vec![
+                (CdnKind::Apple, 40.0),
+                (CdnKind::Akamai, 30.0),
+                (CdnKind::Limelight, 5.0)
+            ]
+        );
         assert!((alloc.shed_bps - 25.0).abs() < 1e-9);
     }
 
@@ -676,7 +761,10 @@ mod tests {
         let keys: std::collections::HashSet<u64> =
             CdnKind::ALL.into_iter().map(control_key).collect();
         assert_eq!(keys.len(), CdnKind::ALL.len());
-        assert_ne!(control_key(CdnKind::Limelight), domain_key(CdnKind::Limelight, Region::Eu, 0));
+        assert_ne!(
+            control_key(CdnKind::Limelight),
+            domain_key(CdnKind::Limelight, Region::Eu, 0)
+        );
     }
 
     #[test]
@@ -687,6 +775,9 @@ mod tests {
         let b = run_chaos(&cfg, scen);
         assert_eq!(a, b, "same seed must reproduce the run bit-identically");
         let other = run_chaos(&cfg, &standard_grid(12)[6]);
-        assert_ne!(a.ticks, other.ticks, "different seed must move the fault windows");
+        assert_ne!(
+            a.ticks, other.ticks,
+            "different seed must move the fault windows"
+        );
     }
 }

@@ -22,11 +22,11 @@
 use crate::classes::CdnClass;
 use mcdn_dnssim::{ICacheExportEntry, IRData, IRecord};
 use mcdn_exec::ShardFailure;
+use mcdn_geo::Region;
 use mcdn_geo::{Continent, SimTime};
 use mcdn_intern::NameId;
 use mcdn_journal::{ByteReader, ByteWriter, CodecError, Journal, JournalError};
 use metacdn::{CdnKind, SignalState};
-use mcdn_geo::Region;
 use std::net::Ipv4Addr;
 use std::path::Path;
 
@@ -152,7 +152,11 @@ pub struct ResumeOptions {
 
 impl Default for ResumeOptions {
     fn default() -> ResumeOptions {
-        ResumeOptions { threads: 0, checkpoint_every: 1, stop_after_rounds: None }
+        ResumeOptions {
+            threads: 0,
+            checkpoint_every: 1,
+            stop_after_rounds: None,
+        }
     }
 }
 
@@ -182,7 +186,10 @@ impl CampaignRun {
     pub fn into_result(self) -> crate::dnscampaign::DnsCampaignResult {
         match self {
             CampaignRun::Complete(result) => result,
-            CampaignRun::Suspended { rounds_done, total_rounds } => {
+            CampaignRun::Suspended {
+                rounds_done,
+                total_rounds,
+            } => {
                 panic!("campaign suspended after {rounds_done}/{total_rounds} rounds")
             }
         }
@@ -228,7 +235,9 @@ fn code_of<T: PartialEq + Copy>(all: &[T], v: T, what: &'static str) -> Result<u
 }
 
 fn from_code<T: Copy>(all: &[T], code: u8, what: &'static str) -> Result<T, CodecError> {
-    all.get(code as usize).copied().ok_or(CodecError::Invalid(what))
+    all.get(code as usize)
+        .copied()
+        .ok_or(CodecError::Invalid(what))
 }
 
 impl Checkpoint {
@@ -356,7 +365,12 @@ impl Checkpoint {
             let t = r.u64()?;
             let key = r.u32()?;
             let value = r.u64()?;
-            obs_events.push(mcdn_obs::TraceEvent { kind, t, key, value });
+            obs_events.push(mcdn_obs::TraceEvent {
+                kind,
+                t,
+                key,
+                value,
+            });
         }
 
         let n_cells = r.u32()? as usize;
@@ -425,11 +439,19 @@ impl Checkpoint {
                         }
                         _ => return Err(CodecError::Invalid("rdata tag")),
                     };
-                    records.push(IRecord { name: NameId(name), ttl, rdata });
+                    records.push(IRecord {
+                        name: NameId(name),
+                        ttl,
+                        rdata,
+                    });
                 }
                 entries.push((id, qtype, expires, records));
             }
-            probes.push(ProbeCache { hits, misses, entries });
+            probes.push(ProbeCache {
+                hits,
+                misses,
+                entries,
+            });
         }
         r.expect_end()?;
         Ok(Checkpoint {
@@ -597,7 +619,11 @@ impl CampaignJournal {
     }
 
     /// Appends one checkpoint record.
-    pub(crate) fn append(&mut self, ckpt: &Checkpoint, table_len: usize) -> Result<(), CampaignError> {
+    pub(crate) fn append(
+        &mut self,
+        ckpt: &Checkpoint,
+        table_len: usize,
+    ) -> Result<(), CampaignError> {
         self.journal.append(&ckpt.encode(table_len)?)?;
         Ok(())
     }
@@ -625,15 +651,28 @@ mod tests {
             memo_hits: 350,
             obs_counters: vec![7, 123, 150, 2, 400],
             obs_events: vec![
-                mcdn_obs::TraceEvent { kind: 0, t: 1_000_000, key: 7, value: 123 },
-                mcdn_obs::TraceEvent { kind: 1, t: 999_500, key: 42, value: 0 },
+                mcdn_obs::TraceEvent {
+                    kind: 0,
+                    t: 1_000_000,
+                    key: 7,
+                    value: 123,
+                },
+                mcdn_obs::TraceEvent {
+                    kind: 1,
+                    t: 999_500,
+                    key: 42,
+                    value: 0,
+                },
             ],
             cells: vec![
                 (
                     (SimTime(3600), Continent::Europe, CdnClass::Akamai),
                     vec![Ipv4Addr::new(2, 16, 0, 1), Ipv4Addr::new(2, 16, 0, 9)],
                 ),
-                ((SimTime(7200), Continent::NorthAmerica, CdnClass::Apple), vec![]),
+                (
+                    (SimTime(7200), Continent::NorthAmerica, CdnClass::Apple),
+                    vec![],
+                ),
             ],
             ledger: vec![
                 (Ipv4Addr::new(2, 16, 0, 1), SimTime(3600), CdnClass::Akamai),
@@ -645,7 +684,10 @@ mod tests {
                 akamai_overload_since: vec![(Region::Eu, SimTime(1800))],
                 cdn_health: vec![(CdnKind::Limelight, Region::Apac, false)],
                 capacity_factor: vec![(CdnKind::Apple, Region::Us, 0.5)],
-                last_good: vec![(Region::Eu, vec![(CdnKind::Apple, 0.6), (CdnKind::Akamai, 0.4)])],
+                last_good: vec![(
+                    Region::Eu,
+                    vec![(CdnKind::Apple, 0.6), (CdnKind::Akamai, 0.4)],
+                )],
                 down_sites: vec![42, 77],
             },
             probes: vec![
@@ -670,7 +712,11 @@ mod tests {
                         ],
                     )],
                 },
-                ProbeCache { hits: 0, misses: 0, entries: vec![] },
+                ProbeCache {
+                    hits: 0,
+                    misses: 0,
+                    entries: vec![],
+                },
             ],
         }
     }

@@ -7,7 +7,7 @@
 //! or Limelight but not located within their respective autonomous systems
 //! are denoted as 'other AS'."
 
-use mcdn_dnssim::{CompiledNamespace, IRData, ITrace, ResolveScratch, ResolutionTrace};
+use mcdn_dnssim::{CompiledNamespace, IRData, ITrace, ResolutionTrace, ResolveScratch};
 use mcdn_intern::{NameId, NameTable};
 use mcdn_netsim::{AsId, Topology};
 use std::net::Ipv4Addr;
@@ -151,7 +151,9 @@ pub struct AttributionTable {
 impl AttributionTable {
     /// Precomputes the suffix flags for every interned name.
     pub fn build(table: &NameTable) -> AttributionTable {
-        AttributionTable { flags: table.iter().map(|(_, name)| suffix_flags(name)).collect() }
+        AttributionTable {
+            flags: table.iter().map(|(_, name)| suffix_flags(name)).collect(),
+        }
     }
 
     fn flags_of(&self, ns: &CompiledNamespace<'_>, scratch: &ResolveScratch, id: NameId) -> u8 {
@@ -203,7 +205,13 @@ pub fn classify_ip(
     limelight_as: AsId,
     apple_as: AsId,
 ) -> CdnClass {
-    classify_ip_from_origin(attribution, topo.origin_of(ip), akamai_as, limelight_as, apple_as)
+    classify_ip_from_origin(
+        attribution,
+        topo.origin_of(ip),
+        akamai_as,
+        limelight_as,
+        apple_as,
+    )
 }
 
 /// [`classify_ip`] with the BGP origin already looked up — the form the

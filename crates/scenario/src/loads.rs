@@ -24,13 +24,21 @@ pub fn update_loads(world: &World, t: SimTime) {
             .map(|(_, p)| *p)
             .unwrap_or(0.0);
         let cap = world.apple_capacity_bps(region);
-        let util = if cap > 0.0 { apple_w * demand / cap } else { f64::INFINITY };
+        let util = if cap > 0.0 {
+            apple_w * demand / cap
+        } else {
+            f64::INFINITY
+        };
         world.state.set_apple_utilization(region, util);
 
         // Effective shares (after overflow) drive third-party loads.
         let eff = world.state.effective_share(region, t);
         for kind in [CdnKind::Akamai, CdnKind::Limelight] {
-            let w = eff.iter().find(|(k, _)| *k == kind).map(|(_, p)| *p).unwrap_or(0.0);
+            let w = eff
+                .iter()
+                .find(|(k, _)| *k == kind)
+                .map(|(_, p)| *p)
+                .unwrap_or(0.0);
             let load = w * demand / params::update_capacity(kind, region);
             world.state.set_cdn_load(kind, region, load, t);
         }
@@ -57,7 +65,10 @@ mod tests {
         update_loads(&w, release + Duration::hours(1));
         let ak_event = w.state.cdn_load(CdnKind::Akamai, Region::Eu);
         let ll_event = w.state.cdn_load(CdnKind::Limelight, Region::Eu);
-        assert!(ak_event > 0.5, "event Akamai load {ak_event} must trip the a1015 threshold");
+        assert!(
+            ak_event > 0.5,
+            "event Akamai load {ak_event} must trip the a1015 threshold"
+        );
         assert!(ll_event > 0.6, "event Limelight load {ll_event}");
 
         update_loads(&w, release + Duration::days(8));
@@ -95,7 +106,10 @@ mod tests {
             update_loads(&w2, t);
             t += Duration::mins(30);
         }
-        assert!(w2.state.a1015_active(Region::Eu, probe_at), "a1015 should be live 7h in");
+        assert!(
+            w2.state.a1015_active(Region::Eu, probe_at),
+            "a1015 should be live 7h in"
+        );
     }
 
     #[test]

@@ -119,17 +119,46 @@ pub fn release() -> SimTime {
 /// The Sep-20 switch is placed at 03:00 UTC (an overnight reconfiguration),
 /// so the Sep-20 00:00 probe round still sees the event configuration.
 pub fn weight_schedule() -> Schedule {
-    let default_eu = CdnShare { apple: 0.50, akamai: 0.25, limelight: 0.25, level3: 0.0 };
-    let event_day = CdnShare { apple: 0.33, akamai: 0.23, limelight: 0.44, level3: 0.0 };
-    let after_days = CdnShare { apple: 0.60, akamai: 0.02, limelight: 0.38, level3: 0.0 };
-    let us_share = CdnShare { apple: 0.62, akamai: 0.20, limelight: 0.18, level3: 0.0 };
-    let apac_share = CdnShare { apple: 0.60, akamai: 0.20, limelight: 0.20, level3: 0.0 };
+    let default_eu = CdnShare {
+        apple: 0.50,
+        akamai: 0.25,
+        limelight: 0.25,
+        level3: 0.0,
+    };
+    let event_day = CdnShare {
+        apple: 0.33,
+        akamai: 0.23,
+        limelight: 0.44,
+        level3: 0.0,
+    };
+    let after_days = CdnShare {
+        apple: 0.60,
+        akamai: 0.02,
+        limelight: 0.38,
+        level3: 0.0,
+    };
+    let us_share = CdnShare {
+        apple: 0.62,
+        akamai: 0.20,
+        limelight: 0.18,
+        level3: 0.0,
+    };
+    let apac_share = CdnShare {
+        apple: 0.60,
+        akamai: 0.20,
+        limelight: 0.20,
+        level3: 0.0,
+    };
     let mut s = Schedule::constant(default_eu);
     // Non-EU regions keep a constant share throughout.
     s.set_from(Region::Us, SimTime(0), us_share);
     s.set_from(Region::Apac, SimTime(0), apac_share);
     s.set_from(Region::Eu, release(), event_day);
-    s.set_from(Region::Eu, SimTime::from_ymd_hms(2017, 9, 20, 3, 0, 0), after_days);
+    s.set_from(
+        Region::Eu,
+        SimTime::from_ymd_hms(2017, 9, 20, 3, 0, 0),
+        after_days,
+    );
     s.set_from(Region::Eu, SimTime::from_ymd(2017, 9, 22), default_eu);
     s
 }
@@ -191,9 +220,24 @@ pub const PREFILL_HOURS: u64 = 6;
 /// (§3.2: "Level3 was removed from the request mapping in late June 2017").
 /// Used only when [`crate::ScenarioConfig::enable_level3`] is set.
 pub fn weight_schedule_with_level3() -> Schedule {
-    let default_eu = CdnShare { apple: 0.50, akamai: 0.20, limelight: 0.20, level3: 0.10 };
-    let us_share = CdnShare { apple: 0.62, akamai: 0.16, limelight: 0.14, level3: 0.08 };
-    let apac_share = CdnShare { apple: 0.60, akamai: 0.20, limelight: 0.20, level3: 0.0 };
+    let default_eu = CdnShare {
+        apple: 0.50,
+        akamai: 0.20,
+        limelight: 0.20,
+        level3: 0.10,
+    };
+    let us_share = CdnShare {
+        apple: 0.62,
+        akamai: 0.16,
+        limelight: 0.14,
+        level3: 0.08,
+    };
+    let apac_share = CdnShare {
+        apple: 0.60,
+        akamai: 0.20,
+        limelight: 0.20,
+        level3: 0.0,
+    };
     let mut s = Schedule::constant(default_eu);
     s.set_from(Region::Us, SimTime(0), us_share);
     s.set_from(Region::Apac, SimTime(0), apac_share);
@@ -226,7 +270,10 @@ mod tests {
         let s = weight_schedule();
         let midnight = SimTime::from_ymd(2017, 9, 20);
         let e = s.share_at(Region::Eu, midnight);
-        assert!((e.limelight - 0.44).abs() < 1e-9, "00:00 round still sees event config");
+        assert!(
+            (e.limelight - 0.44).abs() < 1e-9,
+            "00:00 round still sees event config"
+        );
     }
 
     #[test]

@@ -129,16 +129,28 @@ impl std::fmt::Display for PoisonViolation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PoisonViolation::CachedOutOfBailiwick { count } => {
-                write!(f, "{count} out-of-bailiwick records cached despite enforcement")
+                write!(
+                    f,
+                    "{count} out-of-bailiwick records cached despite enforcement"
+                )
             }
             PoisonViolation::RoutedToAttacker { count } => {
-                write!(f, "{count} resolutions routed to the attacker prefix despite enforcement")
+                write!(
+                    f,
+                    "{count} resolutions routed to the attacker prefix despite enforcement"
+                )
             }
             PoisonViolation::TtlOverCap { count } => {
-                write!(f, "{count} cached records exceed the {MAX_CACHE_TTL}s TTL cap")
+                write!(
+                    f,
+                    "{count} cached records exceed the {MAX_CACHE_TTL}s TTL cap"
+                )
             }
             PoisonViolation::NoPoisonObserved => {
-                write!(f, "adversarial scenario fired no observable mutations (vacuous run)")
+                write!(
+                    f,
+                    "adversarial scenario fired no observable mutations (vacuous run)"
+                )
             }
         }
     }
@@ -163,7 +175,9 @@ impl InternedMutationModel for CountingMutations {
         ctx: &QueryContext,
         attempt: u32,
     ) -> Option<ITamper> {
-        let t = self.inner.answer_mutation(zone, zone_fnv, qname, qname_fnv, ctx, attempt);
+        let t = self
+            .inner
+            .answer_mutation(zone, zone_fnv, qname, qname_fnv, ctx, attempt);
         if t.is_some() {
             self.fired.set(self.fired.get() + 1);
         }
@@ -187,7 +201,10 @@ fn splitmix(state: &mut u64) -> u64 {
 pub fn poison_grid(seed: u64) -> Vec<PoisonScenario> {
     let poison = FaultProfile::poisoning(seed);
     vec![
-        PoisonScenario { name: "baseline-quiet", faults: FaultProfile::none().with_seed(seed) },
+        PoisonScenario {
+            name: "baseline-quiet",
+            faults: FaultProfile::none().with_seed(seed),
+        },
         PoisonScenario {
             name: "spoof-a-enforced",
             faults: FaultProfile {
@@ -236,7 +253,13 @@ pub fn poison_grid(seed: u64) -> Vec<PoisonScenario> {
                 ..poison
             },
         },
-        PoisonScenario { name: "kitchen-sink-open", faults: FaultProfile { enforce_bailiwick: false, ..poison } },
+        PoisonScenario {
+            name: "kitchen-sink-open",
+            faults: FaultProfile {
+                enforce_bailiwick: false,
+                ..poison
+            },
+        },
     ]
 }
 
@@ -329,7 +352,12 @@ pub fn run_poison(cfg: &ScenarioConfig, scenario: &PoisonScenario) -> PoisonRunR
 /// a name some installed zone is authoritative for (the mutation model
 /// only forges owners outside every zone, so an ownerless record is a
 /// poisoned one), and no cached TTL may exceed the cache cap.
-fn audit_cache(world: &World, cns: &CompiledNamespace<'_>, probe: &Probe, result: &mut PoisonRunResult) {
+fn audit_cache(
+    world: &World,
+    cns: &CompiledNamespace<'_>,
+    probe: &Probe,
+    result: &mut PoisonRunResult,
+) {
     let table = cns.table();
     let (entries, _, _) = probe.interned_cache_export();
     for (_, _, _, records) in &entries {
@@ -408,7 +436,9 @@ fn audit_wire(
 /// Checks the hard guarantees of one poisoning run.
 pub fn check_poison_invariants(result: &PoisonRunResult) -> Result<(), PoisonViolation> {
     if result.ttl_over_cap_cached > 0 {
-        return Err(PoisonViolation::TtlOverCap { count: result.ttl_over_cap_cached });
+        return Err(PoisonViolation::TtlOverCap {
+            count: result.ttl_over_cap_cached,
+        });
     }
     if result.enforce {
         if result.out_of_bailiwick_cached > 0 {
@@ -417,7 +447,9 @@ pub fn check_poison_invariants(result: &PoisonRunResult) -> Result<(), PoisonVio
             });
         }
         if result.attacker_routed > 0 {
-            return Err(PoisonViolation::RoutedToAttacker { count: result.attacker_routed });
+            return Err(PoisonViolation::RoutedToAttacker {
+                count: result.attacker_routed,
+            });
         }
     }
     if result.mutations_enabled && result.tampered == 0 {
@@ -478,7 +510,10 @@ mod tests {
         assert_eq!(enforced.attacker_routed, 0);
         assert_eq!(enforced.out_of_bailiwick_cached, 0);
         assert!(open.attacker_routed > 0, "open resolver must be mis-mapped");
-        assert!(open.out_of_bailiwick_cached > 0, "open resolver must cache the forgery");
+        assert!(
+            open.out_of_bailiwick_cached > 0,
+            "open resolver must cache the forgery"
+        );
 
         // TTL inflation is survived even with bailiwick off: the cache
         // cap clamps what enforcement does not drop.
@@ -514,7 +549,10 @@ mod tests {
         let grid = poison_grid(cfg.seed);
         let storm = run_poison(&cfg, &grid[4]);
         assert_eq!(storm.scenario, "truncation-storm");
-        assert!(storm.attempts > storm.resolutions, "truncation must force retries");
+        assert!(
+            storm.attempts > storm.resolutions,
+            "truncation must force retries"
+        );
         let retry = RetryPolicy::standard();
         assert!(
             storm.attempts <= storm.resolutions * retry.max_attempts as u64,

@@ -11,45 +11,181 @@ use mcdn_cdn::SiteSpec;
 /// + 1 West Asia = 34 locations.
 pub const APPLE_SITES: &[SiteSpec] = &[
     // --- United States (13 locations) ---
-    SiteSpec { locode: "ussjc", sites: 2, bx_per_site: 48 }, // 2/96
-    SiteSpec { locode: "uslax", sites: 2, bx_per_site: 40 }, // 2/80
-    SiteSpec { locode: "usnyc", sites: 2, bx_per_site: 40 }, // 2/80
-    SiteSpec { locode: "uschi", sites: 1, bx_per_site: 48 }, // 1/48
-    SiteSpec { locode: "usdal", sites: 1, bx_per_site: 40 }, // 1/40
-    SiteSpec { locode: "usmia", sites: 1, bx_per_site: 40 }, // 1/40
-    SiteSpec { locode: "ussea", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "uswas", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "usatl", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "ushou", sites: 1, bx_per_site: 24 }, // 1/24
-    SiteSpec { locode: "usden", sites: 1, bx_per_site: 16 }, // 1/16
-    SiteSpec { locode: "uspdx", sites: 1, bx_per_site: 16 }, // 1/16
-    SiteSpec { locode: "usphx", sites: 1, bx_per_site: 8 },  // 1/8
+    SiteSpec {
+        locode: "ussjc",
+        sites: 2,
+        bx_per_site: 48,
+    }, // 2/96
+    SiteSpec {
+        locode: "uslax",
+        sites: 2,
+        bx_per_site: 40,
+    }, // 2/80
+    SiteSpec {
+        locode: "usnyc",
+        sites: 2,
+        bx_per_site: 40,
+    }, // 2/80
+    SiteSpec {
+        locode: "uschi",
+        sites: 1,
+        bx_per_site: 48,
+    }, // 1/48
+    SiteSpec {
+        locode: "usdal",
+        sites: 1,
+        bx_per_site: 40,
+    }, // 1/40
+    SiteSpec {
+        locode: "usmia",
+        sites: 1,
+        bx_per_site: 40,
+    }, // 1/40
+    SiteSpec {
+        locode: "ussea",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "uswas",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "usatl",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "ushou",
+        sites: 1,
+        bx_per_site: 24,
+    }, // 1/24
+    SiteSpec {
+        locode: "usden",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
+    SiteSpec {
+        locode: "uspdx",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
+    SiteSpec {
+        locode: "usphx",
+        sites: 1,
+        bx_per_site: 8,
+    }, // 1/8
     // --- Canada / Mexico (2) ---
-    SiteSpec { locode: "cator", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "mxmex", sites: 1, bx_per_site: 16 }, // 1/16
+    SiteSpec {
+        locode: "cator",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "mxmex",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
     // --- Europe (10; London appears as uklon on the wire) ---
-    SiteSpec { locode: "defra", sites: 2, bx_per_site: 40 }, // 2/80
-    SiteSpec { locode: "gblon", sites: 2, bx_per_site: 32 }, // 2/64
-    SiteSpec { locode: "nlams", sites: 1, bx_per_site: 40 }, // 1/40
-    SiteSpec { locode: "frpar", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "deber", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "iedub", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "sesto", sites: 1, bx_per_site: 24 }, // 1/24
-    SiteSpec { locode: "esmad", sites: 1, bx_per_site: 16 }, // 1/16
-    SiteSpec { locode: "itmil", sites: 1, bx_per_site: 16 }, // 1/16
-    SiteSpec { locode: "atvie", sites: 1, bx_per_site: 8 },  // 1/8
+    SiteSpec {
+        locode: "defra",
+        sites: 2,
+        bx_per_site: 40,
+    }, // 2/80
+    SiteSpec {
+        locode: "gblon",
+        sites: 2,
+        bx_per_site: 32,
+    }, // 2/64
+    SiteSpec {
+        locode: "nlams",
+        sites: 1,
+        bx_per_site: 40,
+    }, // 1/40
+    SiteSpec {
+        locode: "frpar",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "deber",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "iedub",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "sesto",
+        sites: 1,
+        bx_per_site: 24,
+    }, // 1/24
+    SiteSpec {
+        locode: "esmad",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
+    SiteSpec {
+        locode: "itmil",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
+    SiteSpec {
+        locode: "atvie",
+        sites: 1,
+        bx_per_site: 8,
+    }, // 1/8
     // --- East Asia (6) ---
-    SiteSpec { locode: "jptyo", sites: 2, bx_per_site: 32 }, // 2/64
-    SiteSpec { locode: "jposa", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "krsel", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "hkhkg", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "sgsin", sites: 1, bx_per_site: 24 }, // 1/24
-    SiteSpec { locode: "twtpe", sites: 1, bx_per_site: 16 }, // 1/16
+    SiteSpec {
+        locode: "jptyo",
+        sites: 2,
+        bx_per_site: 32,
+    }, // 2/64
+    SiteSpec {
+        locode: "jposa",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "krsel",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "hkhkg",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "sgsin",
+        sites: 1,
+        bx_per_site: 24,
+    }, // 1/24
+    SiteSpec {
+        locode: "twtpe",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
     // --- Oceania (2) ---
-    SiteSpec { locode: "ausyd", sites: 1, bx_per_site: 32 }, // 1/32
-    SiteSpec { locode: "aumel", sites: 1, bx_per_site: 16 }, // 1/16
+    SiteSpec {
+        locode: "ausyd",
+        sites: 1,
+        bx_per_site: 32,
+    }, // 1/32
+    SiteSpec {
+        locode: "aumel",
+        sites: 1,
+        bx_per_site: 16,
+    }, // 1/16
     // --- West Asia (1) ---
-    SiteSpec { locode: "aedxb", sites: 1, bx_per_site: 8 }, // 1/8
+    SiteSpec {
+        locode: "aedxb",
+        sites: 1,
+        bx_per_site: 8,
+    }, // 1/8
 ];
 
 #[cfg(test)]
@@ -66,7 +202,11 @@ mod tests {
     fn all_locations_resolve_in_registry() {
         for spec in APPLE_SITES {
             let code = Locode::parse(spec.locode).unwrap();
-            assert!(Registry::by_locode(code).is_some(), "unknown {}", spec.locode);
+            assert!(
+                Registry::by_locode(code).is_some(),
+                "unknown {}",
+                spec.locode
+            );
         }
     }
 
@@ -88,7 +228,9 @@ mod tests {
             APPLE_SITES
                 .iter()
                 .filter(|s| {
-                    Registry::by_locode(Locode::parse(s.locode).unwrap()).unwrap().continent
+                    Registry::by_locode(Locode::parse(s.locode).unwrap())
+                        .unwrap()
+                        .continent
                         == cont
                 })
                 .count()
@@ -96,12 +238,18 @@ mod tests {
         let na = count(Continent::NorthAmerica);
         let eu = count(Continent::Europe);
         let asia = count(Continent::Asia);
-        assert!(na > eu && eu > asia, "USA > Europe > East Asia: {na}/{eu}/{asia}");
+        assert!(
+            na > eu && eu > asia,
+            "USA > Europe > East Asia: {na}/{eu}/{asia}"
+        );
     }
 
     #[test]
     fn total_server_count_is_plausible() {
-        let total: usize = APPLE_SITES.iter().map(|s| s.sites as usize * s.bx_per_site).sum();
+        let total: usize = APPLE_SITES
+            .iter()
+            .map(|s| s.sites as usize * s.bx_per_site)
+            .sum();
         assert!((1000..=1400).contains(&total), "got {total}");
     }
 }

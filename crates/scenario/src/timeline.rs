@@ -17,10 +17,20 @@ pub struct TimelineEntry {
 
 impl TimelineEntry {
     fn band(name: &'static str, start: SimTime, end: SimTime) -> TimelineEntry {
-        TimelineEntry { name, start, end, point: false }
+        TimelineEntry {
+            name,
+            start,
+            end,
+            point: false,
+        }
     }
     fn point(name: &'static str, at: SimTime) -> TimelineEntry {
-        TimelineEntry { name, start: at, end: at, point: true }
+        TimelineEntry {
+            name,
+            start: at,
+            end: at,
+            point: true,
+        }
     }
 }
 
@@ -47,7 +57,10 @@ pub fn timeline() -> Vec<TimelineEntry> {
             "Apple keynote / iPhone 8 announcement",
             SimTime::from_ymd_hms(2017, 9, 12, 17, 0, 0),
         ),
-        TimelineEntry::point("iOS 11.0 release", SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0)),
+        TimelineEntry::point(
+            "iOS 11.0 release",
+            SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0),
+        ),
         TimelineEntry::point("iOS 11.0.1 release", SimTime::from_ymd(2017, 9, 26)),
         TimelineEntry::point("iOS 11.0.2 release", SimTime::from_ymd(2017, 10, 3)),
         TimelineEntry::point("iOS 11.1 release", SimTime::from_ymd(2017, 10, 31)),
@@ -62,7 +75,11 @@ mod tests {
     fn release_falls_inside_every_campaign() {
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
         for band in timeline().iter().filter(|e| !e.point) {
-            assert!(band.start <= release && release <= band.end, "{}", band.name);
+            assert!(
+                band.start <= release && release <= band.end,
+                "{}",
+                band.name
+            );
         }
     }
 
@@ -74,7 +91,10 @@ mod tests {
             .unwrap();
         let release = SimTime::from_ymd_hms(2017, 9, 19, 17, 0, 0);
         let lead = release.since(global.start);
-        assert!(lead >= mcdn_geo::Duration::days(7), "paper: started 7 days before");
+        assert!(
+            lead >= mcdn_geo::Duration::days(7),
+            "paper: started 7 days before"
+        );
     }
 
     #[test]

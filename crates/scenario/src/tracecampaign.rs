@@ -54,8 +54,15 @@ pub fn run_traceroutes(
             traces.push((i, *target, tr));
         }
     }
-    let unreachable = reached.into_iter().filter(|(_, ok)| !ok).map(|(ip, _)| ip).collect();
-    TracerouteCampaignResult { traces, unreachable }
+    let unreachable = reached
+        .into_iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(ip, _)| ip)
+        .collect();
+    TracerouteCampaignResult {
+        traces,
+        unreachable,
+    }
 }
 
 /// For each target, the minimum observed RTT across probes — the signal
@@ -81,11 +88,11 @@ mod tests {
     fn all_cdn_targets_are_reachable() {
         let world = World::build(&ScenarioConfig::fast());
         let targets: Vec<Ipv4Addr> = vec![
-            "17.253.1.1".parse().unwrap(),  // Apple vip
-            "23.0.0.1".parse().unwrap(),    // Akamai on-net
-            "68.232.0.1".parse().unwrap(),  // Limelight on-net
-            "69.28.64.2".parse().unwrap(),  // LL surge cache behind AS D
-            "96.6.0.2".parse().unwrap(),    // Akamai off-net
+            "17.253.1.1".parse().unwrap(), // Apple vip
+            "23.0.0.1".parse().unwrap(),   // Akamai on-net
+            "68.232.0.1".parse().unwrap(), // Limelight on-net
+            "69.28.64.2".parse().unwrap(), // LL surge cache behind AS D
+            "96.6.0.2".parse().unwrap(),   // Akamai off-net
         ];
         let specs: Vec<_> = world.isp_probe_specs.iter().take(5).cloned().collect();
         let result = run_traceroutes(&world, &specs, &targets);

@@ -69,7 +69,10 @@ fn spread(pool: &[Ipv4Addr], n: usize, total_bytes: f64, tick_salt: u64) -> Vec<
     let n = n.min(pool.len());
     let start = (fnv64(&tick_salt.to_be_bytes()) as usize) % pool.len();
     (0..n)
-        .map(|j| Offered { src: pool[(start + j) % pool.len()], bytes: total_bytes / n as f64 })
+        .map(|j| Offered {
+            src: pool[(start + j) % pool.len()],
+            bytes: total_bytes / n as f64,
+        })
         .collect()
 }
 
@@ -110,7 +113,11 @@ pub fn run_isp_traffic(
     cfg: &ScenarioConfig,
     threads: usize,
 ) -> (TrafficResult, Vec<std::time::Duration>) {
-    let threads = if threads == 0 { mcdn_exec::thread_count() } else { threads };
+    let threads = if threads == 0 {
+        mcdn_exec::thread_count()
+    } else {
+        threads
+    };
     let mut router = Router::new();
     let mut snmp = SnmpCounters::new();
     let sampler = Sampler::new(cfg.netflow_sampling);
@@ -138,7 +145,12 @@ pub fn run_isp_traffic(
     while t < cfg.traffic_end {
         update_loads(world, t);
         let eff = world.state.effective_share(Region::Eu, t);
-        let eff_of = |k: CdnKind| eff.iter().find(|(x, _)| *x == k).map(|(_, p)| *p).unwrap_or(0.0);
+        let eff_of = |k: CdnKind| {
+            eff.iter()
+                .find(|(x, _)| *x == k)
+                .map(|(_, p)| *p)
+                .unwrap_or(0.0)
+        };
         let d_isp = mcdn_workload::demand_bps(&world.adoption, Continent::Europe, t)
             * params::ISP_SHARE_OF_EU;
         let day_factor = diurnal(Continent::Europe, t, 0.45);
@@ -218,8 +230,12 @@ pub fn run_isp_traffic(
         // accounted here too.
         let mut link_used: HashMap<LinkId, u64> = HashMap::new();
         for flow in &offered {
-            let Some((_, src_as)) = rib.lookup(flow.src) else { continue };
-            let Some(path) = router.path(&world.topo, src_as, eyeball) else { continue };
+            let Some((_, src_as)) = rib.lookup(flow.src) else {
+                continue;
+            };
+            let Some(path) = router.path(&world.topo, src_as, eyeball) else {
+                continue;
+            };
             let handover = Router::handover(&path).unwrap_or(src_as);
             let mut remaining = flow.bytes as u64;
             let mut links: Vec<_> = world.topo.links_between(handover, eyeball);
@@ -249,7 +265,12 @@ pub fn run_isp_traffic(
             for (link_id, bytes) in &landed {
                 snmp.account(*link_id, *bytes);
             }
-            batch.push(RoutedFlow { src: flow.src, src_as, landed, t });
+            batch.push(RoutedFlow {
+                src: flow.src,
+                src_as,
+                landed,
+                t,
+            });
         }
         snmp.poll_filtered(t, |link| {
             if profile.snmp_poll_missed(link.0 as u64, t) {
@@ -274,7 +295,9 @@ pub fn run_isp_traffic(
         let (partials, shard_walls) = mcdn_exec::shard_map_recover(
             &mut batch,
             threads,
-            mcdn_exec::Recovery::RetryUnrestored { retries: mcdn_exec::DEFAULT_SHARD_RETRIES },
+            mcdn_exec::Recovery::RetryUnrestored {
+                retries: mcdn_exec::DEFAULT_SHARD_RETRIES,
+            },
             |_shard_idx, shard| {
                 let mut shard_flows: Vec<(SimTime, LinkId, FlowRecord)> = Vec::new();
                 let mut shard_losses = 0u64;
@@ -301,8 +324,11 @@ pub fn run_isp_traffic(
                                 key[..4].copy_from_slice(&flow.src.octets());
                                 key[4..8].copy_from_slice(&dst.octets());
                                 key[8] = chunk_i;
-                                if profile.netflow_export_lost(link_id.0 as u64, fnv64(&key), flow.t)
-                                {
+                                if profile.netflow_export_lost(
+                                    link_id.0 as u64,
+                                    fnv64(&key),
+                                    flow.t,
+                                ) {
                                     // The exporter sampled the packet but the
                                     // record never reached the collector.
                                     shard_losses += 1;
@@ -394,8 +420,7 @@ mod tests {
         let r = run_isp_traffic(&world, &cfg, 0).0;
         // At some poll during the event, at least two of the four D links
         // run at their capacity.
-        let cap_bytes =
-            (params::ISP_D_LINK_BPS * cfg.traffic_tick.as_secs() as f64 / 8.0) as u64;
+        let cap_bytes = (params::ISP_D_LINK_BPS * cfg.traffic_tick.as_secs() as f64 / 8.0) as u64;
         let mut saturated_links = std::collections::HashSet::new();
         for (t, link, bytes) in r.snmp.samples() {
             if world.isp_d_links.contains(&link)
@@ -429,7 +454,10 @@ mod tests {
             .filter(|(t, link, _)| *t >= params::release() && world.isp_d_links.contains(link))
             .map(|(_, _, b)| b)
             .sum();
-        assert!(after > 100 * before.max(1), "D links light up only with the event");
+        assert!(
+            after > 100 * before.max(1),
+            "D links light up only with the event"
+        );
     }
 
     #[test]
@@ -498,10 +526,7 @@ mod link_selection_tests {
         let ecmp = spread(LinkSelection::Ecmp);
         // Fill-order: strong ordering, first link saturated much longer
         // than the last.
-        assert!(
-            fill[0] >= fill[3] + 3,
-            "fill order concentrates: {fill:?}"
-        );
+        assert!(fill[0] >= fill[3] + 3, "fill order concentrates: {fill:?}");
         // ECMP: the saturation spread across the group is much narrower.
         let range = |v: &Vec<u32>| v.iter().max().unwrap() - v.iter().min().unwrap();
         assert!(

@@ -76,11 +76,16 @@ impl std::fmt::Display for WorldBuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WorldBuildError::BadLocode(s) => write!(f, "invalid UN/LOCODE {s:?}"),
-            WorldBuildError::UnknownCity(s) => write!(f, "locode {s:?} is not in the city registry"),
+            WorldBuildError::UnknownCity(s) => {
+                write!(f, "locode {s:?} is not in the city registry")
+            }
             WorldBuildError::BadPrefix(s) => write!(f, "invalid IPv4 prefix {s:?}"),
             WorldBuildError::EmptyContinent(c) => write!(f, "no registered cities on {c}"),
             WorldBuildError::EmptyCdnPool { kind, region } => {
-                write!(f, "schedule sends {region:?} clients to {kind:?}, which has no addresses there")
+                write!(
+                    f,
+                    "schedule sends {region:?} clients to {kind:?}, which has no addresses there"
+                )
             }
         }
     }
@@ -115,7 +120,12 @@ fn net(s: &str) -> Result<Ipv4Net, WorldBuildError> {
 }
 
 fn info(id: AsId, name: &str, kind: AsKind, loc: &'static City) -> AsInfo {
-    AsInfo { id, name: name.to_string(), kind, location: loc.coord }
+    AsInfo {
+        id,
+        name: name.to_string(),
+        kind,
+        location: loc.coord,
+    }
 }
 
 impl World {
@@ -137,20 +147,85 @@ impl World {
         let eyeball = params::EYEBALL_AS;
 
         // --- Core ASes -----------------------------------------------------
-        topo.add_as(info(eyeball, "Eyeball ISP", AsKind::Eyeball, city("defra")?));
-        topo.add_as(info(params::APPLE_AS, "Apple", AsKind::Content, city("ussjc")?));
-        topo.add_as(info(params::AKAMAI_AS, "Akamai", AsKind::Cdn, city("usbos")?));
-        topo.add_as(info(params::LIMELIGHT_AS, "Limelight", AsKind::Cdn, city("usphx")?));
+        topo.add_as(info(
+            eyeball,
+            "Eyeball ISP",
+            AsKind::Eyeball,
+            city("defra")?,
+        ));
+        topo.add_as(info(
+            params::APPLE_AS,
+            "Apple",
+            AsKind::Content,
+            city("ussjc")?,
+        ));
+        topo.add_as(info(
+            params::AKAMAI_AS,
+            "Akamai",
+            AsKind::Cdn,
+            city("usbos")?,
+        ));
+        topo.add_as(info(
+            params::LIMELIGHT_AS,
+            "Limelight",
+            AsKind::Cdn,
+            city("usphx")?,
+        ));
         topo.add_as(info(params::AWS_AS, "AWS", AsKind::Cloud, city("ussea")?));
-        topo.add_as(info(params::TRANSIT_A, "AS A", AsKind::Transit, city("nlams")?));
-        topo.add_as(info(params::TRANSIT_B, "AS B", AsKind::Transit, city("sesto")?));
-        topo.add_as(info(params::TRANSIT_C, "AS C", AsKind::Transit, city("frpar")?));
-        topo.add_as(info(params::TRANSIT_D, "AS D", AsKind::Transit, city("plwaw")?));
-        topo.add_as(info(params::AKAMAI_OFFNET_AS, "Akamai off-net host", AsKind::Eyeball, city("czprg")?));
-        topo.add_as(info(params::LL_CACHE_A_AS, "LL cache east", AsKind::Eyeball, city("atvie")?));
-        topo.add_as(info(params::LL_CACHE_B_AS, "LL cache north", AsKind::Eyeball, city("dkcph")?));
-        topo.add_as(info(params::LL_CACHE_C_AS, "LL cache west", AsKind::Eyeball, city("esmad")?));
-        topo.add_as(info(params::LL_SURGE_D_AS, "LL surge host", AsKind::Eyeball, city("hubud")?));
+        topo.add_as(info(
+            params::TRANSIT_A,
+            "AS A",
+            AsKind::Transit,
+            city("nlams")?,
+        ));
+        topo.add_as(info(
+            params::TRANSIT_B,
+            "AS B",
+            AsKind::Transit,
+            city("sesto")?,
+        ));
+        topo.add_as(info(
+            params::TRANSIT_C,
+            "AS C",
+            AsKind::Transit,
+            city("frpar")?,
+        ));
+        topo.add_as(info(
+            params::TRANSIT_D,
+            "AS D",
+            AsKind::Transit,
+            city("plwaw")?,
+        ));
+        topo.add_as(info(
+            params::AKAMAI_OFFNET_AS,
+            "Akamai off-net host",
+            AsKind::Eyeball,
+            city("czprg")?,
+        ));
+        topo.add_as(info(
+            params::LL_CACHE_A_AS,
+            "LL cache east",
+            AsKind::Eyeball,
+            city("atvie")?,
+        ));
+        topo.add_as(info(
+            params::LL_CACHE_B_AS,
+            "LL cache north",
+            AsKind::Eyeball,
+            city("dkcph")?,
+        ));
+        topo.add_as(info(
+            params::LL_CACHE_C_AS,
+            "LL cache west",
+            AsKind::Eyeball,
+            city("esmad")?,
+        ));
+        topo.add_as(info(
+            params::LL_SURGE_D_AS,
+            "LL surge host",
+            AsKind::Eyeball,
+            city("hubud")?,
+        ));
 
         // Prefix announcements.
         topo.announce(eyeball, net("84.17.0.0/16")?);
@@ -166,11 +241,31 @@ impl World {
 
         // --- Links ---------------------------------------------------------
         let (apple_bps, akamai_bps, ll_bps) = params::ISP_CDN_LINK_BPS;
-        topo.add_link(params::APPLE_AS, eyeball, Relationship::PeerToPeer, apple_bps);
-        topo.add_link(params::AKAMAI_AS, eyeball, Relationship::PeerToPeer, akamai_bps);
-        topo.add_link(params::LIMELIGHT_AS, eyeball, Relationship::PeerToPeer, ll_bps);
+        topo.add_link(
+            params::APPLE_AS,
+            eyeball,
+            Relationship::PeerToPeer,
+            apple_bps,
+        );
+        topo.add_link(
+            params::AKAMAI_AS,
+            eyeball,
+            Relationship::PeerToPeer,
+            akamai_bps,
+        );
+        topo.add_link(
+            params::LIMELIGHT_AS,
+            eyeball,
+            Relationship::PeerToPeer,
+            ll_bps,
+        );
         for t in [params::TRANSIT_A, params::TRANSIT_B, params::TRANSIT_C] {
-            topo.add_link(t, eyeball, Relationship::PeerToPeer, params::ISP_TRANSIT_LINK_BPS);
+            topo.add_link(
+                t,
+                eyeball,
+                Relationship::PeerToPeer,
+                params::ISP_TRANSIT_LINK_BPS,
+            );
         }
         let mut isp_d_links = Vec::new();
         for _ in 0..params::ISP_D_LINK_COUNT {
@@ -182,20 +277,85 @@ impl World {
             ));
         }
         // CDNs buy transit for reach beyond their peerings.
-        topo.add_link(params::APPLE_AS, params::TRANSIT_A, Relationship::CustomerToProvider, 8e12);
-        topo.add_link(params::APPLE_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 8e12);
-        topo.add_link(params::AKAMAI_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 8e12);
-        topo.add_link(params::AKAMAI_AS, params::TRANSIT_C, Relationship::CustomerToProvider, 8e12);
-        topo.add_link(params::LIMELIGHT_AS, params::TRANSIT_A, Relationship::CustomerToProvider, 4e12);
-        topo.add_link(params::LIMELIGHT_AS, params::TRANSIT_C, Relationship::CustomerToProvider, 4e12);
-        topo.add_link(params::AWS_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 4e12);
-        topo.add_link(params::AWS_AS, params::TRANSIT_C, Relationship::CustomerToProvider, 4e12);
+        topo.add_link(
+            params::APPLE_AS,
+            params::TRANSIT_A,
+            Relationship::CustomerToProvider,
+            8e12,
+        );
+        topo.add_link(
+            params::APPLE_AS,
+            params::TRANSIT_B,
+            Relationship::CustomerToProvider,
+            8e12,
+        );
+        topo.add_link(
+            params::AKAMAI_AS,
+            params::TRANSIT_B,
+            Relationship::CustomerToProvider,
+            8e12,
+        );
+        topo.add_link(
+            params::AKAMAI_AS,
+            params::TRANSIT_C,
+            Relationship::CustomerToProvider,
+            8e12,
+        );
+        topo.add_link(
+            params::LIMELIGHT_AS,
+            params::TRANSIT_A,
+            Relationship::CustomerToProvider,
+            4e12,
+        );
+        topo.add_link(
+            params::LIMELIGHT_AS,
+            params::TRANSIT_C,
+            Relationship::CustomerToProvider,
+            4e12,
+        );
+        topo.add_link(
+            params::AWS_AS,
+            params::TRANSIT_B,
+            Relationship::CustomerToProvider,
+            4e12,
+        );
+        topo.add_link(
+            params::AWS_AS,
+            params::TRANSIT_C,
+            Relationship::CustomerToProvider,
+            4e12,
+        );
         // Off-net cache hosts hang behind their transit.
-        topo.add_link(params::AKAMAI_OFFNET_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 1e12);
-        topo.add_link(params::LL_CACHE_A_AS, params::TRANSIT_A, Relationship::CustomerToProvider, 5e11);
-        topo.add_link(params::LL_CACHE_B_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 5e11);
-        topo.add_link(params::LL_CACHE_C_AS, params::TRANSIT_C, Relationship::CustomerToProvider, 5e11);
-        topo.add_link(params::LL_SURGE_D_AS, params::TRANSIT_D, Relationship::CustomerToProvider, 5e11);
+        topo.add_link(
+            params::AKAMAI_OFFNET_AS,
+            params::TRANSIT_B,
+            Relationship::CustomerToProvider,
+            1e12,
+        );
+        topo.add_link(
+            params::LL_CACHE_A_AS,
+            params::TRANSIT_A,
+            Relationship::CustomerToProvider,
+            5e11,
+        );
+        topo.add_link(
+            params::LL_CACHE_B_AS,
+            params::TRANSIT_B,
+            Relationship::CustomerToProvider,
+            5e11,
+        );
+        topo.add_link(
+            params::LL_CACHE_C_AS,
+            params::TRANSIT_C,
+            Relationship::CustomerToProvider,
+            5e11,
+        );
+        topo.add_link(
+            params::LL_SURGE_D_AS,
+            params::TRANSIT_D,
+            Relationship::CustomerToProvider,
+            5e11,
+        );
 
         // --- Small "other" handover transits + LL caches behind them -------
         let eu_cities: Vec<&'static City> = Registry::on_continent(Continent::Europe).collect();
@@ -205,13 +365,28 @@ impl World {
         for i in 0..params::SMALL_TRANSIT_COUNT {
             let id = AsId(params::SMALL_TRANSIT_AS_BASE + i);
             let loc = eu_cities[i as usize % eu_cities.len()];
-            topo.add_as(info(id, &format!("small transit {i}"), AsKind::Transit, loc));
-            topo.add_link(id, eyeball, Relationship::PeerToPeer, params::ISP_SMALL_LINK_BPS);
+            topo.add_as(info(
+                id,
+                &format!("small transit {i}"),
+                AsKind::Transit,
+                loc,
+            ));
+            topo.add_link(
+                id,
+                eyeball,
+                Relationship::PeerToPeer,
+                params::ISP_SMALL_LINK_BPS,
+            );
         }
         for j in 0..params::LL_OTHER_CACHE_COUNT {
             let id = AsId(params::LL_CACHE_OTHER_AS_BASE + j);
             let loc = eu_cities[j as usize % eu_cities.len()];
-            topo.add_as(info(id, &format!("LL cache other {j}"), AsKind::Eyeball, loc));
+            topo.add_as(info(
+                id,
+                &format!("LL cache other {j}"),
+                AsKind::Eyeball,
+                loc,
+            ));
             topo.add_link(
                 id,
                 AsId(params::SMALL_TRANSIT_AS_BASE + j),
@@ -231,8 +406,18 @@ impl World {
                 .next()
                 .ok_or(WorldBuildError::EmptyContinent(cont))?;
             topo.add_as(info(id, &format!("{cont} eyeball"), AsKind::Eyeball, loc));
-            topo.add_link(id, params::TRANSIT_A, Relationship::CustomerToProvider, 1e12);
-            topo.add_link(id, params::TRANSIT_B, Relationship::CustomerToProvider, 1e12);
+            topo.add_link(
+                id,
+                params::TRANSIT_A,
+                Relationship::CustomerToProvider,
+                1e12,
+            );
+            topo.add_link(
+                id,
+                params::TRANSIT_B,
+                Relationship::CustomerToProvider,
+                1e12,
+            );
             topo.announce(id, Ipv4Net::new(Ipv4Addr::new(100, 64 + k as u8, 0, 0), 16));
             probe_as_by_continent.insert(cont, (id, k as u8));
         }
@@ -244,17 +429,19 @@ impl World {
         let ak_net = net("23.0.0.0/12")?;
         let (ak_base, ak_surge, ak_offnet) = params::AKAMAI_EU_POOL;
         let akamai = ThirdPartyCdn::new("Akamai", params::AKAMAI_AS)
-            .with_base(Region::Eu, ThirdPartyCdn::ips_from_prefix(ak_net, 0, ak_base))
-            .with_surge(Region::Eu, ThirdPartyCdn::ips_from_prefix(ak_net, 1000, ak_surge))
+            .with_base(
+                Region::Eu,
+                ThirdPartyCdn::ips_from_prefix(ak_net, 0, ak_base),
+            )
+            .with_surge(
+                Region::Eu,
+                ThirdPartyCdn::ips_from_prefix(ak_net, 1000, ak_surge),
+            )
             .with_offnet(
                 Region::Eu,
                 OffNetPool {
                     host_as: params::AKAMAI_OFFNET_AS,
-                    ips: ThirdPartyCdn::ips_from_prefix(
-                        net("96.6.0.0/20")?,
-                        0,
-                        ak_offnet,
-                    ),
+                    ips: ThirdPartyCdn::ips_from_prefix(net("96.6.0.0/20")?, 0, ak_offnet),
                     engage_at: params::AKAMAI_OFFNET_ENGAGE,
                 },
             )
@@ -271,8 +458,14 @@ impl World {
         let (ll_base, ll_surge) = params::LIMELIGHT_EU_POOL;
         let (ra, rb, rc, rother) = params::LL_REGIONAL_POOL;
         let mut limelight = ThirdPartyCdn::new("Limelight", params::LIMELIGHT_AS)
-            .with_base(Region::Eu, ThirdPartyCdn::ips_from_prefix(ll_net, 0, ll_base))
-            .with_surge(Region::Eu, ThirdPartyCdn::ips_from_prefix(ll_net, 1000, ll_surge))
+            .with_base(
+                Region::Eu,
+                ThirdPartyCdn::ips_from_prefix(ll_net, 0, ll_base),
+            )
+            .with_surge(
+                Region::Eu,
+                ThirdPartyCdn::ips_from_prefix(ll_net, 1000, ll_surge),
+            )
             .with_base(
                 Region::Us,
                 ThirdPartyCdn::ips_from_prefix(ll_net, 8000, params::THIRD_PARTY_OTHER_REGION_BASE),
@@ -332,10 +525,20 @@ impl World {
         // Level3 (pre-June-2017 configuration only): its own AS, a direct
         // peering, a prefix, and a base-only pool.
         let level3 = if cfg.enable_level3 {
-            topo.add_as(info(params::LEVEL3_AS, "Level3", AsKind::Cdn, city("usden")?));
+            topo.add_as(info(
+                params::LEVEL3_AS,
+                "Level3",
+                AsKind::Cdn,
+                city("usden")?,
+            ));
             topo.announce(params::LEVEL3_AS, net("4.23.0.0/16")?);
             topo.add_link(params::LEVEL3_AS, eyeball, Relationship::PeerToPeer, 1e12);
-            topo.add_link(params::LEVEL3_AS, params::TRANSIT_B, Relationship::CustomerToProvider, 4e12);
+            topo.add_link(
+                params::LEVEL3_AS,
+                params::TRANSIT_B,
+                Relationship::CustomerToProvider,
+                4e12,
+            );
             let l3_net = net("4.23.0.0/16")?;
             let mut l3 = ThirdPartyCdn::new("Level3", params::LEVEL3_AS);
             for region in [Region::Us, Region::Eu] {
@@ -366,16 +569,8 @@ impl World {
             akamai: Arc::clone(&akamai),
             limelight: Arc::clone(&limelight),
             level3: level3.clone(),
-            china_ips: net("17.200.1.0/28")?
-                .iter()
-                .skip(1)
-                .take(8)
-                .collect(),
-            india_ips: net("17.200.2.0/28")?
-                .iter()
-                .skip(1)
-                .take(8)
-                .collect(),
+            china_ips: net("17.200.1.0/28")?.iter().skip(1).take(8).collect(),
+            india_ips: net("17.200.2.0/28")?.iter().skip(1).take(8).collect(),
             mesu_ip: Ipv4Addr::new(17, 110, 229, 10),
             akamai_answer_k: params::AKAMAI_ANSWER_K,
             limelight_answer_k: params::LIMELIGHT_ANSWER_K,
@@ -401,25 +596,46 @@ impl World {
         let global_cities: Vec<(&'static City, f64)> = Registry::cities()
             .iter()
             .map(|c| {
-                (c, continent_weight(c.continent) / Registry::on_continent(c.continent).count() as f64)
+                (
+                    c,
+                    continent_weight(c.continent)
+                        / Registry::on_continent(c.continent).count() as f64,
+                )
             })
             .collect();
-        let global_probe_specs = spread_specs(cfg.global_probes, &global_cities, cfg.seed, |c, i| {
-            let (asn, k) = probe_as_by_continent[&c.continent];
-            (asn, Ipv4Addr::new(100, 64 + k, (i / 250) as u8, (i % 250) as u8 + 1))
-        });
+        let global_probe_specs =
+            spread_specs(cfg.global_probes, &global_cities, cfg.seed, |c, i| {
+                let (asn, k) = probe_as_by_continent[&c.continent];
+                (
+                    asn,
+                    Ipv4Addr::new(100, 64 + k, (i / 250) as u8, (i % 250) as u8 + 1),
+                )
+            });
 
-        let isp_cities: Vec<(&'static City, f64)> =
-            vec![(city("defra")?, 1.0), (city("deber")?, 1.0), (city("demuc")?, 1.0)];
-        let isp_probe_specs = spread_specs(cfg.isp_probes, &isp_cities, cfg.seed ^ 0xA77A5, |_, i| {
-            (eyeball, Ipv4Addr::new(84, 17, (i / 250) as u8, (i % 250) as u8 + 1))
-        });
+        let isp_cities: Vec<(&'static City, f64)> = vec![
+            (city("defra")?, 1.0),
+            (city("deber")?, 1.0),
+            (city("demuc")?, 1.0),
+        ];
+        let isp_probe_specs =
+            spread_specs(cfg.isp_probes, &isp_cities, cfg.seed ^ 0xA77A5, |_, i| {
+                (
+                    eyeball,
+                    Ipv4Addr::new(84, 17, (i / 250) as u8, (i % 250) as u8 + 1),
+                )
+            });
 
         // --- Vantage VMs (9 AWS regions, all continents except Africa) --------
-        let vm_cities = ["usnyc", "ussjc", "iedub", "defra", "sgsin", "jptyo", "ausyd", "inbom", "brsao"];
+        let vm_cities = [
+            "usnyc", "ussjc", "iedub", "defra", "sgsin", "jptyo", "ausyd", "inbom", "brsao",
+        ];
         let mut vms = Vec::with_capacity(vm_cities.len());
         for (i, c) in vm_cities.iter().enumerate() {
-            vms.push(VantageVm::new(city(c)?, params::AWS_AS, Ipv4Addr::new(52, 1, i as u8, 10)));
+            vms.push(VantageVm::new(
+                city(c)?,
+                params::AWS_AS,
+                Ipv4Addr::new(52, 1, i as u8, 10),
+            ));
         }
 
         // Apple vips serving the ISP: sites within reach of the German
@@ -428,7 +644,11 @@ impl World {
         let apple_isp_vips = apple
             .sites()
             .iter()
-            .filter(|s| anchors.iter().any(|a| a.coord.distance_km(&s.coord) < 300.0))
+            .filter(|s| {
+                anchors
+                    .iter()
+                    .any(|a| a.coord.distance_km(&s.coord) < 300.0)
+            })
             .flat_map(|s| s.vip_addrs())
             .collect();
 
@@ -519,18 +739,36 @@ mod tests {
         let w = world();
         let mut router = mcdn_netsim::Router::new();
         // LL surge cache → ISP must hand over via AS D.
-        let src = w.topo.origin_of("69.28.64.5".parse().expect("ip")).expect("origin");
+        let src = w
+            .topo
+            .origin_of("69.28.64.5".parse().expect("ip"))
+            .expect("origin");
         assert_eq!(src, params::LL_SURGE_D_AS);
         let path = router.path(&w.topo, src, params::EYEBALL_AS).expect("path");
-        assert_eq!(mcdn_netsim::Router::handover(&path), Some(params::TRANSIT_D));
+        assert_eq!(
+            mcdn_netsim::Router::handover(&path),
+            Some(params::TRANSIT_D)
+        );
         // Akamai off-net → via AS B.
-        let src = w.topo.origin_of("96.6.1.1".parse().expect("ip")).expect("origin");
+        let src = w
+            .topo
+            .origin_of("96.6.1.1".parse().expect("ip"))
+            .expect("origin");
         let path = router.path(&w.topo, src, params::EYEBALL_AS).expect("path");
-        assert_eq!(mcdn_netsim::Router::handover(&path), Some(params::TRANSIT_B));
+        assert_eq!(
+            mcdn_netsim::Router::handover(&path),
+            Some(params::TRANSIT_B)
+        );
         // On-net Limelight → direct peering.
-        let src = w.topo.origin_of("68.232.0.5".parse().expect("ip")).expect("origin");
+        let src = w
+            .topo
+            .origin_of("68.232.0.5".parse().expect("ip"))
+            .expect("origin");
         let path = router.path(&w.topo, src, params::EYEBALL_AS).expect("path");
-        assert_eq!(mcdn_netsim::Router::handover(&path), Some(params::LIMELIGHT_AS));
+        assert_eq!(
+            mcdn_netsim::Router::handover(&path),
+            Some(params::LIMELIGHT_AS)
+        );
     }
 
     #[test]
@@ -558,8 +796,11 @@ mod tests {
             assert_eq!(s.city.continent, Continent::Europe);
         }
         // The global fleet covers every continent.
-        let continents: std::collections::HashSet<_> =
-            w.global_probe_specs.iter().map(|s| s.city.continent).collect();
+        let continents: std::collections::HashSet<_> = w
+            .global_probe_specs
+            .iter()
+            .map(|s| s.city.continent)
+            .collect();
         assert_eq!(continents.len(), 6);
     }
 
@@ -588,17 +829,34 @@ mod tests {
 
     #[test]
     fn bad_static_data_surfaces_as_typed_errors() {
-        assert_eq!(city("zz").unwrap_err(), WorldBuildError::BadLocode("zz".into()));
-        assert_eq!(city("zzzzz").unwrap_err(), WorldBuildError::UnknownCity("zzzzz".into()));
-        assert_eq!(net("300.0.0.0/8").unwrap_err(), WorldBuildError::BadPrefix("300.0.0.0/8".into()));
+        assert_eq!(
+            city("zz").unwrap_err(),
+            WorldBuildError::BadLocode("zz".into())
+        );
+        assert_eq!(
+            city("zzzzz").unwrap_err(),
+            WorldBuildError::UnknownCity("zzzzz".into())
+        );
+        assert_eq!(
+            net("300.0.0.0/8").unwrap_err(),
+            WorldBuildError::BadPrefix("300.0.0.0/8".into())
+        );
         let msg = WorldBuildError::UnknownCity("zzzzz".into()).to_string();
-        assert!(msg.contains("zzzzz"), "error display names the offending code: {msg}");
+        assert!(
+            msg.contains("zzzzz"),
+            "error display names the offending code: {msg}"
+        );
     }
 
     #[test]
     fn scheduled_cdn_with_empty_pool_is_rejected() {
         use metacdn::{CdnKind, CdnShare, Schedule};
-        let share = CdnShare { apple: 0.5, akamai: 0.3, limelight: 0.2, level3: 0.0 };
+        let share = CdnShare {
+            apple: 0.5,
+            akamai: 0.3,
+            limelight: 0.2,
+            level3: 0.0,
+        };
         let sizes = |kind: CdnKind, _region: Region| match kind {
             CdnKind::Apple => 40,
             CdnKind::Akamai => 100,
@@ -606,10 +864,21 @@ mod tests {
             CdnKind::Level3 => 0,
         };
         let err = validate_cdn_pools(&Schedule::constant(share), sizes).unwrap_err();
-        assert_eq!(err, WorldBuildError::EmptyCdnPool { kind: CdnKind::Limelight, region: Region::Us });
+        assert_eq!(
+            err,
+            WorldBuildError::EmptyCdnPool {
+                kind: CdnKind::Limelight,
+                region: Region::Us
+            }
+        );
         assert!(err.to_string().contains("Limelight"));
         // Zero weight for the empty CDN passes — the pool is never asked.
-        let quiet = CdnShare { apple: 0.8, akamai: 0.2, limelight: 0.0, level3: 0.0 };
+        let quiet = CdnShare {
+            apple: 0.8,
+            akamai: 0.2,
+            limelight: 0.0,
+            level3: 0.0,
+        };
         assert!(validate_cdn_pools(&Schedule::constant(quiet), sizes).is_ok());
         // A breakpoint that later turns Limelight on is also caught.
         let s = Schedule::constant(quiet).with(
@@ -618,7 +887,13 @@ mod tests {
             quiet.with_weight(CdnKind::Limelight, 0.4),
         );
         let err = validate_cdn_pools(&s, sizes).unwrap_err();
-        assert_eq!(err, WorldBuildError::EmptyCdnPool { kind: CdnKind::Limelight, region: Region::Eu });
+        assert_eq!(
+            err,
+            WorldBuildError::EmptyCdnPool {
+                kind: CdnKind::Limelight,
+                region: Region::Eu
+            }
+        );
         // The shipped schedules validate against the real pool sizes.
         let w = world();
         assert!(w.akamai.pool_size(Region::Eu) > 0 && w.limelight.pool_size(Region::Apac) > 0);

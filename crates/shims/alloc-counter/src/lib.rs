@@ -47,7 +47,10 @@ pub struct CountingAlloc {
 impl CountingAlloc {
     /// A zeroed counter set (const, so it can initialize a `static`).
     pub const fn new() -> CountingAlloc {
-        CountingAlloc { allocs: AtomicU64::new(0), bytes: AtomicU64::new(0) }
+        CountingAlloc {
+            allocs: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        }
     }
 
     /// The current counters.
@@ -102,9 +105,21 @@ mod tests {
 
     #[test]
     fn counters_delta() {
-        let a = AllocCounts { allocs: 10, bytes: 400 };
-        let b = AllocCounts { allocs: 13, bytes: 1424 };
-        assert_eq!(b.since(a), AllocCounts { allocs: 3, bytes: 1024 });
+        let a = AllocCounts {
+            allocs: 10,
+            bytes: 400,
+        };
+        let b = AllocCounts {
+            allocs: 13,
+            bytes: 1424,
+        };
+        assert_eq!(
+            b.since(a),
+            AllocCounts {
+                allocs: 3,
+                bytes: 1024
+            }
+        );
     }
 
     #[test]

@@ -40,7 +40,10 @@ impl Criterion {
     /// Builds a driver, detecting test vs. bench mode from CLI arguments.
     pub fn from_args() -> Criterion {
         let bench_mode = std::env::args().any(|a| a == "--bench");
-        Criterion { bench_mode, sample_size: 100 }
+        Criterion {
+            bench_mode,
+            sample_size: 100,
+        }
     }
 
     /// Runs a single named benchmark.
@@ -92,7 +95,13 @@ impl BenchmarkGroup<'_> {
     {
         let qualified = format!("{}/{}", self.name, name);
         let samples = self.sample_size.unwrap_or(self.criterion.sample_size);
-        run_one(&qualified, self.criterion.bench_mode, samples, self.throughput, f);
+        run_one(
+            &qualified,
+            self.criterion.bench_mode,
+            samples,
+            self.throughput,
+            f,
+        );
         self
     }
 
@@ -137,11 +146,20 @@ impl Bencher {
     }
 }
 
-fn run_one<F>(name: &str, bench_mode: bool, samples: usize, throughput: Option<Throughput>, mut f: F)
-where
+fn run_one<F>(
+    name: &str,
+    bench_mode: bool,
+    samples: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) where
     F: FnMut(&mut Bencher),
 {
-    let mut b = Bencher { bench_mode, samples, mean_ns: 0.0 };
+    let mut b = Bencher {
+        bench_mode,
+        samples,
+        mean_ns: 0.0,
+    };
     f(&mut b);
     if !bench_mode {
         println!("test {name} ... ok (bench body executed once)");
@@ -150,13 +168,20 @@ where
     let per_iter = b.mean_ns;
     let rate = throughput.map(|t| match t {
         Throughput::Bytes(n) | Throughput::BytesDecimal(n) => {
-            format!(", {:.1} MiB/s", n as f64 / per_iter.max(1.0) * 1e9 / (1 << 20) as f64)
+            format!(
+                ", {:.1} MiB/s",
+                n as f64 / per_iter.max(1.0) * 1e9 / (1 << 20) as f64
+            )
         }
         Throughput::Elements(n) => {
             format!(", {:.0} elem/s", n as f64 / per_iter.max(1.0) * 1e9)
         }
     });
-    println!("bench {name}: {:.0} ns/iter{}", per_iter, rate.unwrap_or_default());
+    println!(
+        "bench {name}: {:.0} ns/iter{}",
+        per_iter,
+        rate.unwrap_or_default()
+    );
 }
 
 /// Defines a bench group function that runs each listed bench with a fresh
@@ -187,7 +212,10 @@ mod tests {
 
     #[test]
     fn test_mode_runs_body_once() {
-        let mut c = Criterion { bench_mode: false, sample_size: 10 };
+        let mut c = Criterion {
+            bench_mode: false,
+            sample_size: 10,
+        };
         let mut runs = 0;
         c.bench_function("once", |b| b.iter(|| runs += 1));
         assert_eq!(runs, 1);
@@ -195,12 +223,18 @@ mod tests {
 
     #[test]
     fn groups_apply_sample_size_and_throughput() {
-        let mut c = Criterion { bench_mode: true, sample_size: 3 };
+        let mut c = Criterion {
+            bench_mode: true,
+            sample_size: 3,
+        };
         let mut g = c.benchmark_group("g");
         g.sample_size(2).throughput(Throughput::Elements(30));
         let mut runs = 0u64;
         g.bench_function("counted", |b| b.iter(|| runs += 1));
         g.finish();
-        assert!(runs > 2, "bench mode should iterate more than once, got {runs}");
+        assert!(
+            runs > 2,
+            "bench mode should iterate more than once, got {runs}"
+        );
     }
 }

@@ -20,21 +20,30 @@ impl From<usize> for SizeRange {
 impl From<Range<usize>> for SizeRange {
     fn from(r: Range<usize>) -> SizeRange {
         assert!(r.start < r.end, "empty size range");
-        SizeRange { lo: r.start, hi: r.end - 1 }
+        SizeRange {
+            lo: r.start,
+            hi: r.end - 1,
+        }
     }
 }
 
 impl From<RangeInclusive<usize>> for SizeRange {
     fn from(r: RangeInclusive<usize>) -> SizeRange {
         assert!(r.start() <= r.end(), "empty size range");
-        SizeRange { lo: *r.start(), hi: *r.end() }
+        SizeRange {
+            lo: *r.start(),
+            hi: *r.end(),
+        }
     }
 }
 
 /// Generates a `Vec` whose length is drawn from `size` and whose elements
 /// come from `element`.
 pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-    VecStrategy { element, size: size.into() }
+    VecStrategy {
+        element,
+        size: size.into(),
+    }
 }
 
 /// Strategy returned by [`vec`].

@@ -17,8 +17,8 @@
 
 pub mod arbitrary;
 pub mod collection;
-pub mod string;
 pub mod strategy;
+pub mod string;
 pub mod test_runner;
 
 /// Everything a property test needs in scope.

@@ -148,7 +148,16 @@ impl_tuple_strategy!(S0 / 0, S1 / 1, S2 / 2, S3 / 3);
 impl_tuple_strategy!(S0 / 0, S1 / 1, S2 / 2, S3 / 3, S4 / 4);
 impl_tuple_strategy!(S0 / 0, S1 / 1, S2 / 2, S3 / 3, S4 / 4, S5 / 5);
 impl_tuple_strategy!(S0 / 0, S1 / 1, S2 / 2, S3 / 3, S4 / 4, S5 / 5, S6 / 6);
-impl_tuple_strategy!(S0 / 0, S1 / 1, S2 / 2, S3 / 3, S4 / 4, S5 / 5, S6 / 6, S7 / 7);
+impl_tuple_strategy!(
+    S0 / 0,
+    S1 / 1,
+    S2 / 2,
+    S3 / 3,
+    S4 / 4,
+    S5 / 5,
+    S6 / 6,
+    S7 / 7
+);
 
 #[cfg(test)]
 mod tests {

@@ -37,7 +37,10 @@ impl Node {
         match self {
             Node::Literal(c) => out.push(*c),
             Node::Class(ranges) => {
-                let total: u32 = ranges.iter().map(|(lo, hi)| *hi as u32 - *lo as u32 + 1).sum();
+                let total: u32 = ranges
+                    .iter()
+                    .map(|(lo, hi)| *hi as u32 - *lo as u32 + 1)
+                    .sum();
                 let mut pick = rng.below(total as usize) as u32;
                 for (lo, hi) in ranges {
                     let span = *hi as u32 - *lo as u32 + 1;
@@ -114,7 +117,9 @@ fn parse_seq(chars: &mut Chars<'_>, in_group: bool) -> Result<Vec<Node>, Error> 
             }
             '\\' => {
                 chars.next();
-                let esc = chars.next().ok_or_else(|| Error("dangling escape".into()))?;
+                let esc = chars
+                    .next()
+                    .ok_or_else(|| Error("dangling escape".into()))?;
                 Node::Literal(esc)
             }
             '?' | '*' | '+' | '{' => return Err(Error(format!("dangling quantifier '{c}'"))),
@@ -174,7 +179,9 @@ fn parse_class(chars: &mut Chars<'_>) -> Result<Vec<(char, char)>, Error> {
         let lo = match chars.next() {
             Some(']') if !ranges.is_empty() => return Ok(ranges),
             Some(']') | None => return Err(Error("unterminated character class".into())),
-            Some('\\') => chars.next().ok_or_else(|| Error("dangling escape".into()))?,
+            Some('\\') => chars
+                .next()
+                .ok_or_else(|| Error("dangling escape".into()))?,
             Some(c) => c,
         };
         if chars.peek() == Some(&'-') {
@@ -217,9 +224,10 @@ mod tests {
             (1..=2).contains(&parts.len())
                 && (1..=12).contains(&parts[0].len())
                 && parts.iter().skip(1).all(|p| (1..=8).contains(&p.len()))
-                && parts
-                    .iter()
-                    .all(|p| p.chars().all(|c| c.is_ascii_lowercase() || c.is_ascii_digit()))
+                && parts.iter().all(|p| {
+                    p.chars()
+                        .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit())
+                })
         });
     }
 

@@ -192,7 +192,9 @@ mod tests {
     fn seeds_give_distinct_streams() {
         let mut a = SmallRng::seed_from_u64(1);
         let mut b = SmallRng::seed_from_u64(2);
-        let same = (0..64).filter(|_| a.gen_range(0u64..1 << 40) == b.gen_range(0u64..1 << 40)).count();
+        let same = (0..64)
+            .filter(|_| a.gen_range(0u64..1 << 40) == b.gen_range(0u64..1 << 40))
+            .count();
         assert!(same < 3, "streams must diverge, {same} collisions");
     }
 

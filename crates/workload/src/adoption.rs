@@ -192,7 +192,10 @@ mod tests {
         let m = model();
         let before = m.start_rate(Continent::Europe, m.event.release - Duration::hours(1));
         let after = m.start_rate(Continent::Europe, m.event.release + Duration::mins(30));
-        assert!(after > before * 5.0, "release must cause a sharp surge: {before} → {after}");
+        assert!(
+            after > before * 5.0,
+            "release must cause a sharp surge: {before} → {after}"
+        );
     }
 
     #[test]
@@ -207,8 +210,14 @@ mod tests {
     fn day_after_echo_exceeds_late_week() {
         let m = model();
         // Evening of Sep 20 vs evening of Sep 25.
-        let echo = m.start_rate(Continent::Europe, SimTime::from_ymd_hms(2017, 9, 20, 18, 0, 0));
-        let late = m.start_rate(Continent::Europe, SimTime::from_ymd_hms(2017, 9, 25, 18, 0, 0));
+        let echo = m.start_rate(
+            Continent::Europe,
+            SimTime::from_ymd_hms(2017, 9, 20, 18, 0, 0),
+        );
+        let late = m.start_rate(
+            Continent::Europe,
+            SimTime::from_ymd_hms(2017, 9, 25, 18, 0, 0),
+        );
         assert!(echo > late);
     }
 
@@ -278,8 +287,7 @@ mod followup_tests {
         // tail of the 11.0-only model.
         let t = UpdateEvent::ios_11_1().release + Duration::hours(2);
         assert!(
-            with.start_rate(Continent::Europe, t)
-                > 3.0 * base.start_rate(Continent::Europe, t),
+            with.start_rate(Continent::Europe, t) > 3.0 * base.start_rate(Continent::Europe, t),
             "11.1 wave must appear"
         );
         // Before any follow-up, the two models agree exactly.
@@ -294,9 +302,14 @@ mod followup_tests {
     fn minor_releases_are_smaller_than_major() {
         let m = AdoptionModel::new(UpdateEvent::ios_11(), Population::world_2017())
             .with_followups(vec![UpdateEvent::ios_11_0_1()]);
-        let major = m.start_rate(Continent::Europe, UpdateEvent::ios_11().release + Duration::hours(1));
-        let minor =
-            m.start_rate(Continent::Europe, UpdateEvent::ios_11_0_1().release + Duration::hours(1));
+        let major = m.start_rate(
+            Continent::Europe,
+            UpdateEvent::ios_11().release + Duration::hours(1),
+        );
+        let minor = m.start_rate(
+            Continent::Europe,
+            UpdateEvent::ios_11_0_1().release + Duration::hours(1),
+        );
         assert!(major > 1.5 * minor, "11.0 ≫ 11.0.1: {major} vs {minor}");
     }
 }

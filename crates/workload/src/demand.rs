@@ -29,7 +29,10 @@ mod tests {
         let m = AdoptionModel::new(UpdateEvent::ios_11(), Population::world_2017());
         let t = m.event.release + Duration::hours(1);
         let r = m.start_rate(Continent::Europe, t);
-        assert_eq!(demand_bps(&m, Continent::Europe, t), r * 2_800_000_000.0 * 8.0);
+        assert_eq!(
+            demand_bps(&m, Continent::Europe, t),
+            r * 2_800_000_000.0 * 8.0
+        );
     }
 
     #[test]

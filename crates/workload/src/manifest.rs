@@ -28,11 +28,42 @@ pub struct Manifest {
 
 /// Device families shipping iOS updates in 2017.
 const DEVICES: &[&str] = &[
-    "iPhone5,1", "iPhone5,2", "iPhone5,3", "iPhone5,4", "iPhone6,1", "iPhone6,2", "iPhone7,1",
-    "iPhone7,2", "iPhone8,1", "iPhone8,2", "iPhone8,4", "iPhone9,1", "iPhone9,2", "iPhone9,3",
-    "iPhone9,4", "iPhone10,1", "iPhone10,2", "iPhone10,3", "iPad4,1", "iPad4,2", "iPad5,3",
-    "iPad5,4", "iPad6,3", "iPad6,4", "iPad6,7", "iPad6,8", "iPad7,1", "iPad7,2", "iPad7,3",
-    "iPad7,4", "iPod7,1", "iPod9,1", "AppleTV5,3", "AppleTV6,2", "Watch2,3", "Watch3,1",
+    "iPhone5,1",
+    "iPhone5,2",
+    "iPhone5,3",
+    "iPhone5,4",
+    "iPhone6,1",
+    "iPhone6,2",
+    "iPhone7,1",
+    "iPhone7,2",
+    "iPhone8,1",
+    "iPhone8,2",
+    "iPhone8,4",
+    "iPhone9,1",
+    "iPhone9,2",
+    "iPhone9,3",
+    "iPhone9,4",
+    "iPhone10,1",
+    "iPhone10,2",
+    "iPhone10,3",
+    "iPad4,1",
+    "iPad4,2",
+    "iPad5,3",
+    "iPad5,4",
+    "iPad6,3",
+    "iPad6,4",
+    "iPad6,7",
+    "iPad6,8",
+    "iPad7,1",
+    "iPad7,2",
+    "iPad7,3",
+    "iPad7,4",
+    "iPod7,1",
+    "iPod9,1",
+    "AppleTV5,3",
+    "AppleTV6,2",
+    "Watch2,3",
+    "Watch3,1",
 ];
 
 impl Manifest {
@@ -44,7 +75,12 @@ impl Manifest {
             for minor in 0..50u32 {
                 let (maj, min, patch) = (8 + minor / 16, (minor % 16) / 4, minor % 4);
                 let os_version = format!("{maj}.{min}.{patch}");
-                let build = format!("{}{}A{:03}", 11 + maj, (b'A' + (min as u8)) as char, 100 + minor);
+                let build = format!(
+                    "{}{}A{:03}",
+                    11 + maj,
+                    (b'A' + (min as u8)) as char,
+                    100 + minor
+                );
                 entries.push(ManifestEntry {
                     device: device.to_string(),
                     os_version: os_version.clone(),
@@ -81,8 +117,15 @@ impl Manifest {
     /// version triple).
     pub fn latest_for<'a>(&'a self, device: &'a str) -> Option<&'a ManifestEntry> {
         self.for_device(device).max_by_key(|e| {
-            let mut it = e.os_version.split('.').map(|p| p.parse::<u32>().unwrap_or(0));
-            (it.next().unwrap_or(0), it.next().unwrap_or(0), it.next().unwrap_or(0))
+            let mut it = e
+                .os_version
+                .split('.')
+                .map(|p| p.parse::<u32>().unwrap_or(0));
+            (
+                it.next().unwrap_or(0),
+                it.next().unwrap_or(0),
+                it.next().unwrap_or(0),
+            )
         })
     }
 
@@ -139,7 +182,10 @@ mod tests {
     #[test]
     fn urls_point_at_the_entry_host() {
         let m = Manifest::software_update();
-        assert!(m.entries.iter().all(|e| e.url.contains("appldnld.apple.com")));
+        assert!(m
+            .entries
+            .iter()
+            .all(|e| e.url.contains("appldnld.apple.com")));
     }
 
     #[test]
@@ -147,7 +193,9 @@ mod tests {
         let m = Manifest::software_update();
         let latest = m.latest_for("iPhone9,4").unwrap();
         for e in m.for_device("iPhone9,4") {
-            assert!(e.os_version <= latest.os_version || e.os_version.len() < latest.os_version.len());
+            assert!(
+                e.os_version <= latest.os_version || e.os_version.len() < latest.os_version.len()
+            );
         }
         assert!(m.latest_for("iPhone99,9").is_none());
     }
@@ -219,7 +267,10 @@ impl ManifestServer {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        ManifestServer { body, etag: format!("\"{h:016x}\"") }
+        ManifestServer {
+            body,
+            etag: format!("\"{h:016x}\""),
+        }
     }
 
     /// The current entity tag.

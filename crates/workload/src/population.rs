@@ -34,7 +34,10 @@ impl Population {
 
     /// Devices on `continent`.
     pub fn on(&self, continent: Continent) -> u64 {
-        let idx = Continent::ALL.iter().position(|c| *c == continent).expect("all continents listed");
+        let idx = Continent::ALL
+            .iter()
+            .position(|c| *c == continent)
+            .expect("all continents listed");
         self.counts[idx]
     }
 

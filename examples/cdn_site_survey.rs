@@ -7,8 +7,8 @@
 //! ```
 
 use metacdn_suite::analysis::{fig3, table1};
-use metacdn_suite::cdn::http::HttpRequest;
 use metacdn_suite::build_world_or_exit;
+use metacdn_suite::cdn::http::HttpRequest;
 use metacdn_suite::scenario::ScenarioConfig;
 
 fn main() {
@@ -29,9 +29,15 @@ fn main() {
         .iter_mut()
         .find(|s| s.locode.as_str() == "defra")
         .expect("Frankfurt site exists");
-    println!("three downloads through {}{} (watch the Via chain shrink as caches warm):\n", site.locode, site.site_id);
+    println!(
+        "three downloads through {}{} (watch the Via chain shrink as caches warm):\n",
+        site.locode, site.site_id
+    );
     let object = "/ios11.0/iPhone10,3_11.0_15A372_Restore.ipsw";
-    for (i, client) in ["84.17.3.10", "84.17.99.7", "84.17.3.10"].iter().enumerate() {
+    for (i, client) in ["84.17.3.10", "84.17.99.7", "84.17.3.10"]
+        .iter()
+        .enumerate()
+    {
         let req = HttpRequest {
             host: "appldnld.apple.com".into(),
             path: object.into(),
@@ -50,13 +56,25 @@ fn main() {
                 Some(false) => "miss",
                 None => "not consulted",
             },
-            if outcome.origin_fetch { "fetched" } else { "not needed" },
+            if outcome.origin_fetch {
+                "fetched"
+            } else {
+                "not needed"
+            },
         );
     }
 
     // 3. The inference the paper draws: one vip fronts four edge-bx caches,
     //    so an advertised IP represents 4x one server's capacity.
-    let vips: usize = world.apple.sites().iter().map(|s| s.vip_addrs().len()).sum();
+    let vips: usize = world
+        .apple
+        .sites()
+        .iter()
+        .map(|s| s.vip_addrs().len())
+        .sum();
     let bx = world.apple.total_bx();
-    println!("fleet-wide: {vips} vip addresses front {bx} edge-bx caches ({}x)", bx / vips);
+    println!(
+        "fleet-wide: {vips} vip addresses front {bx} edge-bx caches ({}x)",
+        bx / vips
+    );
 }

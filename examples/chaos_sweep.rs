@@ -25,7 +25,11 @@ fn main() -> ExitCode {
     let _ = metacdn_suite::build_world_or_exit(&cfg);
     let grid = standard_grid(cfg.seed);
 
-    println!("chaos sweep: {} scenarios over {:?} ticks", grid.len(), cfg.traffic_tick);
+    println!(
+        "chaos sweep: {} scenarios over {:?} ticks",
+        grid.len(),
+        cfg.traffic_tick
+    );
     let results = match run_chaos_sweep(&cfg, &grid) {
         Ok(results) => results,
         Err((scenario, violation)) => {

@@ -7,9 +7,9 @@
 
 use metacdn_suite::analysis::coverage::dns_campaign_coverage;
 use metacdn_suite::analysis::fig4::fig4_summary;
+use metacdn_suite::build_world_or_exit;
 use metacdn_suite::faults::{FaultProfile, RetryPolicy};
 use metacdn_suite::geo::{Duration, SimTime};
-use metacdn_suite::build_world_or_exit;
 use metacdn_suite::scenario::{run_dns_campaign, CampaignSpec, ScenarioConfig};
 
 fn main() {
@@ -24,7 +24,9 @@ fn main() {
     // and is guaranteed inert.
     let world = build_world_or_exit(&cfg);
     let clean = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
     println!("— clean campaign —");
     println!("{}", dns_campaign_coverage(&clean));
 
@@ -35,7 +37,9 @@ fn main() {
     cfg.retry = RetryPolicy::standard();
     let world = build_world_or_exit(&cfg);
     let faulted = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
     println!("— faulted campaign (FaultProfile::realistic) —");
     println!("{}", dns_campaign_coverage(&faulted));
 

@@ -8,9 +8,9 @@
 //! ```
 
 use metacdn_suite::analysis::{fig7, fig8};
+use metacdn_suite::build_world_or_exit;
 use metacdn_suite::geo::{Duration, SimTime};
 use metacdn_suite::isp::billing::percentile_95_5;
-use metacdn_suite::build_world_or_exit;
 use metacdn_suite::scenario::{
     params, run_dns_campaign, run_isp_traffic, CampaignSpec, ScenarioConfig,
 };
@@ -26,7 +26,9 @@ fn main() {
 
     eprintln!("collecting DNS-observed server IPs (cross-correlation input)…");
     let dns = run_dns_campaign(&world, &cfg, &CampaignSpec::isp())
-        .expect("in-ISP campaign").run.into_result();
+        .expect("in-ISP campaign")
+        .run
+        .into_result();
     eprintln!("collecting border telemetry (NetFlow + SNMP + BGP)…");
     let traffic = run_isp_traffic(&world, &cfg, 0).0;
     println!(
@@ -39,7 +41,10 @@ fn main() {
 
     println!("{}", fig7::fig7_summary(&traffic, &dns.ip_classes, release));
     println!("{}", fig8::fig8_series(&traffic, &dns.ip_classes, &world));
-    println!("{}", fig8::fig8_d_link_saturation(&traffic, &world, cfg.traffic_tick));
+    println!(
+        "{}",
+        fig8::fig8_d_link_saturation(&traffic, &world, cfg.traffic_tick)
+    );
 
     // §5.4's closing observation: the 95/5 bill of AS D's links. The spike
     // lasts three days; in a 30-day month that's ~10% of samples — far past

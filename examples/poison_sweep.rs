@@ -29,7 +29,11 @@ fn main() -> ExitCode {
     let _ = metacdn_suite::build_world_or_exit(&cfg);
     let grid = poison_grid(cfg.seed);
 
-    println!("poison sweep: {} scenarios over {:?} ticks", grid.len(), cfg.traffic_tick);
+    println!(
+        "poison sweep: {} scenarios over {:?} ticks",
+        grid.len(),
+        cfg.traffic_tick
+    );
     let results = match run_poison_sweep(&cfg, &grid) {
         Ok(results) => results,
         Err((scenario, violation)) => {

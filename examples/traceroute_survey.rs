@@ -8,8 +8,8 @@
 //! ```
 
 use metacdn_suite::analysis::cache_location;
-use metacdn_suite::scenario::tracecampaign::{min_rtt_per_target, run_traceroutes};
 use metacdn_suite::build_world_or_exit;
+use metacdn_suite::scenario::tracecampaign::{min_rtt_per_target, run_traceroutes};
 use metacdn_suite::scenario::{params, ScenarioConfig};
 use std::net::Ipv4Addr;
 
@@ -45,14 +45,20 @@ fn main() {
         targets.len() * probes.len()
     );
     let campaign = run_traceroutes(&world, &probes, &targets);
-    assert!(campaign.unreachable.is_empty(), "Apple vips are globally routable");
+    assert!(
+        campaign.unreachable.is_empty(),
+        "Apple vips are globally routable"
+    );
 
     // Third-party caches are swept from *inside the ISP* — the cache behind
     // AS D is only reachable through the ISP's own peering (a valley-free
     // consequence the global fleet correctly cannot see past).
     let isp_probes: Vec<_> = world.isp_probe_specs.iter().take(3).cloned().collect();
     let tp_campaign = run_traceroutes(&world, &isp_probes, &third_party);
-    assert!(tp_campaign.unreachable.is_empty(), "third-party caches reachable from the ISP");
+    assert!(
+        tp_campaign.unreachable.is_empty(),
+        "third-party caches reachable from the ISP"
+    );
     println!("third-party cache placement, seen from the ISP (source AS / handover AS):");
     for ip in &third_party {
         let (_, _, tr) = tp_campaign
@@ -63,7 +69,11 @@ fn main() {
         let last = tr.hops.last().unwrap();
         let handover = tr.hops.iter().rev().nth(1).map(|h| h.asn);
         let name = |a: metacdn_suite::netsim::AsId| {
-            world.topo.as_info(a).map(|i| i.name.clone()).unwrap_or_default()
+            world
+                .topo
+                .as_info(a)
+                .map(|i| i.name.clone())
+                .unwrap_or_default()
         };
         println!(
             "  {ip:<12} source AS {:<18} handover {}",

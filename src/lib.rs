@@ -17,15 +17,15 @@
 #![forbid(unsafe_code)]
 
 pub use mcdn_analysis as analysis;
-pub use mcdn_journal as journal;
 pub use mcdn_atlas as atlas;
 pub use mcdn_cdn as cdn;
 pub use mcdn_dnssim as dnssim;
+pub use mcdn_dnswire as dnswire;
 pub use mcdn_exec as exec;
 pub use mcdn_faults as faults;
-pub use mcdn_dnswire as dnswire;
 pub use mcdn_geo as geo;
 pub use mcdn_isp as isp;
+pub use mcdn_journal as journal;
 pub use mcdn_netsim as netsim;
 pub use mcdn_obs as obs;
 pub use mcdn_scenario as scenario;

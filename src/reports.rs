@@ -42,14 +42,22 @@ pub fn quickstart_report() -> String {
     let (trace, result) = resolver.resolve(&names::entry(), RecordType::A, &ctx);
     result.expect("the entry point always resolves");
 
-    let _ = writeln!(out, "CNAME chain for {} (client: Berlin, {now}):", names::entry());
+    let _ = writeln!(
+        out,
+        "CNAME chain for {} (client: Berlin, {now}):",
+        names::entry()
+    );
     for (from, to, ttl) in trace.cname_edges() {
         let _ = writeln!(out, "  {from} --{ttl:>5}s--> {to}");
     }
     let _ = writeln!(out, "answer:");
     for ip in trace.addresses() {
         let origin = world.topo.origin_of(ip).expect("announced address");
-        let who = world.topo.as_info(origin).map(|a| a.name.as_str()).unwrap_or("?");
+        let who = world
+            .topo
+            .as_info(origin)
+            .map(|a| a.name.as_str())
+            .unwrap_or("?");
         let ptr = world
             .apple
             .ptr_lookup(ip)
@@ -73,7 +81,11 @@ pub fn quickstart_report() -> String {
     );
 
     // What the controller knows at this instant.
-    let _ = writeln!(out, "\ncontroller snapshot: {:#?}", world.state.snapshot(now));
+    let _ = writeln!(
+        out,
+        "\ncontroller snapshot: {:#?}",
+        world.state.snapshot(now)
+    );
     let _ = writeln!(
         out,
         "\nApple EU capacity: {:.1} Tbps across {} edge-bx servers at {} sites; \
@@ -121,8 +133,11 @@ pub fn ios_update_rollout_report() -> String {
     while t < cfg.global_end {
         let count = |c: CdnClass| result.unique_ips.count(t, Continent::Europe, c);
         let total: usize = CdnClass::ALL.iter().map(|c| count(*c)).sum();
-        let marker =
-            if t <= release && release < t + Duration::hours(1) { "  <-- iOS 11.0" } else { "" };
+        let marker = if t <= release && release < t + Duration::hours(1) {
+            "  <-- iOS 11.0"
+        } else {
+            ""
+        };
         let _ = writeln!(
             out,
             "  {t}  A:{:>3} K:{:>3} K*:{:>3} L:{:>3} L*:{:>3}  total {:>4} {}{marker}",
@@ -138,7 +153,10 @@ pub fn ios_update_rollout_report() -> String {
     }
 
     // How the effective CDN selection shifted at the release instant.
-    let _ = writeln!(out, "\neffective EU selection shares (schedule + reactive overflow):");
+    let _ = writeln!(
+        out,
+        "\neffective EU selection shares (schedule + reactive overflow):"
+    );
     for (label, at) in [
         ("2 days before", release - Duration::days(2)),
         ("release + 1 h", release + Duration::hours(1)),
@@ -146,13 +164,20 @@ pub fn ios_update_rollout_report() -> String {
     ] {
         loads::update_loads(&world, at);
         let eff = world.state.effective_share(Region::Eu, at);
-        let fmt: Vec<String> = eff.iter().map(|(k, p)| format!("{k} {:.0}%", p * 100.0)).collect();
+        let fmt: Vec<String> = eff
+            .iter()
+            .map(|(k, p)| format!("{k} {:.0}%", p * 100.0))
+            .collect();
         let _ = writeln!(
             out,
             "  {label:<16} {}   (Apple util {:.2}, a1015 {})",
             fmt.join(", "),
             world.state.apple_utilization(Region::Eu),
-            if world.state.a1015_active(Region::Eu, at) { "ACTIVE" } else { "off" }
+            if world.state.a1015_active(Region::Eu, at) {
+                "ACTIVE"
+            } else {
+                "off"
+            }
         );
     }
 

@@ -31,7 +31,10 @@ fn tiny_cfg(faults: FaultProfile) -> ScenarioConfig {
 }
 
 fn journal_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("mcdn-adversarial-{}-{tag}.journal", std::process::id()))
+    std::env::temp_dir().join(format!(
+        "mcdn-adversarial-{}-{tag}.journal",
+        std::process::id()
+    ))
 }
 
 /// Every answer-mutation shape the campaign must survive: all four kinds
@@ -39,7 +42,10 @@ fn journal_path(tag: &str) -> PathBuf {
 fn mutation_profiles() -> [(&'static str, FaultProfile); 3] {
     [
         ("poisoning-enforced", FaultProfile::poisoning(97)),
-        ("poisoning-open", FaultProfile::poisoning(97).with_bailiwick_enforcement(false)),
+        (
+            "poisoning-open",
+            FaultProfile::poisoning(97).with_bailiwick_enforcement(false),
+        ),
         (
             "truncation-heavy",
             FaultProfile {
@@ -56,9 +62,19 @@ fn mutation_profiles() -> [(&'static str, FaultProfile); 3] {
 /// The global campaign on 2 workers over a fresh world, journaled into
 /// `journal` if given, suspending after `stop_after` rounds if given.
 fn global(cfg: &ScenarioConfig, journal: Option<&Path>, stop_after: Option<u64>) -> CampaignRun {
-    let opts = ResumeOptions { threads: 2, checkpoint_every: 1, stop_after_rounds: stop_after };
-    let spec = CampaignSpec { journal, opts, ..CampaignSpec::global() };
-    run_dns_campaign(&build_world_or_exit(cfg), cfg, &spec).expect("campaign").run
+    let opts = ResumeOptions {
+        threads: 2,
+        checkpoint_every: 1,
+        stop_after_rounds: stop_after,
+    };
+    let spec = CampaignSpec {
+        journal,
+        opts,
+        ..CampaignSpec::global()
+    };
+    run_dns_campaign(&build_world_or_exit(cfg), cfg, &spec)
+        .expect("campaign")
+        .run
 }
 
 fn run_suspending(cfg: &ScenarioConfig, path: &Path, stop_after: u64) {

@@ -24,7 +24,12 @@ fn dns_campaign_exports_and_reimports() {
         resolver.flush();
         let (trace, res) = resolver.resolve(&names::entry(), RecordType::A, &probe.context(t));
         res.unwrap();
-        results.push(AtlasDnsResult::from_trace(PAPER_MSM_ID, probe.id, t, &trace));
+        results.push(AtlasDnsResult::from_trace(
+            PAPER_MSM_ID,
+            probe.id,
+            t,
+            &trace,
+        ));
     }
     let jsonl = to_jsonl(&results);
     assert_eq!(jsonl.lines().count(), 10);

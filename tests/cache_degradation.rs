@@ -49,7 +49,9 @@ fn update_flood_displaces_catalogue_content() {
 
     // The flash crowd: many distinct update-image variants hammer the site
     // (device × version combinations — the manifest has ~1800).
-    let flood: Vec<String> = (0..400).map(|i| format!("/ios11/variant-{i}.ipsw")).collect();
+    let flood: Vec<String> = (0..400)
+        .map(|i| format!("/ios11/variant-{i}.ipsw"))
+        .collect();
     serve_round(&mut site, &flood, 2, 7_000);
 
     // The catalogue was evicted: its hit rate collapses until re-warmed.
@@ -77,7 +79,12 @@ fn single_hot_object_is_flood_resistant() {
     let mut hot_total = 0;
     for round in 0..40u32 {
         // Interleave: hot object from many clients, noise in between.
-        serve_round(&mut site, &noise[(round as usize % 40)..(round as usize % 40) + 10], 1, round);
+        serve_round(
+            &mut site,
+            &noise[(round as usize % 40)..(round as usize % 40) + 10],
+            1,
+            round,
+        );
         let rate = serve_round(&mut site, std::slice::from_ref(&hot), 6, 90_000 + round);
         if round > 2 {
             hot_hits += (rate > 0.9) as u32;

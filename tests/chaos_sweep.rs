@@ -21,7 +21,12 @@ fn chaos_cfg() -> ScenarioConfig {
     cfg
 }
 
-fn share_has(result: &ChaosRunResult, t: metacdn_suite::geo::SimTime, region: Region, kind: CdnKind) -> bool {
+fn share_has(
+    result: &ChaosRunResult,
+    t: metacdn_suite::geo::SimTime,
+    region: Region,
+    kind: CdnKind,
+) -> bool {
     let audit = result
         .ticks
         .iter()
@@ -59,7 +64,11 @@ fn chaos_off_is_bit_inert() {
         }
         t += cfg.traffic_tick;
     }
-    assert_eq!(i, baseline.ticks.len(), "audit trail covers exactly the window");
+    assert_eq!(
+        i,
+        baseline.ticks.len(),
+        "audit trail covers exactly the window"
+    );
 }
 
 /// The acceptance scenario: killing Limelight's load balancer one hour
@@ -81,7 +90,12 @@ fn ll_lb_kill_spills_to_surviving_cdns_and_restores() {
     // failed 5-minute probes, so at the kill instant Limelight is still
     // mapped (hysteresis delay)…
     assert!(
-        share_has(&kill, release + Duration::hours(1), Region::Eu, CdnKind::Limelight),
+        share_has(
+            &kill,
+            release + Duration::hours(1),
+            Region::Eu,
+            CdnKind::Limelight
+        ),
         "hysteresis must delay the ejection past the first failed probe"
     );
     // …an hour in it is gone everywhere the baseline maps it…
@@ -96,14 +110,23 @@ fn ll_lb_kill_spills_to_surviving_cdns_and_restores() {
     }
     // …and an hour after the window ends it is restored.
     assert!(
-        share_has(&kill, release + Duration::hours(8), Region::Eu, CdnKind::Limelight),
+        share_has(
+            &kill,
+            release + Duration::hours(8),
+            Region::Eu,
+            CdnKind::Limelight
+        ),
         "Limelight must be restored after the kill window"
     );
 
     // Exactly one eject + one restore per regional tracker — no flapping.
     assert!(!kill.transitions.is_empty());
     for (kind, region, n) in &kill.transitions {
-        assert_eq!(*kind, CdnKind::Limelight, "only Limelight trackers transition");
+        assert_eq!(
+            *kind,
+            CdnKind::Limelight,
+            "only Limelight trackers transition"
+        );
         assert_eq!(*n, 2, "one eject + one restore in {region:?}");
     }
 
@@ -140,10 +163,16 @@ fn flapping_health_signal_cannot_oscillate_the_mapping() {
     let mut tracker = HealthTracker::new();
     for i in 0..200 {
         if tracker.observe(i % 2 == 0, &health).is_some() {
-            world.state.set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
+            world
+                .state
+                .set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
         }
     }
-    assert_eq!(tracker.transitions(), 0, "alternating probes must be filtered out");
+    assert_eq!(
+        tracker.transitions(),
+        0,
+        "alternating probes must be filtered out"
+    );
     assert_eq!(world.state.effective_share(region, t), baseline_share);
 
     // Slowest transitioning flap: exactly eject_after failures then
@@ -155,18 +184,26 @@ fn flapping_health_signal_cannot_oscillate_the_mapping() {
     for _ in 0..cycles {
         for _ in 0..health.eject_after {
             if tracker.observe(false, &health).is_some() {
-                world.state.set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
+                world
+                    .state
+                    .set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
                 mapping_changes += 1;
             }
         }
         assert!(
-            !world.state.effective_share(region, t).iter().any(|(k, _)| *k == CdnKind::Limelight),
+            !world
+                .state
+                .effective_share(region, t)
+                .iter()
+                .any(|(k, _)| *k == CdnKind::Limelight),
             "ejected after {} consecutive failures",
             health.eject_after
         );
         for _ in 0..health.restore_after {
             if tracker.observe(true, &health).is_some() {
-                world.state.set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
+                world
+                    .state
+                    .set_cdn_health(CdnKind::Limelight, region, tracker.is_up());
                 mapping_changes += 1;
             }
         }
@@ -177,7 +214,11 @@ fn flapping_health_signal_cannot_oscillate_the_mapping() {
             health.restore_after
         );
     }
-    assert_eq!(mapping_changes, 2 * cycles, "one mapping move per threshold crossing");
+    assert_eq!(
+        mapping_changes,
+        2 * cycles,
+        "one mapping move per threshold crossing"
+    );
     assert_eq!(tracker.transitions(), mapping_changes);
     // The slowest flap saturates the invariant checker's bound of two
     // transitions per `eject_after + restore_after` probes.
@@ -208,13 +249,25 @@ fn total_dark_blackout_falls_back_to_last_known_good() {
             .iter()
             .find(|a| a.t == release + Duration::hours(3) && a.region == region)
             .expect("mid-blackout tick");
-        assert!(!audit.share.is_empty(), "mid-blackout mapping must not go empty in {region:?}");
+        assert!(
+            !audit.share.is_empty(),
+            "mid-blackout mapping must not go empty in {region:?}"
+        );
         let sum: f64 = audit.share.iter().map(|(_, p)| p).sum();
-        assert!((sum - 1.0).abs() < 1e-6, "last-known-good share stays a distribution");
+        assert!(
+            (sum - 1.0).abs() < 1e-6,
+            "last-known-good share stays a distribution"
+        );
         assert!(audit.alloc.served.iter().map(|(_, s)| s).sum::<f64>() > 0.0);
     }
-    assert!(dark.total_transitions() >= 2, "blackout must eject and restore");
-    assert!(dark.availability() > 0.8, "graceful degradation, not collapse");
+    assert!(
+        dark.total_transitions() >= 2,
+        "blackout must eject and restore"
+    );
+    assert!(
+        dark.availability() > 0.8,
+        "graceful degradation, not collapse"
+    );
 }
 
 /// The full grid passes every invariant and replays bit-identically —
@@ -226,5 +279,8 @@ fn sweep_grid_holds_invariants_and_replays_bit_identically() {
     let a = run_chaos_sweep(&cfg, &grid).expect("sweep invariants");
     let b = run_chaos_sweep(&cfg, &grid).expect("sweep invariants");
     assert_eq!(a.len(), 7);
-    assert_eq!(a, b, "equal seed must replay the whole sweep bit-identically");
+    assert_eq!(
+        a, b,
+        "equal seed must replay the whole sweep bit-identically"
+    );
 }

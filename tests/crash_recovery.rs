@@ -44,14 +44,25 @@ fn journal_path(tag: &str) -> PathBuf {
 /// The fault profiles of the acceptance matrix: quiet, and the chaos
 /// grid's harshest scenario (every fault family plus a full blackout).
 fn profiles() -> [(&'static str, FaultProfile); 2] {
-    [("none", FaultProfile::none()), ("total-dark", total_dark_scenario(41).faults)]
+    [
+        ("none", FaultProfile::none()),
+        ("total-dark", total_dark_scenario(41).faults),
+    ]
 }
 
 /// The global campaign, journaled into `journal` if given, on `threads`
 /// workers, suspending after `stop_after` rounds if given.
 fn spec(journal: Option<&Path>, threads: usize, stop_after: Option<u64>) -> CampaignSpec<'_> {
-    let opts = ResumeOptions { threads, checkpoint_every: 1, stop_after_rounds: stop_after };
-    CampaignSpec { journal, opts, ..CampaignSpec::global() }
+    let opts = ResumeOptions {
+        threads,
+        checkpoint_every: 1,
+        stop_after_rounds: stop_after,
+    };
+    CampaignSpec {
+        journal,
+        opts,
+        ..CampaignSpec::global()
+    }
 }
 
 /// Runs `spec` over a freshly built world.
@@ -61,20 +72,32 @@ fn run(cfg: &ScenarioConfig, spec: CampaignSpec<'_>) -> Result<CampaignOutput, C
 
 /// The in-memory campaign's result: the baseline of every identity check.
 fn in_memory(cfg: &ScenarioConfig, threads: usize) -> DnsCampaignResult {
-    run(cfg, spec(None, threads, None)).expect("in-memory campaign").run.into_result()
+    run(cfg, spec(None, threads, None))
+        .expect("in-memory campaign")
+        .run
+        .into_result()
 }
 
 /// Runs the journaled campaign to completion (fresh world), panicking on
 /// any engine error — the happy path of every identity check below.
 fn run_journaled(cfg: &ScenarioConfig, path: &Path, threads: usize) -> DnsCampaignResult {
-    run(cfg, spec(Some(path), threads, None)).expect("journaled campaign").run.into_result()
+    run(cfg, spec(Some(path), threads, None))
+        .expect("journaled campaign")
+        .run
+        .into_result()
 }
 
 /// Runs `stop_after` rounds and suspends with a durable checkpoint — the
 /// graceful half of a crash (the CI gate does the SIGKILL half).
 fn run_partial(cfg: &ScenarioConfig, path: &Path, threads: usize, stop_after: u64) {
-    match run(cfg, spec(Some(path), threads, Some(stop_after))).expect("suspending campaign").run {
-        CampaignRun::Suspended { rounds_done, total_rounds } => {
+    match run(cfg, spec(Some(path), threads, Some(stop_after)))
+        .expect("suspending campaign")
+        .run
+    {
+        CampaignRun::Suspended {
+            rounds_done,
+            total_rounds,
+        } => {
             assert_eq!(rounds_done, stop_after);
             assert_eq!(total_rounds, TINY_ROUNDS);
         }
@@ -292,10 +315,26 @@ fn journaled_run_from_an_empty_journal_matches_the_in_memory_run() {
         let _ = std::fs::remove_file(&path);
         let journaled = run(&cfg, spec(Some(&path), threads, None)).expect("journaled run");
         let _ = std::fs::remove_file(&path);
-        assert_eq!(journaled.metrics.det_jsonl(), plain.metrics.det_jsonl(), "[{label}]");
-        assert_eq!(journaled.shard_walls.len(), plain.shard_walls.len(), "[{label}]");
-        assert_eq!(plain.shard_walls.len() as u64, TINY_ROUNDS * threads as u64, "[{label}]");
-        assert_eq!(journaled.run.into_result(), plain.run.into_result(), "[{label}]");
+        assert_eq!(
+            journaled.metrics.det_jsonl(),
+            plain.metrics.det_jsonl(),
+            "[{label}]"
+        );
+        assert_eq!(
+            journaled.shard_walls.len(),
+            plain.shard_walls.len(),
+            "[{label}]"
+        );
+        assert_eq!(
+            plain.shard_walls.len() as u64,
+            TINY_ROUNDS * threads as u64,
+            "[{label}]"
+        );
+        assert_eq!(
+            journaled.run.into_result(),
+            plain.run.into_result(),
+            "[{label}]"
+        );
     }
 }
 
@@ -323,6 +362,9 @@ fn zero_threads_means_the_ambient_worker_count() {
     let path = journal_path("zero-threads");
     let _ = std::fs::remove_file(&path);
     run_partial(&cfg, &path, 0, 2);
-    assert_eq!(run_journaled(&cfg, &path, ambient), in_memory(&cfg, ambient));
+    assert_eq!(
+        run_journaled(&cfg, &path, ambient),
+        in_memory(&cfg, ambient)
+    );
     let _ = std::fs::remove_file(&path);
 }

@@ -38,9 +38,15 @@ fn hourly_polls_hit_mesu_and_cache_between() {
     assert!(metacdn_suite::cdn::AppleCdn::scan_prefix().contains(mesu_ip));
 
     // …the next hourly poll re-resolves (mesu's 300 s TTL lapsed)…
-    let (trace2, _) =
-        resolver.resolve(&names::mesu(), RecordType::A, &device_ctx(t0 + Duration::HOUR));
-    assert!(!trace2.steps[0].from_cache, "300 s TTL cannot survive an hour");
+    let (trace2, _) = resolver.resolve(
+        &names::mesu(),
+        RecordType::A,
+        &device_ctx(t0 + Duration::HOUR),
+    );
+    assert!(
+        !trace2.steps[0].from_cache,
+        "300 s TTL cannot survive an hour"
+    );
     assert_eq!(trace2.addresses(), vec![mesu_ip], "stable manifest host");
 }
 
@@ -49,7 +55,10 @@ fn manifest_discovery_finds_ios11_for_a_device() {
     let manifest = Manifest::software_update();
     assert!((1700..=1900).contains(&manifest.len()));
     let latest = manifest.latest_for("iPhone9,4").expect("device supported");
-    assert!(latest.url.contains("appldnld.apple.com"), "download URL points at the entry host");
+    assert!(
+        latest.url.contains("appldnld.apple.com"),
+        "download URL points at the entry host"
+    );
     // The six-entry last-resort file exists alongside.
     assert_eq!(Manifest::update_brain().len(), 6);
 }
@@ -94,7 +103,10 @@ fn user_initiated_download_flows_through_a_nearby_site() {
         let (resp, outcome) = site.serve(&req, &entry.url, 2_800_000_000);
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_length, 2_800_000_000);
-        assert_eq!(outcome.vip.locode, name.locode, "served by the resolved site");
+        assert_eq!(
+            outcome.vip.locode, name.locode,
+            "served by the resolved site"
+        );
         // The Via chain names parse under the Table 1 scheme.
         for hop in &resp.via {
             if !hop.host.ends_with("cloudfront.net") {

@@ -26,7 +26,9 @@ fn every_continent_resolves_to_a_routable_cache() {
     let world = World::build(&ScenarioConfig::fast());
     let now = SimTime::from_ymd(2017, 9, 15);
     loads::update_loads(&world, now);
-    let cities = ["usnyc", "deber", "jptyo", "ausyd", "brsao", "zajnb", "cnsha", "inbom"];
+    let cities = [
+        "usnyc", "deber", "jptyo", "ausyd", "brsao", "zajnb", "cnsha", "inbom",
+    ];
     for (i, code) in cities.iter().enumerate() {
         let ctx = ctx_for(code, 0x0A20_0000 + i as u32 * 1000, now);
         let mut r = RecursiveResolver::new(&world.ns);
@@ -48,12 +50,20 @@ fn china_and_india_divert_before_cdn_selection() {
     let world = World::build(&ScenarioConfig::fast());
     let now = SimTime::from_ymd(2017, 9, 15);
     loads::update_loads(&world, now);
-    for (code, market) in [("cnsha", "china"), ("cnbjs", "china"), ("inbom", "india"), ("indel", "india")] {
+    for (code, market) in [
+        ("cnsha", "china"),
+        ("cnbjs", "china"),
+        ("inbom", "india"),
+        ("indel", "india"),
+    ] {
         let ctx = ctx_for(code, 0x0A30_0000, now);
         let mut r = RecursiveResolver::new(&world.ns);
         let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
-        let chain: Vec<String> =
-            trace.cname_edges().iter().map(|(_, to, _)| to.to_string()).collect();
+        let chain: Vec<String> = trace
+            .cname_edges()
+            .iter()
+            .map(|(_, to, _)| to.to_string())
+            .collect();
         assert!(
             chain.iter().any(|n| n.contains(&format!("{market}-lb"))),
             "{code} must divert to the {market} LB, chain: {chain:?}"
@@ -100,7 +110,10 @@ fn ttl_hierarchy_controls_re_resolution() {
     let (trace, res) = r.resolve(&names::entry(), RecordType::A, &ctx);
     res.unwrap();
     let cached: Vec<bool> = trace.steps.iter().map(|s| s.from_cache).collect();
-    assert!(cached[0] && cached[1], "long-TTL head stays cached: {cached:?}");
+    assert!(
+        cached[0] && cached[1],
+        "long-TTL head stays cached: {cached:?}"
+    );
     assert!(!cached[2], "the 15 s selector re-decides: {cached:?}");
 
     // 3 minutes later the 120 s geo split has also expired.
@@ -124,7 +137,11 @@ fn same_seed_worlds_resolve_identically() {
         let mut r2 = RecursiveResolver::new(&w2.ns);
         let (t1, _) = r1.resolve(&names::entry(), RecordType::A, &ctx);
         let (t2, _) = r2.resolve(&names::entry(), RecordType::A, &ctx);
-        assert_eq!(t1.addresses(), t2.addresses(), "determinism violated at client {i}");
+        assert_eq!(
+            t1.addresses(),
+            t2.addresses(),
+            "determinism violated at client {i}"
+        );
     }
 }
 
@@ -140,10 +157,12 @@ fn coverage_rule_shapes_south_america() {
             let ctx = ctx_for(code, 0x0A70_0000 + i * 13, now);
             let mut r = RecursiveResolver::new(&world.ns);
             let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
-            let apple = trace
-                .addresses()
-                .iter()
-                .any(|ip| world.classify(metacdn_suite::scenario::classes::attribute_trace(&trace), *ip) == CdnClass::Apple);
+            let apple = trace.addresses().iter().any(|ip| {
+                world.classify(
+                    metacdn_suite::scenario::classes::attribute_trace(&trace),
+                    *ip,
+                ) == CdnClass::Apple
+            });
             if apple {
                 *counter += 1;
             }
@@ -174,7 +193,10 @@ fn traceroutes_reach_resolved_caches() {
     for ip in trace.addresses() {
         let tr = metacdn_suite::netsim::traceroute::trace(&world.topo, &mut router, probe_as, ip);
         assert!(tr.reached, "traceroute to {ip} failed");
-        assert!(tr.hops.len() >= 2, "path should cross at least one AS border");
+        assert!(
+            tr.hops.len() >= 2,
+            "path should cross at least one AS border"
+        );
         assert!(tr.hops.last().unwrap().rtt_ms < 400.0, "absurd RTT");
     }
 }

@@ -38,17 +38,28 @@ fn zero_fault_profile_changes_nothing() {
 
     let world = World::build(&quiet);
     let a = run_dns_campaign(&world, &quiet, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
     let world2 = World::build(&bare);
     let b = run_dns_campaign(&world2, &bare, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
 
     let series_a: Vec<_> = a.unique_ips.series().collect();
     let series_b: Vec<_> = b.unique_ips.series().collect();
     assert_eq!(series_a, series_b, "unique-IP series must be bit-identical");
-    assert_eq!(a.ip_classes, b.ip_classes, "IP classification must be bit-identical");
+    assert_eq!(
+        a.ip_classes, b.ip_classes,
+        "IP classification must be bit-identical"
+    );
     assert_eq!(a.resolutions, b.resolutions);
-    assert_eq!(fig4_series(&a).rows, fig4_series(&b).rows, "figure output must be bit-identical");
+    assert_eq!(
+        fig4_series(&a).rows,
+        fig4_series(&b).rows,
+        "figure output must be bit-identical"
+    );
 
     // And the fault accounting is inert.
     assert_eq!(a.attempts, a.resolutions, "no faults → no retries");
@@ -67,10 +78,15 @@ fn eu_spike_survives_realistic_faults() {
     cfg.retry = RetryPolicy::standard();
     let world = World::build(&cfg);
     let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
 
     // Faults actually fired and retries actually ran…
-    assert!(result.attempts > result.resolutions, "the profile must bite");
+    assert!(
+        result.attempts > result.resolutions,
+        "the profile must bite"
+    );
     // …but backoff keeps the campaign mostly usable.
     assert!(
         result.success_fraction() > 0.9,
@@ -102,7 +118,10 @@ fn eu_spike_survives_realistic_faults() {
         Continent::Europe,
         CdnClass::Apple,
     );
-    assert!((apple_after as f64) < 2.0 * apple_before.max(1) as f64, "Apple stays flat");
+    assert!(
+        (apple_after as f64) < 2.0 * apple_before.max(1) as f64,
+        "Apple stays flat"
+    );
 }
 
 /// A campaign where every upstream query is lost must end in empty — not
@@ -118,10 +137,15 @@ fn total_dns_outage_degrades_gracefully() {
     cfg.retry = RetryPolicy::standard();
     let world = World::build(&cfg);
     let result = run_dns_campaign(&world, &cfg, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
 
     assert!(result.resolutions > 0, "measurements were still attempted");
-    assert_eq!(result.retry_exhausted, result.resolutions, "every one failed");
+    assert_eq!(
+        result.retry_exhausted, result.resolutions,
+        "every one failed"
+    );
     assert_eq!(
         result.attempts,
         result.resolutions * cfg.retry.max_attempts as u64,
@@ -162,7 +186,9 @@ fn snmp_blackout_keeps_figures_alive() {
         c
     };
     let dns = run_dns_campaign(&world, &dns_cfg, &CampaignSpec::global())
-        .expect("global campaign").run.into_result();
+        .expect("global campaign")
+        .run
+        .into_result();
     let t = fig7_series(&traffic, &dns.ip_classes, cfg.traffic_start);
     drop(t);
     // And the coverage table names the gap.

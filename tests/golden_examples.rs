@@ -16,7 +16,9 @@
 use std::path::PathBuf;
 
 fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(name)
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/goldens")
+        .join(name)
 }
 
 fn assert_golden(name: &str, actual: &str) {
@@ -54,10 +56,16 @@ fn assert_golden(name: &str, actual: &str) {
 
 #[test]
 fn quickstart_example_output_is_pinned() {
-    assert_golden("quickstart.txt", &metacdn_suite::reports::quickstart_report());
+    assert_golden(
+        "quickstart.txt",
+        &metacdn_suite::reports::quickstart_report(),
+    );
 }
 
 #[test]
 fn ios_update_rollout_example_output_is_pinned() {
-    assert_golden("ios_update_rollout.txt", &metacdn_suite::reports::ios_update_rollout_report());
+    assert_golden(
+        "ios_update_rollout.txt",
+        &metacdn_suite::reports::ios_update_rollout_report(),
+    );
 }

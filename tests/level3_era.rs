@@ -82,7 +82,10 @@ fn apac_never_uses_level3_even_when_enabled() {
         let mut r = RecursiveResolver::new(&world.ns);
         let (trace, _) = r.resolve(&names::entry(), RecordType::A, &ctx);
         for (_, to, _) in trace.cname_edges() {
-            assert!(!to.to_string().contains("lvl3"), "APAC client reached Level3");
+            assert!(
+                !to.to_string().contains("lvl3"),
+                "APAC client reached Level3"
+            );
         }
     }
 }

@@ -60,43 +60,81 @@ fn observed(
     kind: CampaignKind,
     threads: usize,
 ) -> (DnsCampaignResult, obs::MetricsSnapshot) {
-    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
-    let out = run_dns_campaign(world, cfg, &CampaignSpec { kind, journal: None, opts })
-        .expect("campaign");
+    let opts = ResumeOptions {
+        threads,
+        ..ResumeOptions::default()
+    };
+    let out = run_dns_campaign(
+        world,
+        cfg,
+        &CampaignSpec {
+            kind,
+            journal: None,
+            opts,
+        },
+    )
+    .expect("campaign");
     (out.run.into_result(), out.metrics)
 }
 
 /// The exact-equality oracle: every deterministic counter with an engine
 /// ground-truth twin must match it, and the trace events must agree with
 /// the counters they narrate.
-fn assert_snapshot_matches(
-    label: &str,
-    result: &DnsCampaignResult,
-    snap: &obs::MetricsSnapshot,
-) {
+fn assert_snapshot_matches(label: &str, result: &DnsCampaignResult, snap: &obs::MetricsSnapshot) {
     let c = |id: u16| snap.counter(id);
     assert_eq!(c(obs::id::ROUNDS), TINY_ROUNDS, "[{label}] campaign.rounds");
-    assert_eq!(c(obs::id::RESOLUTIONS), result.resolutions, "[{label}] resolutions");
+    assert_eq!(
+        c(obs::id::RESOLUTIONS),
+        result.resolutions,
+        "[{label}] resolutions"
+    );
     assert_eq!(c(obs::id::ATTEMPTS), result.attempts, "[{label}] attempts");
-    assert_eq!(c(obs::id::RETRY_EXHAUSTED), result.retry_exhausted, "[{label}] retry_exhausted");
-    assert_eq!(c(obs::id::MEMO_LOOKUPS), result.memo_lookups, "[{label}] memo_lookups");
-    assert_eq!(c(obs::id::MEMO_HITS), result.memo_hits, "[{label}] memo_hits");
+    assert_eq!(
+        c(obs::id::RETRY_EXHAUSTED),
+        result.retry_exhausted,
+        "[{label}] retry_exhausted"
+    );
+    assert_eq!(
+        c(obs::id::MEMO_LOOKUPS),
+        result.memo_lookups,
+        "[{label}] memo_lookups"
+    );
+    assert_eq!(
+        c(obs::id::MEMO_HITS),
+        result.memo_hits,
+        "[{label}] memo_hits"
+    );
     // Every resolution drives the cache, so the cache counters must at
     // least cover the cold stores.
-    assert!(c(obs::id::CACHE_MISSES) > 0, "[{label}] no cache misses recorded");
-    assert!(c(obs::id::CACHE_PUTS) > 0, "[{label}] no cache puts recorded");
+    assert!(
+        c(obs::id::CACHE_MISSES) > 0,
+        "[{label}] no cache misses recorded"
+    );
+    assert!(
+        c(obs::id::CACHE_PUTS) > 0,
+        "[{label}] no cache puts recorded"
+    );
     assert!(
         snap.ttl_hist().count() == c(obs::id::CACHE_PUTS),
         "[{label}] every cache put must observe its TTL exactly once"
     );
     // Trace events agree with the counters they narrate.
-    let rounds = snap.events().iter().filter(|e| e.kind == obs::event::ROUND_COMPLETED).count();
-    assert_eq!(rounds as u64, TINY_ROUNDS, "[{label}] one ROUND_COMPLETED event per round");
-    let exhausted =
-        snap.events().iter().filter(|e| e.kind == obs::event::RETRY_EXHAUSTED).count();
+    let rounds = snap
+        .events()
+        .iter()
+        .filter(|e| e.kind == obs::event::ROUND_COMPLETED)
+        .count();
     assert_eq!(
-        exhausted as u64,
-        result.retry_exhausted,
+        rounds as u64, TINY_ROUNDS,
+        "[{label}] one ROUND_COMPLETED event per round"
+    );
+    let exhausted = snap
+        .events()
+        .iter()
+        .filter(|e| e.kind == obs::event::RETRY_EXHAUSTED)
+        .count();
+    assert_eq!(
+        exhausted as u64, result.retry_exhausted,
         "[{label}] one RETRY_EXHAUSTED event per exhausted probe"
     );
     // The final ROUND_COMPLETED event carries the cumulative resolution
@@ -106,8 +144,15 @@ fn assert_snapshot_matches(
         .iter()
         .rfind(|e| e.kind == obs::event::ROUND_COMPLETED)
         .expect("TINY_ROUNDS > 0");
-    assert_eq!(last.value, result.resolutions, "[{label}] final round event value");
-    assert_eq!(last.key as u64, TINY_ROUNDS - 1, "[{label}] final round event key");
+    assert_eq!(
+        last.value, result.resolutions,
+        "[{label}] final round event value"
+    );
+    assert_eq!(
+        last.key as u64,
+        TINY_ROUNDS - 1,
+        "[{label}] final round event key"
+    );
 }
 
 #[test]
@@ -141,7 +186,11 @@ fn fault_and_tamper_counters_fire_under_their_profiles() {
         obs::id::BAILIWICK_DROPS,
         obs::id::RETRY_EXHAUSTED,
     ] {
-        assert_eq!(quiet.counter(id), 0, "quiet profile must not record counter {id}");
+        assert_eq!(
+            quiet.counter(id),
+            0,
+            "quiet profile must not record counter {id}"
+        );
     }
     // The chaos blackout injects transport faults.
     let cfg = tiny_cfg(total_dark_scenario(41).faults);

@@ -60,9 +60,19 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The in-memory `kind` campaign over a fresh world on `threads` workers.
 fn campaign(cfg: &ScenarioConfig, kind: CampaignKind, threads: usize) -> DnsCampaignResult {
-    let opts = ResumeOptions { threads, ..ResumeOptions::default() };
-    let spec = CampaignSpec { kind, journal: None, opts };
-    run_dns_campaign(&World::build(cfg), cfg, &spec).expect("campaign").run.into_result()
+    let opts = ResumeOptions {
+        threads,
+        ..ResumeOptions::default()
+    };
+    let spec = CampaignSpec {
+        kind,
+        journal: None,
+        opts,
+    };
+    run_dns_campaign(&World::build(cfg), cfg, &spec)
+        .expect("campaign")
+        .run
+        .into_result()
 }
 
 #[test]

@@ -26,7 +26,10 @@ fn zone_answer_and_compiled_query_agree_for_every_policy() {
         .enumerate()
         .flat_map(|(zi, z)| z.policy_names().into_iter().map(move |n| (n.clone(), zi)))
         .collect();
-    assert!(policies.len() >= 12, "the paper world has the whole mapping chain");
+    assert!(
+        policies.len() >= 12,
+        "the paper world has the whole mapping chain"
+    );
     // Every city hosting a global or ISP probe, with that probe's address.
     let mut seen = HashSet::new();
     let sites: Vec<_> = world
@@ -101,7 +104,14 @@ fn zone_answer_and_compiled_query_agree_for_every_policy() {
             }
         }
     }
-    assert_eq!(answered.len(), policies.len(), "every policy answered at least once");
+    assert_eq!(
+        answered.len(),
+        policies.len(),
+        "every policy answered at least once"
+    );
     assert!(cnames > 0 && addrs > 0);
-    assert_eq!(compared, (sites.len() * 4 * instants.len() * policies.len() * 2) as u64);
+    assert_eq!(
+        compared,
+        (sites.len() * 4 * instants.len() * policies.len() * 2) as u64
+    );
 }

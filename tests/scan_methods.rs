@@ -50,14 +50,24 @@ fn strided_slash8_sweep_finds_a_consistent_subset() {
         |ip| world.apple.serves_ios_images(ip),
         |_| None,
     );
-    assert!(!strided.is_empty(), "a /8 sweep at stride 251 still lands hits");
+    assert!(
+        !strided.is_empty(),
+        "a /8 sweep at stride 251 still lands hits"
+    );
     for hit in &strided {
-        assert!(full.contains(&hit.ip), "{} found by /8 but not /16 sweep", hit.ip);
+        assert!(
+            full.contains(&hit.ip),
+            "{} found by /8 but not /16 sweep",
+            hit.ip
+        );
         assert!(AppleCdn::delivery_prefix().contains(hit.ip));
     }
     // The subset is a meaningful sample but smaller than the full set.
     assert!(strided.len() < full.len());
-    assert!(strided.len() * 100 >= full.len() / 10, "stride shouldn't miss everything");
+    assert!(
+        strided.len() * 100 >= full.len() / 10,
+        "stride shouldn't miss everything"
+    );
 }
 
 #[test]

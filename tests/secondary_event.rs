@@ -27,7 +27,9 @@ fn ios_11_1_is_a_smaller_echo_of_the_main_event() {
     let cfg_main = window((9, 15), (9, 23));
     let world_main = World::build(&cfg_main);
     let dns_main = run_dns_campaign(&world_main, &cfg_main, &CampaignSpec::isp())
-        .expect("in-ISP campaign").run.into_result();
+        .expect("in-ISP campaign")
+        .run
+        .into_result();
     let traffic_main = run_isp_traffic(&world_main, &cfg_main, 0).0;
     let d_main = fig8::d_peak_share(&traffic_main, &dns_main.ip_classes, &world_main);
 
@@ -35,17 +37,26 @@ fn ios_11_1_is_a_smaller_echo_of_the_main_event() {
     let cfg_minor = window((10, 28), (11, 4));
     let world_minor = World::build(&cfg_minor);
     let dns_minor = run_dns_campaign(&world_minor, &cfg_minor, &CampaignSpec::isp())
-        .expect("in-ISP campaign").run.into_result();
+        .expect("in-ISP campaign")
+        .run
+        .into_result();
     let traffic_minor = run_isp_traffic(&world_minor, &cfg_minor, 0).0;
 
     // Limelight load rises at the 11.1 release but stays well below the
     // September peak.
     loads::update_loads(&world_minor, release_11_1 + Duration::hours(2));
-    let ll_minor = world_minor.state.cdn_load(metacdn::CdnKind::Limelight, Region::Eu);
+    let ll_minor = world_minor
+        .state
+        .cdn_load(metacdn::CdnKind::Limelight, Region::Eu);
     loads::update_loads(&world_main, params::release() + Duration::hours(2));
-    let ll_main = world_main.state.cdn_load(metacdn::CdnKind::Limelight, Region::Eu);
+    let ll_main = world_main
+        .state
+        .cdn_load(metacdn::CdnKind::Limelight, Region::Eu);
     assert!(ll_minor > 0.1, "11.1 must load Limelight: {ll_minor}");
-    assert!(ll_minor < ll_main * 0.7, "but less than 11.0: {ll_minor} vs {ll_main}");
+    assert!(
+        ll_minor < ll_main * 0.7,
+        "but less than 11.0: {ll_minor} vs {ll_main}"
+    );
 
     // Overflow through AS D: present in both episodes (the D pool engages
     // above its threshold), weaker in the minor one.

@@ -55,7 +55,10 @@ fn snmp_scaling_recovers_true_volumes_within_percent() {
         let err = (est - truth).abs() / truth;
         // SNMP scaling corrects the total exactly; the per-AS split retains
         // some sampling noise but stays within a few percent at this size.
-        assert!(err < 0.10, "AS{asn}: error {err:.3} too large ({est:.3e} vs {truth:.3e})");
+        assert!(
+            err < 0.10,
+            "AS{asn}: error {err:.3} too large ({est:.3e} vs {truth:.3e})"
+        );
     }
 }
 
@@ -93,7 +96,10 @@ fn snmp_totals_match_generated_traffic_modulo_drops() {
     // CDN links, SNMP must never exceed capacity.
     for (t, link, bytes) in result.snmp.samples() {
         let l = world.topo.link(link);
-        assert!(l.touches(params::EYEBALL_AS), "SNMP on a non-border link at {t}");
+        assert!(
+            l.touches(params::EYEBALL_AS),
+            "SNMP on a non-border link at {t}"
+        );
         let cap_bytes = l.capacity_bps * cfg.traffic_tick.as_secs() as f64 / 8.0;
         assert!(
             bytes as f64 <= cap_bytes * 1.0001,
@@ -117,8 +123,12 @@ fn sampled_flows_estimate_true_link_volume() {
         }
         *per_link.iter().max_by_key(|(_, v)| **v).unwrap().0
     };
-    let snmp_total: u64 =
-        result.snmp.samples().filter(|(_, l, _)| *l == busiest).map(|(_, _, b)| b).sum();
+    let snmp_total: u64 = result
+        .snmp
+        .samples()
+        .filter(|(_, l, _)| *l == busiest)
+        .map(|(_, _, b)| b)
+        .sum();
     let sampled_total: u64 = result
         .flows
         .iter()
@@ -136,7 +146,10 @@ fn source_as_fields_match_bgp_origin() {
     let world = World::build(&cfg);
     let result = run_isp_traffic(&world, &cfg, 0).0;
     for (_, _, rec) in result.flows.iter().take(2000) {
-        let origin = world.topo.origin_of(rec.src).expect("flow sources are routable");
+        let origin = world
+            .topo
+            .origin_of(rec.src)
+            .expect("flow sources are routable");
         assert_eq!(
             rec.src_as,
             (origin.0 & 0xFFFF) as u16,
