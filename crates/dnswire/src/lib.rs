@@ -22,14 +22,12 @@
 #![forbid(unsafe_code)]
 
 pub mod display;
-pub mod edns;
 pub mod error;
 pub mod message;
 pub mod name;
 pub mod rr;
 
 pub use display::dig_format;
-pub use edns::{attach_ecs, extract_ecs, ClientSubnet};
 pub use error::WireError;
 pub use message::{Flags, Header, Message, Opcode, Question, Rcode};
 pub use name::Name;

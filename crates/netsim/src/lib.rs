@@ -20,13 +20,11 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bgp_wire;
 pub mod ip;
 pub mod routing;
 pub mod topology;
 pub mod traceroute;
 
-pub use bgp_wire::{RibBuilder, Update as BgpUpdate};
 pub use ip::{FlatLpm, Ipv4Net, PrefixTrie};
 pub use routing::Router;
 pub use topology::{AsId, AsInfo, AsKind, DirectedRel, Link, LinkId, Relationship, Topology};

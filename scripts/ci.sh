@@ -9,6 +9,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --check (root workspace; pipebench/ is a workspace of its own)"
+cargo fmt --all -- --check
+
 echo "==> cargo build --release"
 cargo build --release
 
