@@ -8,7 +8,7 @@
 //! Bands are deliberately loose at fast scale (sampling density limits what
 //! a small fleet can see); `--paper` uses the tighter paper-scale bands.
 
-use mcdn_analysis::{fig2, fig3, fig7, fig8, table1, Table};
+use mcdn_analysis::{fig2, fig3, fig7, fig8, reject_unknown_flags, table1, Table};
 use mcdn_geo::{Continent, Duration, Region, SimTime};
 use mcdn_scenario::{
     loads, params, run_dns_campaign, run_isp_traffic, CampaignSpec, CdnClass, ScenarioConfig, World,
@@ -59,7 +59,12 @@ impl Claims {
 }
 
 fn main() {
-    let paper_scale = std::env::args().any(|a| a == "--paper");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = reject_unknown_flags(&args, &["--paper"]) {
+        eprintln!("{e}\nusage: check_claims [--paper]");
+        std::process::exit(2);
+    }
+    let paper_scale = args.iter().any(|a| a == "--paper");
     let mut cfg = if paper_scale {
         ScenarioConfig::paper()
     } else {

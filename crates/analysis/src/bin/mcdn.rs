@@ -14,8 +14,11 @@
 //! ```
 //!
 //! Everything is deterministic; re-running a command reproduces its output.
+//! An option the command does not take is an error (usage, exit 2).
 
-use mcdn_analysis::{fig2, fig3, fig4, fig5, fig7, fig8, path_arg_value, table1};
+use mcdn_analysis::{
+    fig2, fig3, fig4, fig5, fig7, fig8, path_arg_value, reject_unknown_flags, table1,
+};
 use mcdn_geo::{Locode, Registry, SimTime};
 use mcdn_scenario::{
     loads, params, run_dns_campaign, run_isp_traffic, CampaignKind, CampaignOutput, CampaignRun,
@@ -301,6 +304,16 @@ fn cmd_zones() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let known: &[&str] = match args.first().map(String::as_str) {
+        Some("resolve") => &["--at"],
+        Some("campaign") => &["--paper", "--journal", "--metrics"],
+        Some("traffic") => &["--paper"],
+        _ => &[],
+    };
+    if let Err(e) = reject_unknown_flags(&args, known) {
+        eprintln!("{e}");
+        usage();
+    }
     match args.first().map(String::as_str) {
         Some("resolve") => cmd_resolve(&args[1..]),
         Some("crawl") => cmd_crawl(),

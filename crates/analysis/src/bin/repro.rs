@@ -8,11 +8,13 @@
 //! `--fast` (default) runs the reduced configuration (~seconds);
 //! `--paper` runs the full 800-probe / 5-minute / multi-month campaigns
 //! (use a release build). `--csv-dir` additionally writes each table as CSV,
-//! plus `fig2.dot` and `plots.gnuplot`. A `--csv-dir` without a directory
-//! exits 2 with usage; a file that cannot be written exits 1.
+//! plus `fig2.dot` and `plots.gnuplot`. An unknown option or a `--csv-dir`
+//! without a directory exits 2 with usage; a file that cannot be written
+//! exits 1.
 
 use mcdn_analysis::{
-    fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, path_arg_value, table1, via_inference, Table,
+    fig1, fig2, fig3, fig4, fig5, fig6, fig7, fig8, path_arg_value, reject_unknown_flags, table1,
+    via_inference, Table,
 };
 use mcdn_scenario::{
     params, run_dns_campaign, run_isp_traffic, CampaignSpec, ScenarioConfig, World,
@@ -41,6 +43,10 @@ fn emit(table: &Table, csv_dir: Option<&str>, slug: &str) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = reject_unknown_flags(&args, &["--paper", "--fast", "--csv-dir"]) {
+        eprintln!("{e}");
+        usage();
+    }
     let paper = args.iter().any(|a| a == "--paper");
     let csv_dir = path_arg_value(&args, "--csv-dir")
         .unwrap_or_else(|e| {

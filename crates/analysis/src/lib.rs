@@ -58,6 +58,21 @@ pub fn path_arg_value(args: &[String], flag: &str) -> Result<Option<std::path::P
     }
 }
 
+/// Rejects any option (an argument starting with `--`) not in `known`:
+/// a misspelt flag (`--papr`, `--jounral`, `--smok`) must not run with
+/// the default settings as if it had not been given. The error names the
+/// first unknown option; the binaries answer it with usage and exit
+/// status 2.
+pub fn reject_unknown_flags(args: &[String], known: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !known.contains(&a.as_str()))
+    {
+        Some(flag) => Err(format!("unknown option {flag}")),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,5 +94,26 @@ mod tests {
         let missing = Err("--csv-dir needs a value".to_string());
         assert_eq!(csv_dir("--csv-dir"), missing);
         assert_eq!(csv_dir("--csv-dir --paper"), missing);
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let args = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
+        let repro = |s: &str| reject_unknown_flags(&args(s), &["--paper", "--fast", "--csv-dir"]);
+        assert_eq!(repro("--paper --csv-dir results"), Ok(()));
+        assert_eq!(
+            repro("--papr --csv-dir results"),
+            Err("unknown option --papr".to_string())
+        );
+        // Values and positional arguments are not options.
+        let mcdn = |s: &str| reject_unknown_flags(&args(s), &["--paper", "--journal", "--metrics"]);
+        assert_eq!(mcdn("global --journal j.bin"), Ok(()));
+        assert_eq!(
+            mcdn("global --jounral j.bin"),
+            Err("unknown option --jounral".to_string())
+        );
+        let bench = |s: &str| reject_unknown_flags(&args(s), &["--smoke"]);
+        assert_eq!(bench("--smoke out.json"), Ok(()));
+        assert_eq!(bench("--smok"), Err("unknown option --smok".to_string()));
     }
 }

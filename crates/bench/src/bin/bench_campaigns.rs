@@ -1,11 +1,20 @@
 //! The campaign-engine benchmark trajectory: runs the DNS campaigns and
 //! the traffic simulation at several worker counts, checks the outputs
 //! are bit-identical, and writes `BENCH_campaigns.json` with wall times,
-//! resolution throughput, memo hit rates, and per-thread-count speedups.
+//! resolution throughput, memo hit rates, per-thread-count speedups and
+//! the worker pool's counters.
 //!
 //! Usage: `bench_campaigns [--smoke] [OUT.json]`. `--smoke` shrinks the
 //! workload for CI gating; the default output path is
-//! `BENCH_campaigns.json` in the working directory.
+//! `BENCH_campaigns.json` in the working directory. Any other option is an
+//! error (exit 2).
+//!
+//! Wall times are reported, never gated against a constant: they depend
+//! on the host. The gates are exact counts that are the same on every
+//! host. The bench runs in one process, so nothing else dispatches while
+//! it measures, and every run's `mcdn_exec::pool_stats()` delta must show
+//! no worker spawned on the warmed pool and exactly one dispatch per DNS
+//! round, or per phase-B batch of 8 traffic ticks (none on one worker).
 //!
 //! Two allocation audits gate the resolution path at exactly zero heap
 //! allocations per resolution: a warm pass (one probe re-resolving at a
@@ -78,15 +87,32 @@ impl WallSummary {
     }
 }
 
-/// Wall time and throughput of one benched (campaign, worker count)
-/// cell: best-of-[`REPS`] wall clock, the shard-wall summary of the best
-/// repetition, and the estimated pool-dispatch overhead the run paid.
+/// Wall time, throughput and pool counters of one benched (campaign,
+/// worker count) cell: best-of-[`REPS`] wall clock and the shard-wall
+/// summary of the best repetition.
 struct Run {
     threads: usize,
     wall_ms: f64,
     per_sec: f64,
     walls: WallSummary,
-    dispatch_overhead_ms: f64,
+    /// Pool dispatches of each repetition.
+    dispatches: Vec<u64>,
+    /// What every repetition must dispatch at this worker count.
+    expected_dispatches: u64,
+    /// Workers spawned across all repetitions, on a pool already warmed
+    /// to this width.
+    spawned: usize,
+}
+
+impl Run {
+    /// The pool-counter gate: no spawn, and the exact dispatch count.
+    fn pool_ok(&self) -> bool {
+        self.spawned == 0
+            && self
+                .dispatches
+                .iter()
+                .all(|&d| d == self.expected_dispatches)
+    }
 }
 
 /// Repetitions per (campaign, worker count) cell; the best wall clock is
@@ -95,57 +121,22 @@ struct Run {
 /// anyway.
 const REPS: usize = 3;
 
-/// Per-dispatch cost of waking the pool at `threads` width: the measured
-/// wall clock of a no-op `shard_map` over one item per shard, on a warm
-/// pool. Multiplied by a run's dispatch count this estimates how much of
-/// its wall went to orchestration rather than work — the quantity the
-/// persistent pool exists to shrink.
-fn dispatch_cost_ms(threads: usize) -> f64 {
-    if threads <= 1 {
-        return 0.0; // inline path: no handshake at all
-    }
-    mcdn_exec::warm(threads);
-    let mut items = vec![0u8; threads];
-    for _ in 0..64 {
-        std::hint::black_box(mcdn_exec::shard_map(&mut items, threads, |_, _| ()));
-    }
-    let reps = 512u32;
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(mcdn_exec::shard_map(&mut items, threads, |_, _| ()));
-    }
-    start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
-}
+/// Traffic ticks per phase-B pool dispatch. Pinned here rather than read
+/// from [`TRAFFIC_BATCH_TICKS`]: per-tick dispatch made the traffic run
+/// scale negatively (DESIGN §4h), so a smaller batch must fail the
+/// dispatch-count gate, not move its expectation along with it.
+const TICKS_PER_DISPATCH: u64 = 8;
 
-/// The same no-op dispatch measured through the retired spawn-per-round
-/// engine (`mcdn_exec::reference`), kept in-tree as a differential
-/// oracle. The pool-vs-scoped ratio is the one engine property a
-/// single-core host can still measure without scheduler noise drowning
-/// it (spawn costs tens of microseconds per worker; a warm-pool wake is
-/// single-digit), so the degraded gate leans on it where raw speedup
-/// cannot discriminate.
-fn scoped_dispatch_cost_ms(threads: usize) -> f64 {
-    if threads <= 1 {
-        return 0.0;
+/// Steps of `step` from `start` while before `end`: a DNS campaign's
+/// round count, or the traffic run's tick count.
+fn steps(start: SimTime, end: SimTime, step: Duration) -> u64 {
+    let mut n = 0;
+    let mut t = start;
+    while t < end {
+        n += 1;
+        t += step;
     }
-    let mut items = vec![0u8; threads];
-    for _ in 0..16 {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(
-            &mut items,
-            threads,
-            |_, _| (),
-        ));
-    }
-    let reps = 128u32;
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(mcdn_exec::reference::shard_map_scoped(
-            &mut items,
-            threads,
-            |_, _| (),
-        ));
-    }
-    start.elapsed().as_secs_f64() * 1e3 / f64::from(reps)
+    n
 }
 
 /// One benched campaign: canonical counters plus per-thread-count runs.
@@ -194,7 +185,14 @@ fn thread_counts() -> Vec<usize> {
 /// Times `run` at each worker count against a fresh world (best of
 /// [`REPS`] repetitions per count), returning the per-count runs and
 /// whether every output — of every repetition — matched the serial one.
-fn bench_campaign<R, F>(cfg: &ScenarioConfig, counts: &[usize], run: F) -> (Vec<Run>, bool, Vec<R>)
+/// A parallel run must dispatch to the pool exactly `dispatches` times; a
+/// serial run never dispatches.
+fn bench_campaign<R, F>(
+    cfg: &ScenarioConfig,
+    counts: &[usize],
+    dispatches: u64,
+    run: F,
+) -> (Vec<Run>, bool, Vec<R>)
 where
     R: PartialEq,
     F: Fn(&World, &ScenarioConfig, usize) -> (u64, R, Vec<std::time::Duration>),
@@ -202,27 +200,28 @@ where
     let mut runs = Vec::new();
     let mut outputs: Vec<R> = Vec::new();
     for &threads in counts {
-        let per_dispatch_ms = dispatch_cost_ms(threads);
+        mcdn_exec::warm(threads);
         let mut best: Option<(f64, u64, Vec<std::time::Duration>)> = None;
+        let mut rep_dispatches = Vec::with_capacity(REPS);
+        let mut spawned = 0;
         for _ in 0..REPS {
             // A fresh world per repetition: campaigns advance the
             // controller's load history, so sharing one would let an
             // earlier run warm state for a later one.
             let world = World::build(cfg);
+            let pool_before = mcdn_exec::pool_stats();
             let start = Instant::now();
             let (work, out, shard_walls) = run(&world, cfg, threads);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+            let pool_after = mcdn_exec::pool_stats();
+            rep_dispatches.push(pool_after.dispatches - pool_before.dispatches);
+            spawned += pool_after.spawned - pool_before.spawned;
             if best.as_ref().is_none_or(|(w, ..)| wall_ms < *w) {
                 best = Some((wall_ms, work, shard_walls));
             }
             outputs.push(out);
         }
         let (wall_ms, work, shard_walls) = best.expect("REPS >= 1");
-        // Shards per dispatch is the thread count (except a possible
-        // smaller trailing batch); the executions-per-dispatch quotient
-        // recovers the dispatch count well enough for an overhead
-        // estimate.
-        let dispatches = shard_walls.len().div_ceil(threads.max(1));
         runs.push(Run {
             threads,
             wall_ms,
@@ -232,7 +231,9 @@ where
                 0.0
             },
             walls: WallSummary::of(&shard_walls),
-            dispatch_overhead_ms: per_dispatch_ms * dispatches as f64,
+            dispatches: rep_dispatches,
+            expected_dispatches: if threads > 1 { dispatches } else { 0 },
+            spawned,
         });
     }
     let identical = outputs.windows(2).all(|w| w[0] == w[1]);
@@ -634,120 +635,6 @@ fn json_escape_free(s: &str) -> &str {
     s
 }
 
-/// The per-campaign speedup gate at the top benched thread count.
-///
-/// `full` is the real-parallelism bar, armed when the host machine can
-/// actually run 4 workers at once; on narrower hosts (CI containers are
-/// routinely pinned to one core, where a >1.0 speedup is physically
-/// impossible) the gate degrades to `floor` — an overhead-amortization
-/// bar that the retired spawn-per-round engine still fails but that
-/// passes once dispatch cost is amortized.
-///
-/// Floor calibration, measured full-scale on a 1-core container: the
-/// spawn-per-round engine ran 0.74×/0.85×/0.52× serial; the persistent
-/// pool runs 0.75–0.81×/~0.95×/~1.05× across invocations. The residual
-/// global_dns gap is not dispatch cost (`dispatch_overhead_ms` ≈ 0.1 ms
-/// of a ~200 ms campaign) but duplicated per-shard memo misses — real
-/// work that extra cores absorb and a single core serializes — and its
-/// run-to-run jitter overlaps the old engine's number, so raw DNS
-/// speedup cannot discriminate engines here. The floors therefore only
-/// bound pathological overhead; engine discrimination in the floor
-/// regime comes from (a) the isp_traffic bar (0.52× old vs ~1.05× pool,
-/// far outside noise) and (b) the [`DISPATCH_RATIO_GATE`] head-to-head
-/// microbenchmark, which is insensitive to core count. The JSON records
-/// which bar was armed.
-///
-/// Recalibrated for schema v7: the observability layer's hot-path work
-/// sped the *serial* run up (194→~230 k res/s on the reference
-/// container), which lowers the parallel/serial ratio by the same
-/// fraction — the fixed per-round shard overhead now divides a shorter
-/// round. Measured
-/// 0.66–0.70× across invocations; the global_dns floor drops 0.70→0.62
-/// to keep bounding pathological overhead without failing on a serial
-/// speedup.
-struct SpeedupGate {
-    name: &'static str,
-    full: f64,
-    floor: f64,
-}
-
-/// Gate relaxation applied in `--smoke` mode: the smoke campaigns finish
-/// in ~10 ms, where a timeshared core adds ±10% run-to-run jitter even
-/// under best-of-[`REPS`], so CI enforces a proportionally looser bar.
-/// The full-scale run (which produces the committed baseline) keeps the
-/// calibrated thresholds.
-const SMOKE_GATE_SCALE: f64 = 0.85;
-
-const SPEEDUP_GATES: [SpeedupGate; 3] = [
-    SpeedupGate {
-        name: "global_dns",
-        full: 1.2,
-        floor: 0.62,
-    },
-    SpeedupGate {
-        name: "isp_dns",
-        full: 1.0,
-        floor: 0.80,
-    },
-    SpeedupGate {
-        name: "isp_traffic",
-        full: 1.0,
-        floor: 0.80,
-    },
-];
-
-/// Worker widths this host can truly run concurrently.
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Whether the full-strength speedup thresholds apply on this host.
-fn full_gate_armed() -> bool {
-    available_parallelism() >= 4
-}
-
-fn gate_threshold(gate: &SpeedupGate, smoke: bool) -> f64 {
-    let bar = if full_gate_armed() {
-        gate.full
-    } else {
-        gate.floor
-    };
-    if smoke {
-        bar * SMOKE_GATE_SCALE
-    } else {
-        bar
-    }
-}
-
-/// Head-to-head no-op dispatch cost at the top benched width: the
-/// persistent pool versus the retired spawn-per-round reference engine.
-struct DispatchMicrobench {
-    threads: usize,
-    pool_ms: f64,
-    scoped_ms: f64,
-}
-
-impl DispatchMicrobench {
-    /// How many times cheaper a warm-pool wake is than spawning scoped
-    /// threads for the same geometry.
-    fn scoped_over_pool(&self) -> f64 {
-        if self.pool_ms > 0.0 {
-            self.scoped_ms / self.pool_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-/// The dispatch-cost bar: a warm-pool dispatch must be at least this many
-/// times cheaper than the scoped spawn it replaced. Unlike raw campaign
-/// speedup, this ratio is insensitive to core count and scheduler jitter
-/// (measured ~10–40× here), so it holds the tentpole's claim even on the
-/// one-core hosts where the speedup gate degrades to its floors.
-const DISPATCH_RATIO_GATE: f64 = 2.0;
-
 #[allow(clippy::too_many_arguments)]
 fn write_json(
     out: &mut String,
@@ -757,44 +644,20 @@ fn write_json(
     audit: &AllocAudit,
     cold: &AllocAudit,
     ckpt: &CheckpointOverhead,
-    dispatch: &DispatchMicrobench,
     obs: &ObsOverhead,
     metrics: &mcdn_obs::MetricsSnapshot,
 ) {
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v9\",");
+    let _ = writeln!(out, "  \"schema\": \"mcdn-bench-campaigns-v10\",");
     let _ = writeln!(out, "  \"smoke\": {smoke},");
     let counts_s: Vec<String> = counts.iter().map(|c| c.to_string()).collect();
     let _ = writeln!(out, "  \"thread_counts\": [{}],", counts_s.join(", "));
     let _ = writeln!(
         out,
         "  \"available_parallelism\": {},",
-        available_parallelism()
+        std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     let _ = writeln!(out, "  \"traffic_batch_ticks\": {TRAFFIC_BATCH_TICKS},");
-    let _ = writeln!(out, "  \"dispatch_microbench\": {{");
-    let _ = writeln!(out, "    \"threads\": {},", dispatch.threads);
-    let _ = writeln!(out, "    \"pool_ms\": {:.4},", dispatch.pool_ms);
-    let _ = writeln!(out, "    \"scoped_ms\": {:.4},", dispatch.scoped_ms);
-    let _ = writeln!(
-        out,
-        "    \"scoped_over_pool\": {:.2},",
-        dispatch.scoped_over_pool()
-    );
-    let _ = writeln!(out, "    \"gate_min_ratio\": {DISPATCH_RATIO_GATE:.2}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"speedup_gate\": {{");
-    let _ = writeln!(out, "    \"full_strength\": {},", full_gate_armed());
-    for (i, g) in SPEEDUP_GATES.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    \"{}\": {:.2}{}",
-            json_escape_free(g.name),
-            gate_threshold(g, smoke),
-            if i + 1 < SPEEDUP_GATES.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"checkpointing\": {{");
     let _ = writeln!(out, "    \"plain_ms\": {:.3},", ckpt.plain_ms);
     let _ = writeln!(out, "    \"journaled_ms\": {:.3},", ckpt.journaled_ms);
@@ -891,15 +754,18 @@ fn write_json(
             } else {
                 0.0
             };
+            let dispatches: Vec<String> = r.dispatches.iter().map(|d| d.to_string()).collect();
             let _ = write!(
                 out,
-                "        {{\"threads\": {}, \"wall_ms\": {:.3}, \"{}_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"dispatch_overhead_ms\": {:.3}, \"shard_walls\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"max_ms\": {:.3}}}}}",
+                "        {{\"threads\": {}, \"wall_ms\": {:.3}, \"{}_per_sec\": {:.1}, \"speedup_vs_serial\": {:.3}, \"dispatches\": [{}], \"expected_dispatches\": {}, \"workers_spawned\": {}, \"shard_walls\": {{\"count\": {}, \"p50_ms\": {:.3}, \"p90_ms\": {:.3}, \"max_ms\": {:.3}}}}}",
                 r.threads,
                 r.wall_ms,
                 json_escape_free(b.units),
                 r.per_sec,
                 speedup,
-                r.dispatch_overhead_ms,
+                dispatches.join(", "),
+                r.expected_dispatches,
+                r.spawned,
                 r.walls.count,
                 r.walls.p50_ms,
                 r.walls.p90_ms,
@@ -920,6 +786,10 @@ fn write_json(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = mcdn_analysis::reject_unknown_flags(&args, &["--smoke"]) {
+        eprintln!("{e}\nusage: bench_campaigns [--smoke] [OUT.json]");
+        std::process::exit(2);
+    }
     let smoke = args.iter().any(|a| a == "--smoke");
     let out_path = args
         .iter()
@@ -932,7 +802,8 @@ fn main() {
 
     let mut benches = Vec::new();
 
-    let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
+    let rounds = steps(cfg.global_start, cfg.global_end, cfg.global_dns_interval);
+    let (runs, identical, outs) = bench_campaign(&cfg, &counts, rounds, |world, cfg, threads| {
         let out = dns_campaign(world, cfg, CampaignKind::Global, threads);
         let r = out.run.into_result();
         (r.resolutions, r, out.shard_walls)
@@ -948,7 +819,8 @@ fn main() {
         identical,
     });
 
-    let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
+    let rounds = steps(cfg.isp_start, cfg.isp_end, cfg.isp_dns_interval);
+    let (runs, identical, outs) = bench_campaign(&cfg, &counts, rounds, |world, cfg, threads| {
         let out = dns_campaign(world, cfg, CampaignKind::Isp, threads);
         let r = out.run.into_result();
         (r.resolutions, r, out.shard_walls)
@@ -964,7 +836,9 @@ fn main() {
         identical,
     });
 
-    let (runs, identical, outs) = bench_campaign(&cfg, &counts, |world, cfg, threads| {
+    let batches =
+        steps(cfg.traffic_start, cfg.traffic_end, cfg.traffic_tick).div_ceil(TICKS_PER_DISPATCH);
+    let (runs, identical, outs) = bench_campaign(&cfg, &counts, batches, |world, cfg, threads| {
         let (r, walls) = run_isp_traffic(world, cfg, threads);
         (r.flows.len() as u64, r, walls)
     });
@@ -1027,23 +901,9 @@ fn main() {
         cold.resolutions, cold.allocs, cold.bytes
     );
 
-    let all_identical = benches.iter().all(|b| b.identical);
-    let top_threads = counts.iter().copied().max().unwrap_or(1);
-    let dispatch = DispatchMicrobench {
-        threads: top_threads,
-        pool_ms: dispatch_cost_ms(top_threads),
-        scoped_ms: scoped_dispatch_cost_ms(top_threads),
-    };
-    eprintln!(
-        "  dispatch@{}t pool={:.4}ms scoped={:.4}ms ratio={:.1}x",
-        dispatch.threads,
-        dispatch.pool_ms,
-        dispatch.scoped_ms,
-        dispatch.scoped_over_pool(),
-    );
     let mut json = String::new();
     write_json(
-        &mut json, smoke, &counts, &benches, &audit, &cold, &ckpt, &dispatch, &obs, &metrics,
+        &mut json, smoke, &counts, &benches, &audit, &cold, &ckpt, &obs, &metrics,
     );
     std::fs::write(&out_path, &json).expect("write BENCH json");
     for b in &benches {
@@ -1064,91 +924,49 @@ fn main() {
             b.identical,
         );
     }
-    // Parallel-performance gate (was a WARN until the persistent pool
-    // landed): the top benched thread count must clear its campaign's
-    // speedup threshold — the real-parallelism bar on hosts with ≥4
-    // cores, the overhead-amortization floor on narrower ones (where a
-    // >1× speedup is physically impossible but the retired spawn-per-
-    // round engine's 0.74× global / 0.52× traffic walls still fail).
-    let mut gate_failed = false;
+    eprintln!("bench_campaigns: wrote {out_path}");
+
+    let mut failures = Vec::new();
+    for b in benches.iter().filter(|b| !b.identical) {
+        failures.push(format!("{} outputs differ across thread counts", b.name));
+    }
     for b in &benches {
-        let serial = b.runs.first().map(|r| r.wall_ms).unwrap_or(0.0);
-        let Some(top) = b.runs.last().filter(|r| r.threads > 1) else {
-            continue;
-        };
-        let speedup = if top.wall_ms > 0.0 {
-            serial / top.wall_ms
-        } else {
-            0.0
-        };
-        let Some(gate) = SPEEDUP_GATES.iter().find(|g| g.name == b.name) else {
-            continue;
-        };
-        let threshold = gate_threshold(gate, smoke);
-        if speedup < threshold {
-            eprintln!(
-                "bench_campaigns: FAIL — {} at {} threads ran {speedup:.3}x serial \
-                 (gate ≥ {threshold:.2}x, {}; see shard_walls/dispatch_overhead_ms)",
-                b.name,
-                top.threads,
-                if full_gate_armed() {
-                    "full-strength"
-                } else {
-                    "overhead floor"
-                },
-            );
-            gate_failed = true;
+        for r in b.runs.iter().filter(|r| !r.pool_ok()) {
+            failures.push(format!(
+                "{} at {} threads dispatched {:?} times (expected {} per run) and spawned \
+                 {} workers on a warm pool (expected 0)",
+                b.name, r.threads, r.dispatches, r.expected_dispatches, r.spawned
+            ));
         }
     }
-    // The hardware-independent half of the gate: the pool must beat the
-    // retired spawn-per-round engine head-to-head on dispatch cost.
-    if top_threads > 1 && dispatch.scoped_over_pool() < DISPATCH_RATIO_GATE {
-        eprintln!(
-            "bench_campaigns: FAIL — pool dispatch at {} threads is only {:.1}x cheaper \
-             than scoped spawn (gate ≥ {DISPATCH_RATIO_GATE:.1}x)",
-            top_threads,
-            dispatch.scoped_over_pool(),
-        );
-        gate_failed = true;
-    }
-    eprintln!("bench_campaigns: wrote {out_path}");
-    if gate_failed {
-        std::process::exit(1);
-    }
-    if !all_identical {
-        eprintln!("bench_campaigns: FAIL — outputs differ across thread counts");
-        std::process::exit(1);
-    }
     if audit.allocs != 0 {
-        eprintln!(
-            "bench_campaigns: FAIL — steady-state resolve loop allocated \
-             ({} allocs / {} bytes over {} resolutions)",
+        failures.push(format!(
+            "steady-state resolve loop allocated ({} allocs / {} bytes over {} resolutions)",
             audit.allocs, audit.bytes, audit.resolutions
-        );
-        std::process::exit(1);
+        ));
     }
     if cold.allocs != 0 {
-        eprintln!(
-            "bench_campaigns: FAIL — cold-path resolve loop allocated \
-             ({} allocs / {} bytes over {} resolutions)",
+        failures.push(format!(
+            "cold-path resolve loop allocated ({} allocs / {} bytes over {} resolutions)",
             cold.allocs, cold.bytes, cold.resolutions
-        );
-        std::process::exit(1);
+        ));
     }
     if ckpt.overhead_pct >= CHECKPOINT_OVERHEAD_BUDGET_PCT {
-        eprintln!(
-            "bench_campaigns: FAIL — per-round checkpointing costs {:.2}% \
-             (budget < {CHECKPOINT_OVERHEAD_BUDGET_PCT:.0}%)",
+        failures.push(format!(
+            "per-round checkpointing costs {:.2}% (budget < {CHECKPOINT_OVERHEAD_BUDGET_PCT:.0}%)",
             ckpt.overhead_pct
-        );
-        std::process::exit(1);
+        ));
     }
     if obs.overhead_pct >= OBS_OVERHEAD_BUDGET_PCT {
-        eprintln!(
-            "bench_campaigns: FAIL — metrics recording costs {:.2}% \
-             (budget < {OBS_OVERHEAD_BUDGET_PCT:.1}%)",
+        failures.push(format!(
+            "metrics recording costs {:.2}% (budget < {OBS_OVERHEAD_BUDGET_PCT:.1}%)",
             obs.overhead_pct
-        );
+        ));
+    }
+    for failure in &failures {
+        eprintln!("bench_campaigns: FAIL — {failure}");
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

@@ -734,133 +734,6 @@ where
     Ok((values, walls))
 }
 
-/// The retired spawn-per-round engine, kept verbatim as the pool's
-/// differential oracle: for any input, [`reference::shard_map_scoped`]
-/// and [`shard_map`] must produce identical results (the CI
-/// pool-vs-scope stage runs the comparison). Not used by any campaign
-/// path.
-#[doc(hidden)]
-pub mod reference {
-    use super::{panic_message, Recovery, ShardFailure};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
-
-    /// Scoped-thread `shard_map`: spawns one thread per shard per call.
-    pub fn shard_map_scoped<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        let bounds = super::shard_bounds(items.len(), threads);
-        if bounds.len() <= 1 || threads <= 1 {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut rest = items;
-            for (i, b) in bounds.iter().enumerate() {
-                let (shard, tail) = rest.split_at_mut(b.len());
-                rest = tail;
-                out.push(f(i, shard));
-            }
-            return out;
-        }
-        let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-        let mut rest = items;
-        for b in &bounds {
-            let (shard, tail) = rest.split_at_mut(b.len());
-            rest = tail;
-            shards.push(shard);
-        }
-        let f = &f;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || f(i, shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
-    }
-
-    /// Scoped-thread supervised map with per-call pristine clones — the
-    /// pre-pool recovery semantics under [`Recovery::Pristine`].
-    pub fn shard_map_pristine_scoped<T, R, F>(
-        items: &mut [T],
-        threads: usize,
-        retries: u32,
-        f: F,
-    ) -> Result<Vec<R>, ShardFailure>
-    where
-        T: Send + Clone,
-        R: Send,
-        F: Fn(usize, &mut [T]) -> R + Sync,
-    {
-        let _ = Recovery::Pristine { retries }; // semantics documented above
-        fn supervise<T: Clone, R, F: Fn(usize, &mut [T]) -> R>(
-            index: usize,
-            shard: &mut [T],
-            retries: u32,
-            f: &F,
-        ) -> Result<R, ShardFailure> {
-            let pristine: Vec<T> = shard.to_vec();
-            let attempts = retries.saturating_add(1);
-            let mut last_message = String::new();
-            for attempt in 0..attempts {
-                match catch_unwind(AssertUnwindSafe(|| f(index, shard))) {
-                    Ok(r) => return Ok(r),
-                    Err(payload) => {
-                        last_message = panic_message(payload);
-                        if attempt + 1 < attempts {
-                            shard.clone_from_slice(&pristine);
-                        }
-                    }
-                }
-            }
-            Err(ShardFailure {
-                shard: index,
-                attempts,
-                message: last_message,
-            })
-        }
-        let bounds = super::shard_bounds(items.len(), threads);
-        if bounds.len() <= 1 || threads <= 1 {
-            let mut out = Vec::with_capacity(bounds.len());
-            let mut rest = items;
-            for (i, b) in bounds.iter().enumerate() {
-                let (shard, tail) = rest.split_at_mut(b.len());
-                rest = tail;
-                out.push(supervise(i, shard, retries, &f)?);
-            }
-            return Ok(out);
-        }
-        let mut shards: Vec<&mut [T]> = Vec::with_capacity(bounds.len());
-        let mut rest = items;
-        for b in &bounds {
-            let (shard, tail) = rest.split_at_mut(b.len());
-            rest = tail;
-            shards.push(shard);
-        }
-        let f = &f;
-        let results: Vec<Result<R, ShardFailure>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = shards
-                .into_iter()
-                .enumerate()
-                .map(|(i, shard)| scope.spawn(move || supervise(i, shard, retries, f)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard supervisor panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(results.len());
-        for r in results {
-            out.push(r?);
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1089,35 +962,47 @@ mod tests {
 
     // ----------------------------------------------------- pool contract ---
 
+    /// The serial oracle the pool is checked against: `f(i, &mut
+    /// items[range])` over `shard_bounds(n, threads)`, in shard order on
+    /// the calling thread.
+    fn serial_oracle<T, R>(
+        items: &mut [T],
+        threads: usize,
+        f: impl Fn(usize, &mut [T]) -> R,
+    ) -> Vec<R> {
+        shard_bounds(items.len(), threads)
+            .into_iter()
+            .enumerate()
+            .map(|(i, range)| f(i, &mut items[range]))
+            .collect()
+    }
+
     #[test]
-    fn pool_matches_scoped_reference_plain() {
+    fn pool_matches_serial_oracle_plain() {
         for threads in [2usize, 3, 8] {
             for n in [0usize, 1, 7, 64, 103] {
                 let mut a: Vec<u32> = (0..n as u32).collect();
                 let mut b = a.clone();
-                let pooled = shard_map(&mut a, threads, |i, s| {
+                let bump = |i: usize, s: &mut [u32]| {
                     for x in s.iter_mut() {
                         *x = x.wrapping_add(i as u32);
                     }
                     (i, s.to_vec())
-                });
-                let scoped = reference::shard_map_scoped(&mut b, threads, |i, s| {
-                    for x in s.iter_mut() {
-                        *x = x.wrapping_add(i as u32);
-                    }
-                    (i, s.to_vec())
-                });
-                assert_eq!(pooled, scoped, "threads={threads} n={n}");
+                };
+                let pooled = shard_map(&mut a, threads, bump);
+                let serial = serial_oracle(&mut b, threads, bump);
+                assert_eq!(pooled, serial, "threads={threads} n={n}");
                 assert_eq!(a, b, "threads={threads} n={n}");
             }
         }
     }
 
     #[test]
-    fn pool_matches_scoped_reference_supervised() {
+    fn pool_matches_serial_oracle_supervised() {
         for threads in [2usize, 4] {
-            let fired_pool = AtomicU32::new(0);
-            let fired_scope = AtomicU32::new(0);
+            let fired = AtomicU32::new(0);
+            // Already spent: the oracle's run never panics.
+            let spent = AtomicU32::new(1);
             let mut a: Vec<u64> = (0..50).collect();
             let mut b = a.clone();
             fn run(fired: &AtomicU32) -> impl Fn(usize, &mut [u64]) -> u64 + Sync + '_ {
@@ -1132,12 +1017,11 @@ mod tests {
                 }
             }
             let pristine = Recovery::Pristine { retries: 2 };
-            let (pooled, _) =
-                shard_map_recover(&mut a, threads, pristine, run(&fired_pool)).unwrap();
-            let scoped =
-                reference::shard_map_pristine_scoped(&mut b, threads, 2, run(&fired_scope))
-                    .unwrap();
-            assert_eq!(pooled, scoped, "threads={threads}");
+            let (pooled, _) = shard_map_recover(&mut a, threads, pristine, run(&fired)).unwrap();
+            let serial = serial_oracle(&mut b, threads, run(&spent));
+            assert_eq!(fired.load(Ordering::SeqCst), 2, "one panic, one retry");
+            assert_eq!(pooled, serial, "threads={threads}");
+            // The panicked attempt's +7 was rolled back: it lands once.
             assert_eq!(a, b, "threads={threads}");
         }
     }
